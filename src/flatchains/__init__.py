@@ -23,7 +23,7 @@ from .curves import (CurveItem, CurvePath, CurveSystem, PreprocessTrace,
 from .fileio import (ChainFile, ParseError, format_number, load_chainfile,
                      parse_chainfile, save_chainfile, serialize_chainfile)
 from .flatnorm import (FillInfeasibleError, FlatWitness, fill_mod_p,
-                       flat_norm_int, flat_norm_mod_p, flat_norm_mod_p_oracle,
+                       flat_norm_int, flat_norm_mod_p,
                        flat_norm_under_refinement, isoperimetric_ratio)
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "canonical_residue", "compile_chain", "cone", "cone_mass_report",
     "cycle_representative", "decompose_paths_loops", "deform",
     "extract_cycle_indices", "fill_mod_p", "flat_norm_int",
-    "flat_norm_mod_p", "flat_norm_mod_p_oracle", "flat_norm_under_refinement",
+    "flat_norm_mod_p", "flat_norm_under_refinement",
     "format_number", "grid_chain", "isoperimetric_ratio", "lift",
     "load_chainfile", "mass", "mass_p", "norm_mod_p", "parse_chainfile",
     "preprocess", "push_forward", "reduce_mod_p", "save_chainfile",

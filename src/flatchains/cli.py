@@ -32,7 +32,7 @@ from .curves import (CurveSystem, cycle_representative, decompose_paths_loops,
 from .fileio import ChainFile, ParseError, format_number, load_chainfile
 from .flatnorm import (FillInfeasibleError, fill_mod_p, flat_norm_int,
                        flat_norm_mod_p, flat_norm_under_refinement,
-                       isoperimetric_ratio)
+                       isoperimetric_filling)
 
 COMMANDS = ("validate", "mass", "massp", "reduce", "boundary", "flatnorm",
             "flatnormp", "fill", "isoratio", "restrict", "slice", "islice",
@@ -235,8 +235,7 @@ def _cmd_fill(args, cf):
 def _cmd_isoratio(args, cf):
     p = _need_p(args, cf)
     chain = _as_cellular(cf, ambient=True)
-    ratio = isoperimetric_ratio(chain, p)
-    filling = fill_mod_p(chain, p)
+    ratio, filling = isoperimetric_filling(chain, p)
     return {"ratio": format_number(ratio),
             "cycle_mass": format_number(chain.mass_p(p)),
             "filling_mass": format_number(filling.mass_p(p)), "p": p}, 0

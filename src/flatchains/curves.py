@@ -46,7 +46,6 @@ class CurveItem:
     start: str
     end: str
     mass: object = Fraction(0)
-    polyline: Optional[tuple] = None
 
     def __post_init__(self):
         if not isinstance(self.index, int) or self.index < 1:

@@ -10,8 +10,14 @@ of the assigned filling, and the incumbent is replaced only by a
 strictly better value or an equal value with a lexicographically
 smaller witness.  Results are therefore deterministic.
 
-A brute-force enumeration oracle (vectorized, chunked) cross-checks the
-mod-p solver on anything small enough to enumerate.
+When every volume the search touches is an int or a Fraction, the
+volumes are multiplied by the LCM of their denominators and the search
+runs on plain integers; the cost is divided back at the end.  Scaling
+by a positive constant keeps every comparison, so the witness is the
+one exact rational arithmetic would pick.  Float volumes keep float
+arithmetic, summed in the same order.  The depth-first walk keeps its
+state on an explicit stack, one level per (k+1)-cell, so the depth of a
+search is not bounded by the interpreter's recursion limit.
 
 All infima are relative to the chain's own complex: competitors range
 over the cells the complex actually has, not over an ambient space.
@@ -23,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
-
-import numpy as np
 
 from .core import (
     Complex,
@@ -33,11 +38,7 @@ from .core import (
     InternalDefectError,
     ModPChain,
     PreconditionError,
-    norm_mod_p,
 )
-
-ORACLE_LIMIT = 10 ** 7
-_CHUNK = 32768
 
 
 class FillInfeasibleError(ValueError):
@@ -83,6 +84,14 @@ def _rank(v: int) -> tuple[int, int]:
     return (abs(v), 0 if v >= 0 else 1)
 
 
+def _common_denominator(vols) -> Optional[int]:
+    """LCM of the denominators when every volume is an int or a Fraction;
+    None when some volume is inexact."""
+    if not all(isinstance(v, (int, Fraction)) for v in vols):
+        return None
+    return lcm(*(v.denominator for v in vols))
+
+
 def _exact_search(cx: Complex, k: int, target: dict[str, int], *,
                   p: Optional[int] = None, bound: Optional[int] = None,
                   fill: bool = False):
@@ -92,81 +101,113 @@ def _exact_search(cx: Complex, k: int, target: dict[str, int], *,
     sigmas = sorted(cx.cells(k + 1), key=lambda cid: (-cx.volume(cid), cid))
     m = len(sigmas)
     vals = _residue_order(p) if p is not None else _int_order(bound)
-    weigh = (lambda g: norm_mod_p(g, p)) if p is not None else abs
 
     taus = set(target)
-    cob: list[list[tuple[str, int]]] = []
     last_touch: dict[str, int] = {}
     for i, sid in enumerate(sigmas):
-        faces = list(cx.boundary_of(sid).items())
-        cob.append(faces)
-        for tid, _ in faces:
+        for tid in cx.boundary_of(sid):
             taus.add(tid)
             last_touch[tid] = i
-    det_at: list[list[str]] = [[] for _ in range(m)]
+    taus = sorted(taus)
+    row = {tid: t for t, tid in enumerate(taus)}
+    cob = [[(row[tid], coeff) for tid, coeff in cx.boundary_of(sid).items()]
+           for sid in sigmas]
+    det_at: list[list[int]] = [[] for _ in range(m)]
     loose = []
-    for tid in sorted(taus):
+    for t, tid in enumerate(taus):
         if tid in last_touch:
-            det_at[last_touch[tid]].append(tid)
+            det_at[last_touch[tid]].append(t)
         else:
-            loose.append(tid)
-
-    base = 0
-    for tid in loose:
-        g = target.get(tid, 0)
-        if fill:
-            if g % p != 0:
-                return None
-        else:
-            base += weigh(g) * cx.volume(tid)
+            loose.append(t)
 
     vol_s = [cx.volume(sid) for sid in sigmas]
-    vol_t = {tid: cx.volume(tid) for tid in taus}
-    acc = {tid: target.get(tid, 0) for tid in taus}
-    assign = [0] * m
-    id_order = sorted(range(m), key=lambda i: sigmas[i])
+    vol_t = [cx.volume(tid) for tid in taus]
+    scale = _common_denominator(vol_s + vol_t)
+    if scale is not None:
+        vol_s = [v.numerator * (scale // v.denominator) for v in vol_s]
+        vol_t = [v.numerator * (scale // v.denominator) for v in vol_t]
+    acc = [target.get(tid, 0) for tid in taus]
 
+    base = 0
+    for t in loose:
+        g = acc[t]
+        if fill:
+            if g % p:
+                return None
+        elif p is not None:
+            r = g % p
+            base += min(r, p - r) * vol_t[t]
+        else:
+            base += abs(g) * vol_t[t]
+
+    # Depth-first over levels 0..m on an explicit stack: nxt[i] indexes
+    # the next value of vals to try at level i, and cost_at[i] is the cost
+    # of the assignment to the levels before i.  Coming back to level i
+    # first undoes the value last tried there.
+    assign = [0] * m
+    nxt = [0] * (m + 1)
+    cost_at = [base] * (m + 1)
+    id_order = sorted(range(m), key=lambda i: sigmas[i])
     best_cost = None
     best_key = None
     best_assign = None
-
-    def dfs(i: int, cost) -> None:
-        nonlocal best_cost, best_key, best_assign
-        if best_cost is not None and cost > best_cost:
-            return
+    i = 0
+    while i >= 0:
         if i == m:
+            cost = cost_at[m]
             key = tuple(_rank(assign[j]) for j in id_order)
             if best_cost is None or cost < best_cost or (cost == best_cost
                                                          and key < best_key):
                 best_cost, best_key, best_assign = cost, key, assign.copy()
-            return
-        for v in vals:
-            stepped = cost + (abs(v) * vol_s[i] if v else 0)
-            if best_cost is not None and stepped > best_cost:
-                break  # candidate magnitudes only grow from here
-            assign[i] = v
-            for tid, coeff in cob[i]:
-                acc[tid] -= coeff * v
-            feasible = True
-            for tid in det_at[i]:
-                if fill:
-                    if acc[tid] % p != 0:
-                        feasible = False
-                        break
-                else:
-                    stepped += weigh(acc[tid]) * vol_t[tid]
-                    if best_cost is not None and stepped > best_cost:
-                        feasible = False
-                        break
-            if feasible:
-                dfs(i + 1, stepped)
-            for tid, coeff in cob[i]:
-                acc[tid] += coeff * v
-        assign[i] = 0
-
-    dfs(0, base)
+            i -= 1
+            continue
+        j = nxt[i]
+        faces = cob[i]
+        if j:
+            v = vals[j - 1]
+            if v:
+                for t, coeff in faces:
+                    acc[t] += coeff * v
+            if j == len(vals):
+                i -= 1
+                continue
+        v = vals[j]
+        stepped = cost_at[i] + abs(v) * vol_s[i] if v else cost_at[i]
+        if best_cost is not None and stepped > best_cost:
+            i -= 1  # candidate magnitudes only grow from here
+            continue
+        nxt[i] = j + 1
+        assign[i] = v
+        if v:
+            for t, coeff in faces:
+                acc[t] -= coeff * v
+        feasible = True
+        if fill:
+            for t in det_at[i]:
+                if acc[t] % p:
+                    feasible = False
+                    break
+        elif p is not None:
+            for t in det_at[i]:
+                r = acc[t] % p
+                stepped += min(r, p - r) * vol_t[t]
+                if best_cost is not None and stepped > best_cost:
+                    feasible = False
+                    break
+        else:
+            for t in det_at[i]:
+                stepped += abs(acc[t]) * vol_t[t]
+                if best_cost is not None and stepped > best_cost:
+                    feasible = False
+                    break
+        if feasible:
+            cost_at[i + 1] = stepped
+            nxt[i + 1] = 0
+            i += 1
     if best_cost is None:
         return None
+    if scale is not None:
+        best_cost = Fraction(best_cost, scale)
     return best_cost, {sigmas[i]: best_assign[i] for i in range(m) if best_assign[i]}
 
 
@@ -244,68 +285,6 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
                        bound_saturated=saturated, bound=b)
 
 
-def flat_norm_mod_p_oracle(T: Union[IntChain, ModPChain], p: int):
-    """Exhaustive-enumeration flat norm mod p, for cross-checking.
-
-    Guarded: refuses when the assignment space exceeds ORACLE_LIMIT.
-    Integer-volume complexes are enumerated in exact integer arithmetic;
-    anything else falls back to float64.
-    """
-    if isinstance(T, ModPChain):
-        if T.p != p:
-            raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
-        base = T.lift()
-    else:
-        base = T
-        if not isinstance(p, int) or p < 2:
-            raise PreconditionError(f"invalid modulus: {p!r}")
-    cx, k = base.complex, base.dim
-    sigmas = sorted(cx.cells(k + 1))
-    m = len(sigmas)
-    if p ** m > ORACLE_LIMIT:
-        raise PreconditionError("oracle too large")
-
-    taus = set(base.coeffs)
-    for sid in sigmas:
-        taus.update(cx.boundary_of(sid))
-    taus = sorted(taus)
-    if m == 0:
-        return base.mass_p(p)
-
-    vols = [cx.volume(c) for c in sigmas] + [cx.volume(c) for c in taus]
-    integral = all(
-        isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
-        for v in vols)
-    dtype = np.int64 if integral else np.float64
-    cast = int if integral else float
-    vol_s = np.array([cast(cx.volume(c)) for c in sigmas], dtype=dtype)
-    vol_t = np.array([cast(cx.volume(c)) for c in taus], dtype=dtype)
-    t_vec = np.array([base[cid] for cid in taus], dtype=np.int64)
-    incidence = np.zeros((m, len(taus)), dtype=np.int64)
-    tau_index = {tid: j for j, tid in enumerate(taus)}
-    for i, sid in enumerate(sigmas):
-        for tid, coeff in cx.boundary_of(sid).items():
-            incidence[i, tau_index[tid]] = coeff
-
-    residue = np.array([g - p if 2 * (g % p) > p else g % p for g in range(p)],
-                       dtype=np.int64)
-    radix = p ** np.arange(m, dtype=np.int64)
-    total = p ** m
-    best = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // radix) % p
-        s_res = residue[digits]
-        raw = t_vec[None, :] - s_res @ incidence
-        mod = raw % p
-        cost = (np.minimum(mod, p - mod).astype(dtype) @ vol_t
-                + np.abs(s_res).astype(dtype) @ vol_s)
-        chunk_best = cost.min()
-        if best is None or chunk_best < best:
-            best = chunk_best
-    return int(best) if integral else float(best)
-
-
 def fill_mod_p(L: IntChain, p: int) -> IntChain:
     """A minimal-mass_p chain S with dS congruent to L mod p.
 
@@ -336,6 +315,12 @@ def isoperimetric_ratio(L: IntChain, p: int):
     Exact (a Fraction) when the exponent is an integer and the volumes
     are exact, float otherwise.
     """
+    return isoperimetric_filling(L, p)[0]
+
+
+def isoperimetric_filling(L: IntChain, p: int) -> tuple:
+    """The isoperimetric ratio of L together with the minimal filling
+    (as from fill_mod_p) whose mass_p is its numerator."""
     k = L.dim
     if k < 1:
         raise PreconditionError("isoperimetric ratio needs a chain of dimension >= 1")
@@ -345,8 +330,8 @@ def isoperimetric_ratio(L: IntChain, p: int):
     filling = fill_mod_p(L, p)
     num = filling.mass_p(p)
     if (k + 1) % k == 0:
-        return num / denom_mass ** ((k + 1) // k)
-    return float(num) / float(denom_mass) ** ((k + 1) / k)
+        return num / denom_mass ** ((k + 1) // k), filling
+    return float(num) / float(denom_mass) ** ((k + 1) / k), filling
 
 
 def flat_norm_under_refinement(chain, p: int, subdivide: int) -> tuple:

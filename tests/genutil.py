@@ -6,12 +6,17 @@ seed; nothing here touches the global RNG state.
 
 import itertools
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from flatchains import (
     BoxCell,
     BoxChain,
     Complex,
     CurveSystem,
+    ModPChain,
+    PreconditionError,
     Simplex,
     SimplicialChain,
     arrangement_complex,
@@ -143,6 +148,77 @@ def random_chain_on(rng, cx, dim, max_cells=5, coeff=6, nonzero=False):
         chain = cx.chain(dim, coeffs)
         if not (nonzero and chain.is_zero()):
             return chain
+
+
+# ---------------------------------------------------------------------------
+# flat norm mod p by enumeration
+
+ORACLE_LIMIT = 10 ** 7
+_CHUNK = 32768
+
+
+def flat_norm_mod_p_oracle(T, p):
+    """Exhaustive-enumeration flat norm mod p, for cross-checking.
+
+    Guarded: refuses when the assignment space exceeds ORACLE_LIMIT.
+    Complexes with int or Fraction volumes are enumerated in exact
+    integer arithmetic, the volumes scaled by the LCM of their
+    denominators; anything else falls back to float64.
+    """
+    if isinstance(T, ModPChain):
+        if T.p != p:
+            raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
+        base = T.lift()
+    else:
+        base = T
+        if not isinstance(p, int) or p < 2:
+            raise PreconditionError(f"invalid modulus: {p!r}")
+    cx, k = base.complex, base.dim
+    sigmas = sorted(cx.cells(k + 1))
+    m = len(sigmas)
+    if p ** m > ORACLE_LIMIT:
+        raise PreconditionError("oracle too large")
+
+    taus = set(base.coeffs)
+    for sid in sigmas:
+        taus.update(cx.boundary_of(sid))
+    taus = sorted(taus)
+    if m == 0:
+        return base.mass_p(p)
+
+    vols = [cx.volume(c) for c in sigmas] + [cx.volume(c) for c in taus]
+    exact = all(isinstance(v, (int, Fraction)) for v in vols)
+    scale = lcm(*(v.denominator for v in vols)) if exact else 1
+    dtype = np.int64 if exact else np.float64
+    cast = (lambda v: int(v * scale)) if exact else float
+    vol_s = np.array([cast(cx.volume(c)) for c in sigmas], dtype=dtype)
+    vol_t = np.array([cast(cx.volume(c)) for c in taus], dtype=dtype)
+    t_vec = np.array([base[cid] for cid in taus], dtype=np.int64)
+    incidence = np.zeros((m, len(taus)), dtype=np.int64)
+    tau_index = {tid: j for j, tid in enumerate(taus)}
+    for i, sid in enumerate(sigmas):
+        for tid, coeff in cx.boundary_of(sid).items():
+            incidence[i, tau_index[tid]] = coeff
+
+    residue = np.array([g - p if 2 * (g % p) > p else g % p for g in range(p)],
+                       dtype=np.int64)
+    radix = p ** np.arange(m, dtype=np.int64)
+    total = p ** m
+    best = None
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        digits = (idx[:, None] // radix) % p
+        s_res = residue[digits]
+        raw = t_vec[None, :] - s_res @ incidence
+        mod = raw % p
+        cost = (np.minimum(mod, p - mod).astype(dtype) @ vol_t
+                + np.abs(s_res).astype(dtype) @ vol_s)
+        chunk_best = cost.min()
+        if best is None or chunk_best < best:
+            best = chunk_best
+    if not exact:
+        return float(best)
+    return int(best) if scale == 1 else Fraction(int(best), scale)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,13 @@ from flatchains.cli import main
 from flatchains.cone import boundary_simplicial, cone, cone_mass_report
 from flatchains.curves import cycle_representative, extract_cycle_indices
 from flatchains.flatnorm import (flat_norm_int, flat_norm_mod_p,
-                                 flat_norm_mod_p_oracle,
                                  flat_norm_under_refinement,
                                  isoperimetric_ratio)
 
-from genutil import (generic_apex, generic_level, path_complex,
-                     random_box_chain, random_chain_on, random_curve_system,
-                     random_grid_complex, random_simplicial_chain)
+from genutil import (flat_norm_mod_p_oracle, generic_apex, generic_level,
+                     path_complex, random_box_chain, random_chain_on,
+                     random_curve_system, random_grid_complex,
+                     random_simplicial_chain)
 from test_io_cli import CANONICAL, FIXTURES, GOLDEN_CASES, GOLDENS, fixture_argv
 
 MODULE_T0 = time.perf_counter()

@@ -14,12 +14,12 @@ from flatchains import (
     fill_mod_p,
     flat_norm_int,
     flat_norm_mod_p,
-    flat_norm_mod_p_oracle,
     flat_norm_under_refinement,
     grid_chain,
     isoperimetric_ratio,
 )
-from genutil import path_complex, random_chain_on, random_grid_complex
+from genutil import (flat_norm_mod_p_oracle, path_complex, random_chain_on,
+                     random_grid_complex)
 
 
 def square_setup():

@@ -1,0 +1,83 @@
+"""The flat-norm search kernel: integer-scaled exact volumes, float
+volumes, and searches deeper than the interpreter's recursion limit."""
+
+from fractions import Fraction
+
+from flatchains import (BoxCell, BoxChain, ChainFile, Complex,
+                        arrangement_complex, flat_norm_int, flat_norm_mod_p,
+                        serialize_chainfile)
+from flatchains.cli import main
+
+from genutil import flat_norm_mod_p_oracle, random_chain_on, random_grid_complex
+
+
+def mixed_denominator_setup():
+    """A 2x2 arrangement of 1/2-by-1/3 boxes: edges of length 1/2 and 1/3,
+    faces of area 1/6, so the volumes scale to integers by 6."""
+    h, t = Fraction(1, 2), Fraction(1, 3)
+    cells = [(BoxCell(((i * h, (i + 1) * h), (j * t, (j + 1) * t))), 1 + i + 2 * j)
+             for i in range(2) for j in range(2)]
+    return arrangement_complex(BoxChain(2, 2, cells))
+
+
+def unit_grid_complex(n):
+    """The abstract n-by-n unit grid: vertices v{i}_{j}, horizontal edges
+    h{i}_{j}, vertical edges u{i}_{j} and squares f{i}_{j}, all volume 1."""
+    verts = [(f"v{i}_{j}", 1, []) for i in range(n + 1) for j in range(n + 1)]
+    edges = [(f"h{i}_{j}", 1, [(f"v{i}_{j}", -1), (f"v{i + 1}_{j}", 1)])
+             for i in range(n) for j in range(n + 1)]
+    edges += [(f"u{i}_{j}", 1, [(f"v{i}_{j}", -1), (f"v{i}_{j + 1}", 1)])
+              for i in range(n + 1) for j in range(n)]
+    squares = [(f"f{i}_{j}", 1, [(f"h{i}_{j}", 1), (f"u{i + 1}_{j}", 1),
+                                 (f"h{i}_{j + 1}", -1), (f"u{i}_{j}", -1)])
+               for i in range(n) for j in range(n)]
+    return Complex({0: verts, 1: edges, 2: squares})
+
+
+def test_mixed_denominators_match_oracle(rng):
+    cx, _ = mixed_denominator_setup()
+    for p in (2, 3, 5):
+        for _ in range(8):
+            t = random_chain_on(rng, cx, 1)
+            value = flat_norm_mod_p(t, p).value
+            assert isinstance(value, Fraction)
+            assert value == flat_norm_mod_p_oracle(t, p)
+
+
+def test_flat_norm_int_on_mixed_denominators():
+    # twice the rim of one 1/2-by-1/3 box: filling it twice costs 2/6,
+    # anything else keeps rim mass 5/3 or more
+    cx, _ = mixed_denominator_setup()
+    face = cx.chain(2, {"b2[0..1/2;0..1/3]": 1})
+    w = flat_norm_int(2 * face.boundary())
+    assert w.value == Fraction(1, 3)
+    assert w.exact
+    assert w.filling == 2 * face
+    assert w.remainder.is_zero()
+
+
+def test_float_volumes_match_oracle(rng):
+    for _ in range(6):
+        cx = random_grid_complex(rng, float_volumes=True, small=True)
+        t = random_chain_on(rng, cx, cx.top_dim - 1)
+        for p in (2, 3, 5):
+            got = flat_norm_mod_p(t, p).value
+            want = flat_norm_mod_p_oracle(t, p)
+            assert isinstance(got, float)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want))
+
+
+def test_single_edge_on_32x32_grid(tmp_path, capsys):
+    # 1024 squares: one search level per square, deeper than the default
+    # recursion limit of the interpreter
+    cx = unit_grid_complex(32)
+    edge = cx.chain(1, {"h16_16": 1})
+    w = flat_norm_mod_p(edge, 2)
+    assert w.value == 1
+    assert w.exact
+    assert w.remainder + w.filling.boundary() == edge
+
+    path = tmp_path / "grid32.chain"
+    path.write_text(serialize_chainfile(ChainFile("abstract", (cx, edge))))
+    assert main(["flatnormp", str(path), "--p", "2", "--json"]) == 0
+    assert '"value": "1"' in capsys.readouterr().out
