@@ -14,9 +14,8 @@ from .cone import (ConeMassReport, Simplex, SimplicialChain,
                    boundary_simplicial, cone, cone_mass_report)
 from .core import (CellularMap, Complex, IntChain, InternalDefectError,
                    ModPChain, PreconditionError, ValidationReport,
-                   as_fraction, boundary, canonical_residue, lift, mass,
-                   mass_p, norm_mod_p, push_forward, reduce_mod_p,
-                   validate_complex)
+                   as_fraction, canonical_residue, mass_p, norm_mod_p,
+                   push_forward, validate_complex)
 from .curves import (CurveItem, CurvePath, CurveSystem, PreprocessTrace,
                      cycle_representative, decompose_paths_loops,
                      extract_cycle_indices, preprocess, system_boundary)
@@ -34,14 +33,14 @@ __all__ = [
     "DeformationResult", "FillInfeasibleError", "FlatWitness", "IntChain",
     "InternalDefectError", "ModPChain", "ParseError", "PreconditionError",
     "PreprocessTrace", "Simplex", "SimplicialChain", "ValidationReport",
-    "arrangement_complex", "as_fraction", "boundary", "boundary_simplicial",
+    "arrangement_complex", "as_fraction", "boundary_simplicial",
     "canonical_residue", "compile_chain", "cone", "cone_mass_report",
     "cycle_representative", "decompose_paths_loops", "deform",
     "extract_cycle_indices", "fill_mod_p", "flat_norm_int",
     "flat_norm_mod_p", "flat_norm_under_refinement",
-    "format_number", "grid_chain", "isoperimetric_ratio", "lift",
-    "load_chainfile", "mass", "mass_p", "norm_mod_p", "parse_chainfile",
-    "preprocess", "push_forward", "reduce_mod_p", "save_chainfile",
+    "format_number", "grid_chain", "isoperimetric_ratio",
+    "load_chainfile", "mass_p", "norm_mod_p", "parse_chainfile",
+    "preprocess", "push_forward", "save_chainfile",
     "serialize_chainfile", "slice_mass_integral", "slice_mass_star",
     "system_boundary", "validate_complex",
 ]

@@ -30,6 +30,7 @@ from .core import (
     IntChain,
     InternalDefectError,
     PreconditionError,
+    _check_modulus,
     as_fraction,
     canonical_residue,
     norm_mod_p,
@@ -196,12 +197,8 @@ class BoxChain:
     def boundary(self) -> "BoxChain":
         if self.dim == 0:
             raise PreconditionError("0-dimensional chains have no boundary")
-        items = []
-        for cell, g in self._items.items():
-            for i, axis in enumerate(cell.directions, start=1):
-                sign = 1 if i % 2 == 1 else -1
-                items.append((cell.face(axis, "hi"), sign * g))
-                items.append((cell.face(axis, "lo"), -sign * g))
+        items = [(face, sign * g) for cell, g in self._items.items()
+                 for face, sign in _boundary_items(cell)]
         return BoxChain(self.ambient_dim, self.dim - 1, items)
 
     def mass(self) -> Fraction:
@@ -476,7 +473,7 @@ class DeformationResult:
     modulus: Optional[int] = None
 
     def _relaxed_mass(self, chain: BoxChain) -> Fraction:
-        return chain.mass_p(self.modulus) if self.modulus else chain.mass()
+        return chain.mass_p(self.modulus) if self.modulus is not None else chain.mass()
 
     @staticmethod
     def _ratio(num: Fraction, den: Fraction) -> Fraction:
@@ -573,6 +570,8 @@ def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
     eta = as_fraction(eta)
     if eta <= 0:
         raise PreconditionError("coarse scale must be positive")
+    if p is not None:
+        _check_modulus(p)
     n = chain.ambient_dim
     denoms = _axis_denominators(chain, eta)
     if rho is not None and optimize_thresholds:
@@ -606,14 +605,10 @@ def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
         chosen.append(r_j)
         prism = _sweep(current, j, eta, r_j)
         rounded = _push_round(current, j, eta, r_j)
-        if chain.dim >= 1:
-            edge = _sweep(current.boundary(), j, eta, r_j)
-            if rounded - current != prism.boundary() + edge:
-                raise InternalDefectError(f"homotopy identity failed on axis {j}")
-        else:
-            edge = BoxChain(n, chain.dim, {})
-            if rounded - current != prism.boundary():
-                raise InternalDefectError(f"homotopy identity failed on axis {j}")
+        edge = (_sweep(current.boundary(), j, eta, r_j) if chain.dim >= 1
+                else BoxChain(n, chain.dim, {}))
+        if rounded - current != prism.boundary() + edge:
+            raise InternalDefectError(f"homotopy identity failed on axis {j}")
         sweep_total = sweep_total + prism
         boundary_sweep_total = boundary_sweep_total + edge
         current = rounded

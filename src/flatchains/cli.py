@@ -1,11 +1,13 @@
 """Command-line front end: every library operation on chain files.
 
-One subcommand per operation, one chain file per invocation.  Default
+One subcommand per operation, one chain file per invocation.  Each
+subcommand takes only its own flags, listed in COMMANDS, plus `--json`
+and `--timing`; any other flag is a usage error (exit 2).  Default
 output is a short human-readable report; `--json` switches to a single
 structured document (stable key order, canonical number strings) that
 validates against the packaged schema.json.  Exit codes: 0 on success,
-2 on a precondition violation (including parse errors and infeasible
-fills), 1 on an internal defect.
+2 on a precondition violation (including parse errors, unparsable or
+missing flag values, and infeasible fills), 1 on an internal defect.
 
 Numbers inside JSON reports are strings in the file format, integers
 and `a/b` rationals exactly and floats via repr, so reports are stable
@@ -27,18 +29,12 @@ from .boxes import (BoxChain, arrangement_complex, compile_chain, deform,
 from .cone import SimplicialChain, boundary_simplicial, cone, cone_mass_report
 from .core import (InternalDefectError, IntChain, ModPChain,
                    PreconditionError, canonical_residue)
-from .curves import (CurveSystem, cycle_representative, decompose_paths_loops,
+from .curves import (cycle_representative, decompose_paths_loops,
                      extract_cycle_indices, preprocess, system_boundary)
 from .fileio import ChainFile, ParseError, format_number, load_chainfile
 from .flatnorm import (FillInfeasibleError, fill_mod_p, flat_norm_int,
                        flat_norm_mod_p, flat_norm_under_refinement,
                        isoperimetric_filling)
-
-COMMANDS = ("validate", "mass", "massp", "reduce", "boundary", "flatnorm",
-            "flatnormp", "fill", "isoratio", "restrict", "slice", "islice",
-            "slicemass", "slicestar", "deform", "refinecompare", "sysboundary",
-            "preprocess", "cyclecut", "decompose", "cyclerep", "cone",
-            "conereport")
 
 
 def _simplex_token(simplex) -> str:
@@ -68,13 +64,6 @@ def _points_doc(coeffs: dict[str, int]) -> dict:
             "items": [[pt, g] for pt, g in sorted(coeffs.items())]}
 
 
-def _parse_csv(text: str, convert, flag: str) -> list:
-    try:
-        return [convert(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
-    except (ValueError, ZeroDivisionError):
-        raise PreconditionError(f"cannot parse --{flag} value {text!r}") from None
-
-
 def _need_p(args, cf: ChainFile) -> int:
     if args.p is not None:
         return args.p
@@ -83,21 +72,9 @@ def _need_p(args, cf: ChainFile) -> int:
     raise PreconditionError("a modulus is required: pass --p or put a `p` line in the file")
 
 
-def _as_box(cf: ChainFile) -> BoxChain:
-    if cf.carrier != "box":
-        raise PreconditionError(f"this subcommand needs a box file, got {cf.carrier!r}")
-    return cf.payload
-
-
-def _as_curves(cf: ChainFile) -> CurveSystem:
-    if cf.carrier != "curves":
-        raise PreconditionError(f"this subcommand needs a curves file, got {cf.carrier!r}")
-    return cf.payload
-
-
-def _as_simplicial(cf: ChainFile) -> SimplicialChain:
-    if cf.carrier != "simplicial":
-        raise PreconditionError(f"this subcommand needs a simplicial file, got {cf.carrier!r}")
+def _payload(cf: ChainFile, carrier: str):
+    if cf.carrier != carrier:
+        raise PreconditionError(f"this subcommand needs a {carrier} file, got {cf.carrier!r}")
     return cf.payload
 
 
@@ -115,18 +92,6 @@ def _as_cellular(cf: ChainFile, ambient: bool) -> IntChain:
         return chain
     raise PreconditionError(
         f"this subcommand needs a box or abstract file, got {cf.carrier!r}")
-
-
-def _axis_list(args) -> list[int]:
-    if args.axis is None:
-        raise PreconditionError("--axis is required")
-    return _parse_csv(args.axis, int, "axis")
-
-
-def _level_list(args) -> list[Fraction]:
-    if args.r is None:
-        raise PreconditionError("--r is required")
-    return _parse_csv(args.r, Fraction, "r")
 
 
 def _one(values: list, flag: str):
@@ -242,49 +207,42 @@ def _cmd_isoratio(args, cf):
 
 
 def _cmd_restrict(args, cf):
-    chain = _as_box(cf)
-    axis = _one(_axis_list(args), "axis")
-    level = _one(_level_list(args), "r")
+    chain = _payload(cf, "box")
+    axis = _one(args.axis, "axis")
+    level = _one(args.r, "r")
     return {"chain": _chain_doc(chain.restrict(axis, level, args.side))}, 0
 
 
 def _cmd_slice(args, cf):
-    chain = _as_box(cf)
-    axis = _one(_axis_list(args), "axis")
-    level = _one(_level_list(args), "r")
+    chain = _payload(cf, "box")
+    axis = _one(args.axis, "axis")
+    level = _one(args.r, "r")
     return {"chain": _chain_doc(chain.slice(axis, level))}, 0
 
 
 def _cmd_islice(args, cf):
-    chain = _as_box(cf)
-    axes = _axis_list(args)
-    levels = _level_list(args)
-    if len(axes) != len(levels):
+    chain = _payload(cf, "box")
+    if len(args.axis) != len(args.r):
         raise PreconditionError(
-            f"{len(axes)} axes against {len(levels)} levels")
-    return {"chain": _chain_doc(chain.iterated_slice(axes, levels))}, 0
+            f"{len(args.axis)} axes against {len(args.r)} levels")
+    return {"chain": _chain_doc(chain.iterated_slice(args.axis, args.r))}, 0
 
 
 def _cmd_slicemass(args, cf):
-    chain = _as_box(cf)
+    chain = _payload(cf, "box")
     p = _need_p(args, cf)
-    axes = _axis_list(args)
-    return {"value": format_number(slice_mass_integral(chain, axes, p)), "p": p}, 0
+    return {"value": format_number(slice_mass_integral(chain, args.axis, p)), "p": p}, 0
 
 
 def _cmd_slicestar(args, cf):
-    chain = _as_box(cf)
+    chain = _payload(cf, "box")
     p = _need_p(args, cf)
     return {"value": format_number(slice_mass_star(chain, p)), "p": p}, 0
 
 
 def _cmd_deform(args, cf):
-    chain = _as_box(cf)
-    if args.eta is None:
-        raise PreconditionError("--eta is required")
-    eta = Fraction(args.eta)
-    rho = _parse_csv(args.rho, Fraction, "rho") if args.rho is not None else None
-    result = deform(chain, eta, rho=rho, p=args.p,
+    chain = _payload(cf, "box")
+    result = deform(chain, args.eta, rho=args.rho, p=args.p,
                     optimize_thresholds=args.optimize)
     return {"rounded": _chain_doc(result.rounded),
             "boundary_sweep": _chain_doc(result.boundary_sweep),
@@ -297,22 +255,20 @@ def _cmd_deform(args, cf):
 
 
 def _cmd_refinecompare(args, cf):
-    chain = _as_box(cf)
+    chain = _payload(cf, "box")
     p = _need_p(args, cf)
-    if args.subdiv is None:
-        raise PreconditionError("--subdiv is required")
     coarse, refined = flat_norm_under_refinement(chain, p, args.subdiv)
     return {"coarse": format_number(coarse), "refined": format_number(refined),
             "monotone": refined <= coarse, "p": p, "subdiv": args.subdiv}, 0
 
 
 def _cmd_sysboundary(args, cf):
-    system = _as_curves(cf)
+    system = _payload(cf, "curves")
     return {"boundary": dict(sorted(system_boundary(system).items()))}, 0
 
 
 def _cmd_preprocess(args, cf):
-    system = _as_curves(cf)
+    system = _payload(cf, "curves")
     reduced, trace = preprocess(system)
     events = []
     for event in trace.events:
@@ -329,7 +285,7 @@ def _cmd_preprocess(args, cf):
 
 
 def _cmd_cyclecut(args, cf):
-    system = _as_curves(cf)
+    system = _payload(cf, "curves")
     p = _need_p(args, cf)
     return {"indices": extract_cycle_indices(system, p), "p": p}, 0
 
@@ -352,39 +308,66 @@ def _cmd_cyclerep(args, cf):
     return {"chain": _chain_doc(cycle_representative(chain, p)), "p": p}, 0
 
 
-def _apex(args):
-    if args.apex is None:
-        raise PreconditionError("--apex is required")
-    return tuple(_parse_csv(args.apex, Fraction, "apex"))
-
-
 def _cmd_cone(args, cf):
-    chain = _as_simplicial(cf)
-    return {"chain": _chain_doc(cone(_apex(args), chain))}, 0
+    chain = _payload(cf, "simplicial")
+    return {"chain": _chain_doc(cone(tuple(args.apex), chain))}, 0
 
 
 def _cmd_conereport(args, cf):
-    chain = _as_simplicial(cf)
+    chain = _payload(cf, "simplicial")
     p = args.p if args.p is not None else cf.p
-    report = cone_mass_report(_apex(args), chain, p)
+    report = cone_mass_report(tuple(args.apex), chain, p)
     return {"cone_mass": format_number(report.cone_mass),
             "cone_mass_p": None if report.cone_mass_p is None
             else format_number(report.cone_mass_p),
             "radius": format_number(report.radius)}, 0
 
 
-_HANDLERS = {name: fn for name, fn in (
-    ("validate", _cmd_validate), ("mass", _cmd_mass), ("massp", _cmd_massp),
-    ("reduce", _cmd_reduce), ("boundary", _cmd_boundary),
-    ("flatnorm", _cmd_flatnorm), ("flatnormp", _cmd_flatnormp),
-    ("fill", _cmd_fill), ("isoratio", _cmd_isoratio),
-    ("restrict", _cmd_restrict), ("slice", _cmd_slice), ("islice", _cmd_islice),
-    ("slicemass", _cmd_slicemass), ("slicestar", _cmd_slicestar),
-    ("deform", _cmd_deform), ("refinecompare", _cmd_refinecompare),
-    ("sysboundary", _cmd_sysboundary), ("preprocess", _cmd_preprocess),
-    ("cyclecut", _cmd_cyclecut), ("decompose", _cmd_decompose),
-    ("cyclerep", _cmd_cyclerep), ("cone", _cmd_cone),
-    ("conereport", _cmd_conereport))}
+def _csv(convert):
+    return lambda text: [convert(tok.strip()) for tok in text.split(",") if tok.strip() != ""]
+
+
+# flag -> (text parser, or None when argparse types the value; argparse keywords)
+_FLAGS = {
+    "p": (None, {"type": int, "help": "modulus"}),
+    "axis": (_csv(int), {"help": "axis index, or comma list of them (0-based)"}),
+    "r": (_csv(Fraction), {"help": "level, or comma list of levels"}),
+    "eta": (Fraction, {"help": "coarse grid spacing"}),
+    "rho": (_csv(Fraction), {"help": "comma list of rounding thresholds in (0,1)"}),
+    "bound": (None, {"type": int, "help": "coefficient bound for flatnorm"}),
+    "subdiv": (None, {"type": int, "help": "refinement factor"}),
+    "side": (None, {"choices": ("below", "above"), "default": "below"}),
+    "apex": (_csv(Fraction), {"help": "comma-separated apex coordinates"}),
+    "optimize": (None, {"action": "store_true",
+                        "help": "search rounding thresholds instead of the default"}),
+}
+
+# subcommand -> (handler, required flags, optional flags)
+COMMANDS = {
+    "validate": (_cmd_validate, (), ()),
+    "mass": (_cmd_mass, (), ()),
+    "massp": (_cmd_massp, (), ("p",)),
+    "reduce": (_cmd_reduce, (), ("p",)),
+    "boundary": (_cmd_boundary, (), ()),
+    "flatnorm": (_cmd_flatnorm, (), ("bound",)),
+    "flatnormp": (_cmd_flatnormp, (), ("p",)),
+    "fill": (_cmd_fill, (), ("p",)),
+    "isoratio": (_cmd_isoratio, (), ("p",)),
+    "restrict": (_cmd_restrict, ("axis", "r"), ("side",)),
+    "slice": (_cmd_slice, ("axis", "r"), ()),
+    "islice": (_cmd_islice, ("axis", "r"), ()),
+    "slicemass": (_cmd_slicemass, ("axis",), ("p",)),
+    "slicestar": (_cmd_slicestar, (), ("p",)),
+    "deform": (_cmd_deform, ("eta",), ("rho", "p", "optimize")),
+    "refinecompare": (_cmd_refinecompare, ("subdiv",), ("p",)),
+    "sysboundary": (_cmd_sysboundary, (), ()),
+    "preprocess": (_cmd_preprocess, (), ()),
+    "cyclecut": (_cmd_cyclecut, (), ("p",)),
+    "decompose": (_cmd_decompose, (), ()),
+    "cyclerep": (_cmd_cyclerep, (), ("p",)),
+    "cone": (_cmd_cone, ("apex",), ()),
+    "conereport": (_cmd_conereport, ("apex",), ("p",)),
+}
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -395,48 +378,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mass, flat norm, slicing, deformation, and cycle "
                     "extraction for chains mod p on finite complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
+    for name, (_, required, optional) in COMMANDS.items():
+        # no abbreviations: `deform --r` must not be taken for `--rho`
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("file", help="chain file")
-        cmd.add_argument("--p", type=int, help="modulus")
-        cmd.add_argument("--axis", help="axis index, or comma list of them (0-based)")
-        cmd.add_argument("--r", help="level, or comma list of levels")
-        cmd.add_argument("--eta", help="coarse grid spacing")
-        cmd.add_argument("--rho", help="comma list of rounding thresholds in (0,1)")
-        cmd.add_argument("--bound", type=int, help="coefficient bound for flatnorm")
-        cmd.add_argument("--subdiv", type=int, help="refinement factor")
-        cmd.add_argument("--seed", type=int,
-                         help="echoed for provenance; algorithms are deterministic")
-        cmd.add_argument("--side", choices=("below", "above"), default="below")
-        cmd.add_argument("--apex", help="comma-separated apex coordinates")
-        cmd.add_argument("--optimize", action="store_true",
-                         help="search rounding thresholds instead of the default")
+        for flag in required + optional:
+            cmd.add_argument(f"--{flag}", **_FLAGS[flag][1])
         cmd.add_argument("--json", action="store_true", dest="as_json")
         cmd.add_argument("--timing", action="store_true",
                          help="include elapsed seconds in the report")
     return parser
 
 
-def _inputs_doc(args) -> dict:
+def _echo(value):
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    return format_number(value) if isinstance(value, Fraction) else value
+
+
+def _parse_flags(args) -> dict:
+    """Replace each given flag's text on args by its typed value, once.
+
+    Returns the `inputs` echo of the report: the file's basename and
+    every flag the subcommand was given.
+    """
+    _, required, optional = COMMANDS[args.command]
     doc = {"file": Path(args.file).name}
-    for flag in ("p", "bound", "subdiv", "seed"):
+    for flag in required + optional:
         value = getattr(args, flag)
-        if value is not None:
-            doc[flag] = value
-    if args.axis is not None:
-        doc["axis"] = _parse_csv(args.axis, int, "axis")
-    if args.r is not None:
-        doc["r"] = [format_number(v) for v in _parse_csv(args.r, Fraction, "r")]
-    if args.eta is not None:
-        doc["eta"] = format_number(Fraction(args.eta))
-    if args.rho is not None:
-        doc["rho"] = [format_number(v) for v in _parse_csv(args.rho, Fraction, "rho")]
-    if args.apex is not None:
-        doc["apex"] = [format_number(v) for v in _parse_csv(args.apex, Fraction, "apex")]
-    if args.command == "restrict":
-        doc["side"] = args.side
-    if args.optimize:
-        doc["optimize"] = True
+        if value is None:
+            if flag in required:
+                raise PreconditionError(f"--{flag} is required")
+            continue
+        parse = _FLAGS[flag][0]
+        if parse is not None:
+            try:
+                value = parse(value)
+            except (ValueError, ZeroDivisionError):
+                raise PreconditionError(f"cannot parse --{flag} value {value!r}") from None
+            setattr(args, flag, value)
+        if value is not False:
+            doc[flag] = _echo(value)
     return doc
 
 
@@ -455,9 +437,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     doc = {"version": 1, "command": args.command}
     try:
-        doc["inputs"] = _inputs_doc(args)
+        doc["inputs"] = _parse_flags(args)
         cf = load_chainfile(args.file)
-        result, code = _HANDLERS[args.command](args, cf)
+        result, code = COMMANDS[args.command][0](args, cf)
         doc["result"] = result
     except (ParseError, PreconditionError, FillInfeasibleError) as err:
         kind = "infeasible" if isinstance(err, FillInfeasibleError) else "precondition"

@@ -337,14 +337,6 @@ class ModPChain:
         return f"ModPChain(p={self.p}, dim={self.dim}, {dict(self.items())!r})"
 
 
-def boundary(t: IntChain) -> IntChain:
-    return t.boundary()
-
-
-def mass(t):
-    return t.mass()
-
-
 def mass_p(t, p: int):
     """Relaxed mass: cellwise norm_mod_p times volume.
 
@@ -355,14 +347,6 @@ def mass_p(t, p: int):
             raise PreconditionError(f"chain has modulus {t.p}, requested {p}")
         return t.mass_p()
     return t.mass_p(p)
-
-
-def reduce_mod_p(t: IntChain, p: int) -> ModPChain:
-    return t.reduce_mod_p(p)
-
-
-def lift(m: ModPChain) -> IntChain:
-    return m.lift()
 
 
 @dataclass(frozen=True)

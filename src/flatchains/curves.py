@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .core import IntChain, InternalDefectError, PreconditionError, as_fraction
+from .core import IntChain, InternalDefectError, PreconditionError, _check_modulus, as_fraction
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,7 @@ def preprocess(system: CurveSystem) -> tuple[CurveSystem, PreprocessTrace]:
     item's end equals any item's start; the trace lifts every result on
     the reduced system back to the original items.
     """
-    work = [(it.start, it.end, as_fraction(it.mass) if isinstance(it.mass, Fraction)
-             else it.mass, (it.index,)) for it in system.items]
+    work = [(it.start, it.end, it.mass, (it.index,)) for it in system.items]
     loops: list[tuple[int, ...]] = []
     events: list[tuple] = []
     while True:
@@ -361,8 +360,7 @@ def extract_cycle_indices(system: CurveSystem, p: int) -> list[int]:
     others with multiplicity 1, the total boundary is exactly zero, and
     the mass of that combination is at most (p-1) times the total mass.
     """
-    if not isinstance(p, int) or p < 2:
-        raise PreconditionError(f"invalid modulus: {p!r}")
+    _check_modulus(p)
     for pt, g in system_boundary(system).items():
         if g % p != 0:
             raise PreconditionError(f"boundary not divisible by {p} at point {pt!r}")
@@ -502,8 +500,7 @@ def cycle_representative(T: IntChain, p: int) -> IntChain:
     """
     if T.dim != 1:
         raise PreconditionError("cycle representatives apply to 1-chains")
-    if not isinstance(p, int) or p < 2:
-        raise PreconditionError(f"invalid modulus: {p!r}")
+    _check_modulus(p)
     rim = T.boundary().reduce_mod_p(p)
     if not rim.is_zero():
         pt = rim.items()[0][0]
@@ -518,7 +515,7 @@ def cycle_representative(T: IntChain, p: int) -> IntChain:
     result = lifted
     for i in chosen:
         result = result - p * paths[i - 1].chain(cx)
-    if T.dim >= 1 and not result.boundary().is_zero():
+    if not result.boundary().is_zero():
         raise InternalDefectError("cycle representative has nonzero boundary")
     if not (result - T).reduce_mod_p(p).is_zero():
         raise InternalDefectError("cycle representative changed the mod-p class")

@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from .boxes import BoxCell, BoxChain
 from .cone import Simplex, SimplicialChain
-from .core import Complex, IntChain, PreconditionError
+from .core import Complex, IntChain, PreconditionError, _check_modulus
 from .curves import CurveItem, CurveSystem
 
 CARRIERS = ("abstract", "box", "curves", "simplicial")
@@ -73,13 +73,12 @@ class ChainFile:
     carrier: str
     payload: Union[BoxChain, CurveSystem, SimplicialChain, tuple[Complex, IntChain]]
     p: Optional[int] = None
-    version: int = 1
 
     def __post_init__(self):
         if self.carrier not in CARRIERS:
             raise PreconditionError(f"unknown carrier {self.carrier!r}")
-        if self.p is not None and (not isinstance(self.p, int) or self.p < 2):
-            raise PreconditionError(f"invalid modulus: {self.p!r}")
+        if self.p is not None:
+            _check_modulus(self.p)
 
 
 def parse_chainfile(text: str) -> ChainFile:

@@ -38,6 +38,7 @@ from .core import (
     InternalDefectError,
     ModPChain,
     PreconditionError,
+    _check_modulus,
 )
 
 
@@ -236,8 +237,7 @@ def flat_norm_mod_p(T: Union[IntChain, ModPChain], p: int) -> FlatWitness:
         base = T.lift()
     else:
         base = T
-        if not isinstance(p, int) or p < 2:
-            raise PreconditionError(f"invalid modulus: {p!r}")
+        _check_modulus(p)
     cx, k = base.complex, base.dim
     cost, s_coeffs = _exact_search(cx, k, dict(base.coeffs), p=p)
     filling = IntChain(cx, k + 1, s_coeffs)
@@ -285,20 +285,53 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
                        bound_saturated=saturated, bound=b)
 
 
+def _component_sums_vanish(L: IntChain, p: int) -> bool:
+    """False when the 0-chain L provably bounds nothing mod p.
+
+    If every edge's boundary sums to zero mod p, so does the boundary of
+    any 1-chain on each connected component of the 1-skeleton; L then
+    needs a zero sum mod p on every component.  Edges of the usual form
+    v - u make that condition exact.  An edge whose boundary does not sum
+    to zero mod p voids the test, and the answer is True.
+    """
+    cx = L.complex
+    parent = {v: v for v in cx.cells(0)}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for eid in cx.cells(1):
+        faces = cx.boundary_of(eid)
+        if sum(faces.values()) % p:
+            return True
+        roots = [find(v) for v in faces]
+        for root in roots[1:]:
+            parent[root] = roots[0]
+    sums: dict[str, int] = {}
+    for v, g in L.items():
+        root = find(v)
+        sums[root] = sums.get(root, 0) + g
+    return all(s % p == 0 for s in sums.values())
+
+
 def fill_mod_p(L: IntChain, p: int) -> IntChain:
     """A minimal-mass_p chain S with dS congruent to L mod p.
 
     L must be a cycle mod p; raises FillInfeasibleError when no chain of
     the complex has boundary L mod p.
     """
-    if not isinstance(p, int) or p < 2:
-        raise PreconditionError(f"invalid modulus: {p!r}")
+    _check_modulus(p)
     cx, k = L.complex, L.dim
     if k >= 1:
         rim = L.boundary().reduce_mod_p(p)
         if not rim.is_zero():
             cid = rim.items()[0][0]
             raise PreconditionError(f"not a cycle mod p: boundary residue at cell {cid!r}")
+    elif not _component_sums_vanish(L, p):
+        raise FillInfeasibleError("infeasible in this complex")
     found = _exact_search(cx, k, dict(L.coeffs), p=p, fill=True)
     if found is None:
         raise FillInfeasibleError("infeasible in this complex")

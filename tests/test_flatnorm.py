@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from flatchains import (
+    Complex,
     FillInfeasibleError,
     IntChain,
     PreconditionError,
@@ -237,6 +238,22 @@ def test_fill_zero_dimensional_chain():
     s = fill_mod_p(t, 2)
     assert (s.boundary() - t).reduce_mod_p(2).is_zero()
     assert s.mass_p(2) == 3
+
+
+def test_fill_zero_dimensional_chain_per_component():
+    # two separate edges: the total sum vanishes, each component's does not
+    cx = Complex({0: [("a", 1, []), ("b", 1, []), ("c", 1, []), ("d", 1, [])],
+                  1: [("ab", 1, [("a", -1), ("b", 1)]),
+                      ("cd", 1, [("c", -1), ("d", 1)])]})
+    with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
+        fill_mod_p(cx.chain(0, {"a": 1, "c": -1}), 3)
+    assert fill_mod_p(cx.chain(0, {"a": 1, "b": -1}), 3) == cx.chain(1, {"ab": -1})
+
+
+def test_fill_zero_dimensional_chain_with_a_one_ended_edge():
+    # the edge's boundary sums to 1, so a lone vertex bounds
+    cx = Complex({0: [("a", 1, [])], 1: [("e", 1, [("a", 1)])]})
+    assert fill_mod_p(cx.chain(0, {"a": 1}), 2) == cx.chain(1, {"e": 1})
 
 
 def test_isoperimetric_pinned_values():

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from flatchains.cli import main
+from flatchains.cli import COMMANDS, main
 from flatchains.core import PreconditionError
 from flatchains.fileio import (ParseError, format_number, load_chainfile,
                                parse_chainfile, save_chainfile,
@@ -235,6 +235,71 @@ def test_massp_rejects_curves(capsys):
     assert rc == 2
     message = json.loads(out)["error"]["message"]
     assert "does not apply to curve systems" in message
+
+
+# ---- each subcommand takes only its own flags ----
+
+# A valid value for every flag, so that only the flag's absence from a
+# subcommand's set can make argparse reject it.
+FLAG_VALUES = {"p": ["3"], "axis": ["0"], "r": ["1/2"], "eta": ["1"],
+               "rho": ["1/2,1/2"], "bound": ["2"], "subdiv": ["2"],
+               "side": ["above"], "apex": ["0,0"], "optimize": []}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_flags_outside_a_subcommand_exit_2(command, capsys):
+    _, required, optional = COMMANDS[command]
+    foreign = sorted(set(FLAG_VALUES) - set(required) - set(optional))
+    assert foreign
+    for flag in foreign:
+        argv = [command, str(FIXTURES / "square.chain"), f"--{flag}",
+                *FLAG_VALUES[flag], "--json"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_flag_abbreviations_exit_2(capsys):
+    # `--r` is a flag of slice, not a prefix of deform's `--rho`
+    with pytest.raises(SystemExit) as exit_:
+        main(fixture_argv(["deform", "fine_edge.chain", "--eta", "1", "--r", "1/2,1/2"]))
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --r" in capsys.readouterr().err
+
+
+def test_schema_lists_every_command_and_flag(schema):
+    flags = {flag for _, required, optional in COMMANDS.values()
+             for flag in required + optional}
+    assert set(schema["properties"]["command"]["enum"]) == set(COMMANDS)
+    assert set(schema["properties"]["inputs"]["properties"]) == {"file"} | flags
+    assert set(FLAG_VALUES) == flags
+
+
+@pytest.mark.parametrize("eta", ["abc", "1/0"])
+def test_unparsable_eta_is_a_precondition_error(eta, capsys, schema):
+    rc, out = run_cli(fixture_argv(["deform", "fine_edge.chain", "--eta", eta]), capsys)
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["error"] == {"kind": "precondition",
+                            "message": f"cannot parse --eta value {eta!r}"}
+    jsonschema.Draft7Validator(schema).validate(doc)
+
+
+def test_missing_required_flag_exit_code(capsys):
+    rc, out = run_cli(fixture_argv(["deform", "fine_edge.chain"]), capsys)
+    assert rc == 2
+    assert json.loads(out)["error"] == {"kind": "precondition",
+                                        "message": "--eta is required"}
+
+
+def test_deform_rejects_a_modulus_below_two(capsys):
+    argv = fixture_argv(["deform", "fine_edge.chain", "--eta", "1", "--p", "0"])
+    rc, out = run_cli(argv, capsys)
+    assert rc == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "precondition"
+    assert error["message"].startswith("invalid modulus: 0")
 
 
 def test_error_doc_matches_schema(capsys, schema):

@@ -1,11 +1,15 @@
 """The flat-norm search kernel: integer-scaled exact volumes, float
-volumes, and searches deeper than the interpreter's recursion limit."""
+volumes, searches deeper than the interpreter's recursion limit, and
+0-chain fills refused before the search."""
 
+import time
 from fractions import Fraction
 
+import pytest
+
 from flatchains import (BoxCell, BoxChain, ChainFile, Complex,
-                        arrangement_complex, flat_norm_int, flat_norm_mod_p,
-                        serialize_chainfile)
+                        FillInfeasibleError, arrangement_complex, fill_mod_p,
+                        flat_norm_int, flat_norm_mod_p, serialize_chainfile)
 from flatchains.cli import main
 
 from genutil import flat_norm_mod_p_oracle, random_chain_on, random_grid_complex
@@ -81,3 +85,23 @@ def test_single_edge_on_32x32_grid(tmp_path, capsys):
     path.write_text(serialize_chainfile(ChainFile("abstract", (cx, edge))))
     assert main(["flatnormp", str(path), "--p", "2", "--json"]) == 0
     assert '"value": "1"' in capsys.readouterr().out
+
+
+def test_infeasible_0_chain_fill_is_refused_at_once():
+    # the coefficient sum -14 is not divisible by 5, so nothing bounds it
+    # mod 5; the search alone would walk 5^24 edge assignments
+    cx = unit_grid_complex(3)
+    chain = cx.chain(0, {"v0_0": -4, "v1_2": -5, "v3_1": -5})
+    started = time.perf_counter()
+    with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
+        fill_mod_p(chain, 5)
+    assert time.perf_counter() - started < 1
+
+
+def test_feasible_0_chain_fills_are_unchanged():
+    cx = unit_grid_complex(3)
+    assert (fill_mod_p(cx.chain(0, {"v0_0": -4, "v1_2": -5, "v3_1": -6}), 3)
+            == cx.chain(1, {"h0_2": 1, "u0_0": 1, "u0_1": 1}))
+    corners = cx.chain(0, {"v0_0": 1, "v3_3": 1})
+    assert fill_mod_p(corners, 2) == cx.chain(1, {e: 1 for e in (
+        "h0_3", "h1_3", "h2_3", "u0_0", "u0_1", "u0_2")})
