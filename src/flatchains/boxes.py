@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -41,9 +41,15 @@ Interval = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True, order=True)
 class BoxCell:
-    """A closed axis-aligned box, possibly degenerate in some axes."""
+    """A closed axis-aligned box, possibly degenerate in some axes.
+
+    directions and the hash are computed once from the intervals; they
+    take no part in equality, ordering or repr.
+    """
 
     intervals: tuple[Interval, ...]
+    directions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fixed = []
@@ -53,15 +59,18 @@ class BoxCell:
             if lo > hi:
                 raise PreconditionError(f"interval [{lo}, {hi}] is reversed")
             fixed.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(fixed))
+        fixed = tuple(fixed)
+        object.__setattr__(self, "intervals", fixed)
+        object.__setattr__(self, "directions",
+                           tuple(j for j, (lo, hi) in enumerate(fixed) if lo < hi))
+        object.__setattr__(self, "_hash", hash(fixed))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ambient_dim(self) -> int:
         return len(self.intervals)
-
-    @property
-    def directions(self) -> tuple[int, ...]:
-        return tuple(j for j, (lo, hi) in enumerate(self.intervals) if lo < hi)
 
     @property
     def dim(self) -> int:
@@ -70,9 +79,9 @@ class BoxCell:
     @property
     def volume(self) -> Fraction:
         v = Fraction(1)
-        for lo, hi in self.intervals:
-            if lo < hi:
-                v *= hi - lo
+        for j in self.directions:
+            lo, hi = self.intervals[j]
+            v *= hi - lo
         return v
 
     def replace(self, axis: int, lo, hi) -> "BoxCell":
@@ -98,11 +107,16 @@ class BoxCell:
         return "x".join(parts)
 
 
-def _split_intervals(lo: Fraction, hi: Fraction, cuts: Sequence[Fraction]):
+def _split_intervals(lo: Fraction, hi: Fraction, cuts: Sequence[Fraction],
+                     index: Mapping[Fraction, int]):
+    """The pieces of [lo, hi] between consecutive cuts.
+
+    cuts is sorted and contains lo and hi; index maps each cut to its
+    position in cuts.
+    """
     if lo == hi:
         return [(lo, hi)]
-    inner = [c for c in cuts if lo <= c <= hi]
-    return list(itertools.pairwise(inner))
+    return list(itertools.pairwise(cuts[index[lo]:index[hi] + 1]))
 
 
 class BoxChain:
@@ -140,10 +154,14 @@ class BoxChain:
     def _canonicalize(self, merged: dict[BoxCell, int]) -> dict[BoxCell, int]:
         cuts = [sorted({v for cell in merged for v in cell.intervals[j]})
                 for j in range(self.ambient_dim)]
+        index = [{v: i for i, v in enumerate(c)} for c in cuts]
         out: dict[BoxCell, int] = {}
         for cell, g in merged.items():
-            per_axis = [_split_intervals(lo, hi, cuts[j])
+            per_axis = [_split_intervals(lo, hi, cuts[j], index[j])
                         for j, (lo, hi) in enumerate(cell.intervals)]
+            if all(len(pieces) == 1 for pieces in per_axis):
+                out[cell] = out.get(cell, 0) + g
+                continue
             for combo in itertools.product(*per_axis):
                 piece = BoxCell(combo)
                 out[piece] = out.get(piece, 0) + g
@@ -333,28 +351,30 @@ def grid_chain(n: int, k: int, region: Sequence, scale,
 def slice_mass_integral(chain: BoxChain, axes: Sequence[int], p: int) -> Fraction:
     """Exact integral over the slicing parameters of the iterated slice mass.
 
-    The integrand is piecewise constant between consecutive interval
-    endpoints on each axis, so the integral reduces to a finite sum of
-    gap length times the slice mass at the gap midpoint.
+    Closed form: the sum of norm_mod_p(g, p) * volume over the cells whose
+    directions include every axis in axes.  This is exact because chains
+    are canonical: on each axis every extended interval of a cell is one
+    gap of the chain's sorted endpoints.  At a generic point x of the
+    slicing axes, the iterated slice therefore sends each cell extended
+    in all of them and containing x to its own cross-section, with
+    coefficient +-g and volume the cell's volume over the lengths of its
+    sliced intervals, and sends every other cell to nothing.  No two
+    cross-sections coincide, so nothing merges, and integrating over x
+    restores the sliced lengths.
     """
+    _check_modulus(p)
     axes = tuple(axes)
     if len(set(axes)) != len(axes):
         raise PreconditionError("slice integral axes must be distinct")
     if len(axes) > chain.dim:
         raise PreconditionError(
             f"cannot integrate {len(axes)} slices of a {chain.dim}-chain")
-
-    def go(part: BoxChain, rest: tuple[int, ...]) -> Fraction:
-        if not rest:
-            return part.mass_p(p)
-        axis, tail = rest[0], rest[1:]
-        total = Fraction(0)
-        for lo, hi in itertools.pairwise(part.axis_values(axis)):
-            mid = (lo + hi) / 2
-            total += (hi - lo) * go(part.slice(axis, mid), tail)
-        return total
-
-    return go(chain, axes)
+    for axis in axes:
+        if not 0 <= axis < chain.ambient_dim:
+            raise PreconditionError(f"axis {axis} out of range for R^{chain.ambient_dim}")
+    wanted = set(axes)
+    return sum((norm_mod_p(g, p) * cell.volume for cell, g in chain._items.items()
+                if wanted.issubset(cell.directions)), Fraction(0))
 
 
 def slice_mass_star(chain: BoxChain, p: int) -> Fraction:
@@ -441,8 +461,9 @@ def arrangement_complex(chain: BoxChain, subdivide: int = 1) -> tuple[Complex, I
     all_cells = [BoxCell(combo) for combo in itertools.product(*per_axis_cells)]
     cx = _build_complex(all_cells, n)
     coeffs: dict[str, int] = {}
+    index = [{v: i for i, v in enumerate(c)} for c in lattices]
     for cell, g in chain.items():
-        per_axis = [_split_intervals(lo, hi, lattices[j])
+        per_axis = [_split_intervals(lo, hi, lattices[j], index[j])
                     for j, (lo, hi) in enumerate(cell.intervals)]
         for combo in itertools.product(*per_axis):
             token = BoxCell(combo).id_token()
@@ -461,7 +482,8 @@ class DeformationResult:
     is the accumulated (k+1)-dimensional sweep, and boundary_sweep is
     the accumulated sweep of the boundary; the identity
     original = rounded + boundary_sweep + boundary(chain_sweep)
-    holds exactly and is checked at construction time.
+    holds exactly and is checked at construction time.  original_boundary
+    is boundary(original), built once (None for a 0-chain).
     """
 
     original: BoxChain
@@ -470,10 +492,15 @@ class DeformationResult:
     chain_sweep: BoxChain
     eta: Fraction
     rho: tuple[Fraction, ...]
+    original_boundary: Optional[BoxChain] = field(repr=False, compare=False)
     modulus: Optional[int] = None
 
     def _relaxed_mass(self, chain: BoxChain) -> Fraction:
         return chain.mass_p(self.modulus) if self.modulus is not None else chain.mass()
+
+    def _boundary_mass(self) -> Fraction:
+        bd = self.original_boundary
+        return self._relaxed_mass(bd) if bd is not None else Fraction(0)
 
     @staticmethod
     def _ratio(num: Fraction, den: Fraction) -> Fraction:
@@ -485,16 +512,12 @@ class DeformationResult:
 
     @property
     def ratio_rounded(self) -> Fraction:
-        t = self.original
-        bmass = self._relaxed_mass(t.boundary()) if t.dim >= 1 else Fraction(0)
         return self._ratio(self._relaxed_mass(self.rounded),
-                           self._relaxed_mass(t) + self.eta * bmass)
+                           self._relaxed_mass(self.original) + self.eta * self._boundary_mass())
 
     @property
     def ratio_boundary_sweep(self) -> Fraction:
-        t = self.original
-        bmass = self._relaxed_mass(t.boundary()) if t.dim >= 1 else Fraction(0)
-        return self._ratio(self.boundary_sweep.mass(), self.eta * bmass)
+        return self._ratio(self.boundary_sweep.mass(), self.eta * self._boundary_mass())
 
     @property
     def ratio_chain_sweep(self) -> Fraction:
@@ -593,6 +616,7 @@ def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
                         f"threshold {r} on axis {j} collides with coordinate {v}")
 
     current = chain
+    original_bd = chain.boundary() if chain.dim >= 1 else None
     sweep_total = BoxChain(n, chain.dim + 1, {})
     boundary_sweep_total = BoxChain(n, chain.dim, {})
     chosen = []
@@ -605,8 +629,10 @@ def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
         chosen.append(r_j)
         prism = _sweep(current, j, eta, r_j)
         rounded = _push_round(current, j, eta, r_j)
-        edge = (_sweep(current.boundary(), j, eta, r_j) if chain.dim >= 1
-                else BoxChain(n, chain.dim, {}))
+        if original_bd is None:
+            edge = BoxChain(n, chain.dim, {})
+        else:
+            edge = _sweep(original_bd if j == 0 else current.boundary(), j, eta, r_j)
         if rounded - current != prism.boundary() + edge:
             raise InternalDefectError(f"homotopy identity failed on axis {j}")
         sweep_total = sweep_total + prism
@@ -620,6 +646,7 @@ def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
         chain_sweep=-sweep_total,
         eta=eta,
         rho=tuple(chosen),
+        original_boundary=original_bd,
         modulus=p,
     )
     _check_deformation(result)
@@ -636,12 +663,13 @@ def _check_deformation(res: DeformationResult) -> None:
             if (lo / res.eta).denominator != 1 or (hi / res.eta).denominator != 1:
                 raise InternalDefectError("rounded chain left the coarse grid")
     if t.dim >= 1:
-        rounded_boundary = t.boundary()
+        t_bd, p_bd = res.original_boundary, p_chain.boundary()
+        rounded_boundary = t_bd
         for j, r_j in enumerate(res.rho):
             rounded_boundary = _push_round(rounded_boundary, j, res.eta, r_j)
-        if p_chain.boundary() != rounded_boundary:
+        if p_bd != rounded_boundary:
             raise InternalDefectError("boundary of the rounded chain is not the rounded boundary")
-        if res.boundary_sweep.boundary() != t.boundary() - p_chain.boundary():
+        if res.boundary_sweep.boundary() != t_bd - p_bd:
             raise InternalDefectError("boundary sweep does not account for the boundary defect")
-        if t.boundary().is_zero() and not res.boundary_sweep.is_zero():
+        if t_bd.is_zero() and not res.boundary_sweep.is_zero():
             raise InternalDefectError("cycle input produced a nonzero boundary sweep")

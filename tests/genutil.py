@@ -75,6 +75,26 @@ def generic_level(rng, chain, axis, extra=()):
     return lo + (hi - lo) * Fraction(rng.choice([1, 3, 5, 7]), 8)
 
 
+def slice_mass_integral_oracle(chain, axes, p):
+    """Literal slice-mass integral, for cross-checking the closed form.
+
+    The iterated slice mass is piecewise constant between consecutive
+    coordinate values on each axis, so the integral is the sum over gaps
+    of gap length times the slice mass at the gap midpoint, with each
+    slice taken by BoxChain.slice, axis after axis.
+    """
+    def go(part, rest):
+        if not rest:
+            return part.mass_p(p)
+        axis, tail = rest[0], rest[1:]
+        total = Fraction(0)
+        for lo, hi in itertools.pairwise(part.axis_values(axis)):
+            total += (hi - lo) * go(part.slice(axis, (lo + hi) / 2), tail)
+        return total
+
+    return go(chain, tuple(axes))
+
+
 def cross_section(chain, axis, r):
     """Geometric slice oracle: cut each box crossing the hyperplane.
 

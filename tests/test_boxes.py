@@ -1,5 +1,6 @@
 """Box chains: construction, restriction, slicing, slice-mass integrals."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -15,7 +16,12 @@ from flatchains import (
     slice_mass_integral,
     slice_mass_star,
 )
-from genutil import cross_section, generic_level, random_box_chain
+from genutil import (
+    cross_section,
+    generic_level,
+    random_box_chain,
+    slice_mass_integral_oracle,
+)
 
 
 def unit_square():
@@ -37,6 +43,40 @@ def test_cell_geometry():
     assert cell((0, 2), (0, 3)).volume == 6
     with pytest.raises(PreconditionError, match="reversed"):
         cell((1, 0))
+
+
+def test_cell_equality_and_hash_ignore_coordinate_type():
+    as_int = cell((0, 1), (2, 2))
+    as_fraction = cell((Fraction(0), Fraction(1)), (Fraction(2), Fraction(2)))
+    as_text = cell(("0.0", "1"), ("2", "2.00"))
+    assert as_int == as_fraction == as_text
+    assert hash(as_int) == hash(as_fraction) == hash(as_text)
+    assert len({as_int, as_fraction, as_text}) == 1
+    other = cell((0, Fraction(1, 2)), (2, 2))
+    ordered = sorted([as_text, other, as_int, as_fraction])
+    assert ordered[0] == other and ordered[1:] == [as_int] * 3
+    assert not as_int < as_text and not as_text < as_int
+
+
+def test_cell_directions_on_degenerate_axes():
+    c = cell((0, 1), (Fraction(1, 3), Fraction(1, 3)), (-2, 5))
+    assert c.directions == (0, 2) and c.dim == 2
+    point = cell((1, 1), (0, 0))
+    assert point.directions == () and point.dim == 0
+    assert cell((0, 1), (0, 0)).face(0, "hi").directions == ()
+    assert cell((0, 0), (0, 0)).replace(1, 0, 2).directions == (1,)
+
+
+def test_cell_cached_fields_stay_out_of_identity():
+    c = cell((0, 1), (2, 2), (0, Fraction(3, 2)))
+    assert repr(c) == "[0,1]x{2}x[0,3/2]"
+    assert c.id_token() == "b2[0..1;2;0..3/2]"
+    assert [f.name for f in dataclasses.fields(BoxCell) if f.compare] == ["intervals"]
+    assert [f.name for f in dataclasses.fields(BoxCell) if f.init] == ["intervals"]
+    # equality and order see the intervals alone, even when a cached field differs
+    twin = cell((0, 1), (2, 2), (0, Fraction(3, 2)))
+    object.__setattr__(twin, "directions", ())
+    assert twin == c and not twin < c and not c < twin
 
 
 def test_chain_canonicalization_splits_overlaps():
@@ -260,6 +300,55 @@ def test_slice_mass_integral_pinned_examples():
     assert slice_mass_integral(sq, (0,), 2) == 1
     assert slice_mass_integral(sq, (0, 1), 2) == 1
     assert slice_mass_integral(3 * sq, (0,), 3) == 0
+
+
+def test_slice_mass_integral_matches_literal_slicing(rng):
+    # random chains with overlapping cells, some cancelling mod p
+    cases = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        k = rng.randint(0, n)
+        p = rng.choice([2, 3, 5])
+        t = random_box_chain(rng, n, k, max_cells=5, denom=rng.choice([1, 2, 4]), coeff=6)
+        style = rng.random()
+        if style < 0.3:
+            t = t + p * random_box_chain(rng, n, k, max_cells=3, denom=2)
+        elif style < 0.4:
+            t = p * t
+        for m in range(k + 1):
+            for axes in itertools.permutations(range(n), m):
+                assert slice_mass_integral(t, axes, p) == slice_mass_integral_oracle(t, axes, p)
+                cases += 1
+    assert cases > 200
+
+
+def test_slice_mass_integral_cancellation_mod_p():
+    # two overlapping squares with coefficients 1 and 2: the overlap cancels mod 3
+    t = BoxChain(2, 2, [(cell((0, 2), (0, 1)), 1), (cell((1, 3), (0, 1)), 2)])
+    for axes in [(), (0,), (1,), (0, 1), (1, 0)]:
+        assert slice_mass_integral(t, axes, 3) == 2 == slice_mass_integral_oracle(t, axes, 3)
+    assert slice_mass_integral(3 * t, (0, 1), 3) == 0
+
+
+def test_slice_mass_integral_preconditions():
+    sq = unit_square()
+    zero = BoxChain(2, 2, {})
+    for chain in (sq, zero):
+        for axes in [(2,), (0, 2), (-1,)]:
+            with pytest.raises(PreconditionError, match="out of range"):
+                slice_mass_integral(chain, axes, 2)
+        with pytest.raises(PreconditionError, match="distinct"):
+            slice_mass_integral(chain, (0, 0), 2)
+        for p in (1, 0, 2.0, None):
+            with pytest.raises(PreconditionError, match="invalid modulus"):
+                slice_mass_integral(chain, (0,), p)
+    edge = BoxChain(2, 1, [(cell((0, 1), (0, 0)), 1)])
+    for chain in (edge, BoxChain(2, 1, {})):
+        with pytest.raises(PreconditionError, match="cannot integrate 2 slices"):
+            slice_mass_integral(chain, (0, 1), 2)
+    # a chain with no cell extended along the axis still checks p
+    with pytest.raises(PreconditionError, match="invalid modulus"):
+        slice_mass_integral(edge, (1,), 1)
 
 
 def test_slice_mass_star_pinned_examples():

@@ -131,3 +131,21 @@ def test_deforming_the_boundary_is_the_boundary_of_the_deformation(rng):
         res_b = deform(t.boundary(), 1, rho=res.rho)
         assert res_b.rounded == res.rounded.boundary()
         assert res_b.chain_sweep == res.boundary_sweep
+
+
+def test_each_boundary_is_built_once(monkeypatch):
+    built = []
+    real_boundary = BoxChain.boundary
+
+    def counting_boundary(self):
+        built.append(self)
+        return real_boundary(self)
+
+    monkeypatch.setattr(BoxChain, "boundary", counting_boundary)
+    t = grid_chain(2, 1, [(0, 1), (0, 1)], QUARTER)
+    res = deform(t, 1, p=3)
+    # the ratios the CLI reports reuse the boundary deform built
+    assert res.ratio_rounded >= 0 and res.ratio_boundary_sweep >= 0
+    assert sum(1 for c in built if c is t) == 1
+    assert sum(1 for c in built if c is res.rounded) == 1
+    assert res.original_boundary == real_boundary(t)
