@@ -202,15 +202,23 @@ class BoxChain:
     def __sub__(self, other: "BoxChain") -> "BoxChain":
         return self + (-other)
 
+    def _scaled(self, n: int) -> "BoxChain":
+        # n * self for a nonzero integer n: the cells, and so the cut sets,
+        # are unchanged and no coefficient becomes 0, so the item map is
+        # already canonical.
+        chain = BoxChain.__new__(BoxChain)
+        chain.ambient_dim = self.ambient_dim
+        chain.dim = self.dim
+        chain._items = {c: n * g for c, g in self._items.items()}
+        return chain
+
     def __neg__(self) -> "BoxChain":
-        return BoxChain(self.ambient_dim, self.dim,
-                        {c: -g for c, g in self._items.items()})
+        return self._scaled(-1)
 
     def __rmul__(self, n: int) -> "BoxChain":
         if not isinstance(n, int):
             raise PreconditionError("box chains only scale by integers")
-        return BoxChain(self.ambient_dim, self.dim,
-                        {c: n * g for c, g in self._items.items()})
+        return self._scaled(n) if n else BoxChain(self.ambient_dim, self.dim, ())
 
     def boundary(self) -> "BoxChain":
         if self.dim == 0:

@@ -2,10 +2,11 @@
 
 One subcommand per operation, one chain file per invocation.  Each
 subcommand takes only its own flags, listed in COMMANDS, plus `--json`
-and `--timing`; any other flag is a usage error (exit 2).  Default
-output is a short human-readable report; `--json` switches to a single
-structured document (stable key order, canonical number strings) that
-validates against the packaged schema.json.  Exit codes: 0 on success,
+and `--timing`; any other flag is a usage error (exit 2, argparse's
+message on stderr, and under `--json` an error document as well).
+Default output is a short human-readable report; `--json` switches to a
+single structured document (stable key order, canonical number strings)
+that validates against the packaged schema.json.  Exit codes: 0 on success,
 2 on a precondition violation (including parse errors, unparsable or
 missing flag values, and infeasible fills), 1 on an internal defect.
 
@@ -19,22 +20,36 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
+from importlib import import_module
 
-from .boxes import (BoxChain, arrangement_complex, compile_chain, deform,
-                    slice_mass_integral, slice_mass_star)
-from .cone import SimplicialChain, boundary_simplicial, cone, cone_mass_report
-from .core import (InternalDefectError, IntChain, ModPChain,
-                   PreconditionError, canonical_residue)
-from .curves import (cycle_representative, decompose_paths_loops,
-                     extract_cycle_indices, preprocess, system_boundary)
+from .core import (FillInfeasibleError, InternalDefectError, IntChain,
+                   ModPChain, PreconditionError, canonical_residue)
 from .fileio import ChainFile, ParseError, format_number, load_chainfile
-from .flatnorm import (FillInfeasibleError, fill_mod_p, flat_norm_int,
-                       flat_norm_mod_p, flat_norm_under_refinement,
-                       isoperimetric_filling)
+
+# Each handler imports the library functions it uses when it runs, from
+# their defining module, so a call loads only the modules its subcommand
+# needs.  The names stay readable as attributes of this module, for code
+# that reads or patches `flatchains.cli.<name>` (perfbench's tracer does).
+_LIBRARY = {
+    "boxes": ("BoxChain", "arrangement_complex", "compile_chain", "deform",
+              "slice_mass_integral", "slice_mass_star"),
+    "cone": ("SimplicialChain", "boundary_simplicial", "cone", "cone_mass_report"),
+    "curves": ("cycle_representative", "decompose_paths_loops",
+               "extract_cycle_indices", "preprocess", "system_boundary"),
+    "flatnorm": ("fill_mod_p", "flat_norm_int", "flat_norm_mod_p",
+                 "flat_norm_under_refinement", "isoperimetric_filling"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LIBRARY.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _simplex_token(simplex) -> str:
@@ -42,11 +57,23 @@ def _simplex_token(simplex) -> str:
                       for v in simplex.vertices)
 
 
+def _loaded_class(module: str, name: str):
+    """A class of a flatchains module, or None while the module is not loaded.
+
+    No instance of the class can exist before its module is, so a type
+    dispatch need not import it.
+    """
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return None if loaded is None else getattr(loaded, name)
+
+
 def _chain_doc(chain) -> dict:
-    if isinstance(chain, BoxChain):
+    box_chain = _loaded_class("boxes", "BoxChain")
+    simplicial_chain = _loaded_class("cone", "SimplicialChain")
+    if box_chain is not None and isinstance(chain, box_chain):
         return {"carrier": "box", "ambient": chain.ambient_dim, "dim": chain.dim,
                 "items": [[cell.id_token(), g] for cell, g in chain.items()]}
-    if isinstance(chain, SimplicialChain):
+    if simplicial_chain is not None and isinstance(chain, simplicial_chain):
         return {"carrier": "simplicial", "ambient": chain.ambient_dim,
                 "dim": chain.dim,
                 "items": [[_simplex_token(s), g] for s, g in chain.items()]}
@@ -88,6 +115,7 @@ def _as_cellular(cf: ChainFile, ambient: bool) -> IntChain:
     if cf.carrier == "abstract":
         return cf.payload[1]
     if cf.carrier == "box":
+        from .boxes import arrangement_complex, compile_chain
         _, chain = (arrangement_complex if ambient else compile_chain)(cf.payload)
         return chain
     raise PreconditionError(
@@ -114,6 +142,7 @@ def _cmd_validate(args, cf):
                   "detail": detail, "chain_cells": len(chain.items())}
         return result, 0 if report.ok else 2
     if cf.carrier == "box":
+        from .boxes import compile_chain
         chain = cf.payload
         cx, _ = compile_chain(chain)
         report = cx.validate()
@@ -153,6 +182,7 @@ def _cmd_reduce(args, cf):
     if cf.carrier == "abstract":
         return {"chain": _chain_doc(cf.payload[1].reduce_mod_p(p))}, 0
     if cf.carrier == "simplicial":
+        from .cone import SimplicialChain
         chain = cf.payload
         reduced = SimplicialChain(chain.ambient_dim, chain.dim,
                                   [(s, canonical_residue(g, p)) for s, g in chain.items()])
@@ -162,14 +192,17 @@ def _cmd_reduce(args, cf):
 
 def _cmd_boundary(args, cf):
     if cf.carrier == "curves":
+        from .curves import system_boundary
         return {"chain": _points_doc(system_boundary(cf.payload))}, 0
     if cf.carrier == "simplicial":
+        from .cone import boundary_simplicial
         return {"chain": _chain_doc(boundary_simplicial(cf.payload))}, 0
     chain = cf.payload[1] if cf.carrier == "abstract" else cf.payload
     return {"chain": _chain_doc(chain.boundary())}, 0
 
 
 def _cmd_flatnorm(args, cf):
+    from .flatnorm import flat_norm_int
     chain = _as_cellular(cf, ambient=True)
     witness = flat_norm_int(chain, args.bound)
     return {"value": format_number(witness.value),
@@ -180,6 +213,7 @@ def _cmd_flatnorm(args, cf):
 
 
 def _cmd_flatnormp(args, cf):
+    from .flatnorm import flat_norm_mod_p
     p = _need_p(args, cf)
     chain = _as_cellular(cf, ambient=True)
     witness = flat_norm_mod_p(chain, p)
@@ -190,6 +224,7 @@ def _cmd_flatnormp(args, cf):
 
 
 def _cmd_fill(args, cf):
+    from .flatnorm import fill_mod_p
     p = _need_p(args, cf)
     chain = _as_cellular(cf, ambient=True)
     filling = fill_mod_p(chain, p)
@@ -198,6 +233,7 @@ def _cmd_fill(args, cf):
 
 
 def _cmd_isoratio(args, cf):
+    from .flatnorm import isoperimetric_filling
     p = _need_p(args, cf)
     chain = _as_cellular(cf, ambient=True)
     ratio, filling = isoperimetric_filling(chain, p)
@@ -229,18 +265,21 @@ def _cmd_islice(args, cf):
 
 
 def _cmd_slicemass(args, cf):
+    from .boxes import slice_mass_integral
     chain = _payload(cf, "box")
     p = _need_p(args, cf)
     return {"value": format_number(slice_mass_integral(chain, args.axis, p)), "p": p}, 0
 
 
 def _cmd_slicestar(args, cf):
+    from .boxes import slice_mass_star
     chain = _payload(cf, "box")
     p = _need_p(args, cf)
     return {"value": format_number(slice_mass_star(chain, p)), "p": p}, 0
 
 
 def _cmd_deform(args, cf):
+    from .boxes import deform
     chain = _payload(cf, "box")
     result = deform(chain, args.eta, rho=args.rho, p=args.p,
                     optimize_thresholds=args.optimize)
@@ -255,6 +294,7 @@ def _cmd_deform(args, cf):
 
 
 def _cmd_refinecompare(args, cf):
+    from .flatnorm import flat_norm_under_refinement
     chain = _payload(cf, "box")
     p = _need_p(args, cf)
     coarse, refined = flat_norm_under_refinement(chain, p, args.subdiv)
@@ -263,11 +303,13 @@ def _cmd_refinecompare(args, cf):
 
 
 def _cmd_sysboundary(args, cf):
+    from .curves import system_boundary
     system = _payload(cf, "curves")
     return {"boundary": dict(sorted(system_boundary(system).items()))}, 0
 
 
 def _cmd_preprocess(args, cf):
+    from .curves import preprocess
     system = _payload(cf, "curves")
     reduced, trace = preprocess(system)
     events = []
@@ -285,12 +327,14 @@ def _cmd_preprocess(args, cf):
 
 
 def _cmd_cyclecut(args, cf):
+    from .curves import extract_cycle_indices
     system = _payload(cf, "curves")
     p = _need_p(args, cf)
     return {"indices": extract_cycle_indices(system, p), "p": p}, 0
 
 
 def _cmd_decompose(args, cf):
+    from .curves import decompose_paths_loops
     chain = _as_cellular(cf, ambient=False)
     paths = decompose_paths_loops(chain)
     docs = [{"vertices": list(path.vertices),
@@ -303,17 +347,20 @@ def _cmd_decompose(args, cf):
 
 
 def _cmd_cyclerep(args, cf):
+    from .curves import cycle_representative
     p = _need_p(args, cf)
     chain = _as_cellular(cf, ambient=False)
     return {"chain": _chain_doc(cycle_representative(chain, p)), "p": p}, 0
 
 
 def _cmd_cone(args, cf):
+    from .cone import cone
     chain = _payload(cf, "simplicial")
     return {"chain": _chain_doc(cone(tuple(args.apex), chain))}, 0
 
 
 def _cmd_conereport(args, cf):
+    from .cone import cone_mass_report
     chain = _payload(cf, "simplicial")
     p = args.p if args.p is not None else cf.p
     report = cone_mass_report(tuple(args.apex), chain, p)
@@ -372,8 +419,19 @@ COMMANDS = {
 
 # -- dispatch ---------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, keeping a usage error's message on the SystemExit it raises."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit as stop:
+            stop.usage_message = message
+            raise
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flatchains",
         description="Mass, flat norm, slicing, deformation, and cycle "
                     "extraction for chains mod p on finite complexes.")
@@ -403,7 +461,7 @@ def _parse_flags(args) -> dict:
     every flag the subcommand was given.
     """
     _, required, optional = COMMANDS[args.command]
-    doc = {"file": Path(args.file).name}
+    doc = {"file": os.path.basename(args.file)}
     for flag in required + optional:
         value = getattr(args, flag)
         if value is None:
@@ -432,8 +490,30 @@ def _emit(doc: dict, as_json: bool) -> None:
         print(f"{key}: {json.dumps(body[key], sort_keys=True)}")
 
 
+def _emit_usage_error(argv: list, stop: SystemExit) -> None:
+    """Under a known subcommand's --json, also print a usage error as JSON.
+
+    argparse has already written its usage text to stderr, and the exit
+    code stays 2.  Without a known subcommand there is no document: the
+    schema's `command` has no value for it.
+    """
+    message = getattr(stop, "usage_message", None)
+    if message is None or not argv or argv[0] not in COMMANDS:
+        return
+    options = argv[1:argv.index("--")] if "--" in argv else argv[1:]
+    if "--json" in options:
+        _emit({"version": 1, "command": argv[0],
+               "error": {"kind": "precondition", "message": message},
+               "timing": None}, as_json=True)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        _emit_usage_error(argv, stop)
+        raise
     started = time.perf_counter()
     doc = {"version": 1, "command": args.command}
     try:

@@ -28,6 +28,10 @@ class InternalDefectError(RuntimeError):
     """An internal consistency check failed; this is a bug, not bad input."""
 
 
+class FillInfeasibleError(ValueError):
+    """No chain in the complex fills the requested boundary mod p."""
+
+
 def norm_mod_p(g: int, p: int) -> int:
     """Distance from the integer g to the nearest multiple of p."""
     _check_modulus(p)

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .boxes import BoxCell, BoxChain
-from .cone import Simplex, SimplicialChain
 from .core import Complex, IntChain, PreconditionError, _check_modulus
-from .curves import CurveItem, CurveSystem
+
+if TYPE_CHECKING:  # each parser imports its carrier's module when it runs
+    from .boxes import BoxChain
+    from .cone import SimplicialChain
+    from .curves import CurveSystem
 
 CARRIERS = ("abstract", "box", "curves", "simplicial")
 
@@ -131,6 +133,8 @@ def _parse_shape(tokens, no, shape):
 
 
 def _parse_box(body) -> BoxChain:
+    from .boxes import BoxCell, BoxChain
+
     shape = {"ambient": None, "dim": None}
     items = []
     for no, line in body:
@@ -161,6 +165,8 @@ def _parse_box(body) -> BoxChain:
 
 
 def _parse_curves(body) -> CurveSystem:
+    from .curves import CurveItem, CurveSystem
+
     items = []
     for no, line in body:
         tokens = line.split()
@@ -179,6 +185,8 @@ def _parse_curves(body) -> CurveSystem:
 
 
 def _parse_simplicial(body) -> SimplicialChain:
+    from .cone import Simplex, SimplicialChain
+
     shape = {"ambient": None, "dim": None}
     items = []
     for no, line in body:

@@ -34,16 +34,13 @@ from typing import Optional, Union
 
 from .core import (
     Complex,
+    FillInfeasibleError,
     IntChain,
     InternalDefectError,
     ModPChain,
     PreconditionError,
     _check_modulus,
 )
-
-
-class FillInfeasibleError(ValueError):
-    """No chain in the complex fills the requested boundary mod p."""
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,23 @@ def test_chain_construction_rules():
         2.0 * BoxChain(1, 1, [(cell((0, 1)), 1)])
 
 
+def test_negation_and_scaling_match_the_constructor(rng):
+    # -c and n * c skip re-canonicalization; they must equal the chains the
+    # constructor builds from the same item maps, cell for cell
+    for _ in range(40):
+        n = rng.choice([1, 2, 3])
+        k = rng.randint(0, n)
+        t = random_box_chain(rng, n, k, max_cells=4)
+        for scaled, factor in ((-t, -1), (3 * t, 3), (0 * t, 0)):
+            built = BoxChain(n, k, {c: factor * g for c, g in t.items()})
+            assert (scaled.ambient_dim, scaled.dim) == (n, k)
+            assert scaled.items() == built.items()
+            assert scaled == built
+    assert (0 * t).is_zero()
+    with pytest.raises(PreconditionError):
+        Fraction(1, 2) * t
+
+
 def test_boundary_signs_of_the_square():
     b = unit_square().boundary()
     assert b.coefficient(cell((1, 1), (0, 1))) == 1   # right

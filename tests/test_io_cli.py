@@ -268,6 +268,45 @@ def test_flag_abbreviations_exit_2(capsys):
     assert "unrecognized arguments: --r" in capsys.readouterr().err
 
 
+USAGE_ERRORS = [
+    (["mass", "square.chain", "--p", "3"], "unrecognized arguments: --p 3"),
+    (["mass"], "the following arguments are required: file"),
+    (["restrict", "square.chain", "--axis", "0", "--r", "1/2", "--side", "left"],
+     "argument --side: invalid choice: 'left'"),
+    (["massp", "square.chain", "--p", "two"], "argument --p: invalid int value: 'two'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS,
+                         ids=["foreign-flag", "missing-file", "bad-side", "non-integer-p"])
+def test_usage_error_under_json_prints_an_error_doc(argv, message, capsys, schema):
+    if len(argv) > 1:
+        argv = [argv[0], str(FIXTURES / argv[1])] + argv[2:]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--json"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err  # argparse's own report stays
+    doc = json.loads(captured.out)
+    jsonschema.Draft7Validator(schema).validate(doc)
+    assert doc["command"] == argv[0]
+    assert doc["error"]["kind"] == "precondition"
+    assert doc["error"]["message"].startswith(message)
+    assert doc["timing"] is None
+    # without --json the usage error is argparse's text alone
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["nosuch", "--json"], ["--json"]])
+def test_usage_error_without_a_known_subcommand_prints_no_doc(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_schema_lists_every_command_and_flag(schema):
     flags = {flag for _, required, optional in COMMANDS.values()
              for flag in required + optional}
