@@ -59,11 +59,11 @@ class BoxCell:
             if lo > hi:
                 raise PreconditionError(f"interval [{lo}, {hi}] is reversed")
             fixed.append((lo, hi))
-        fixed = tuple(fixed)
-        object.__setattr__(self, "intervals", fixed)
-        object.__setattr__(self, "directions",
-                           tuple(j for j, (lo, hi) in enumerate(fixed) if lo < hi))
-        object.__setattr__(self, "_hash", hash(fixed))
+        self._fill(tuple(fixed))
+
+    def _fill(self, intervals: tuple[Interval, ...]) -> None:
+        vars(self).update(intervals=intervals, _hash=hash(intervals),
+                          directions=tuple(j for j, (lo, hi) in enumerate(intervals) if lo < hi))
 
     def __hash__(self) -> int:
         return self._hash
@@ -89,10 +89,18 @@ class BoxCell:
         ivs[axis] = (lo, hi)
         return BoxCell(tuple(ivs))
 
+    def _replaced(self, axis: int, lo: Fraction, hi: Fraction) -> "BoxCell":
+        # replace() for Fraction endpoints lo <= hi, without __post_init__'s
+        # conversions and checks
+        ivs = self.intervals
+        cell = object.__new__(BoxCell)
+        cell._fill(ivs[:axis] + ((lo, hi),) + ivs[axis + 1:])
+        return cell
+
     def face(self, axis: int, side: str) -> "BoxCell":
         lo, hi = self.intervals[axis]
         v = lo if side == "lo" else hi
-        return self.replace(axis, v, v)
+        return self._replaced(axis, v, v)
 
     def id_token(self) -> str:
         parts = []
@@ -202,15 +210,19 @@ class BoxChain:
     def __sub__(self, other: "BoxChain") -> "BoxChain":
         return self + (-other)
 
+    def _with_items(self, items: dict[BoxCell, int]) -> "BoxChain":
+        # a chain in this chain's space from an item map already canonical
+        chain = BoxChain.__new__(BoxChain)
+        chain.ambient_dim = self.ambient_dim
+        chain.dim = self.dim
+        chain._items = items
+        return chain
+
     def _scaled(self, n: int) -> "BoxChain":
         # n * self for a nonzero integer n: the cells, and so the cut sets,
         # are unchanged and no coefficient becomes 0, so the item map is
         # already canonical.
-        chain = BoxChain.__new__(BoxChain)
-        chain.ambient_dim = self.ambient_dim
-        chain.dim = self.dim
-        chain._items = {c: n * g for c, g in self._items.items()}
-        return chain
+        return self._with_items({c: n * g for c, g in self._items.items()})
 
     def __neg__(self) -> "BoxChain":
         return self._scaled(-1)
@@ -235,8 +247,10 @@ class BoxChain:
                    Fraction(0))
 
     def reduce_mod_p(self, p: int) -> "BoxChain":
-        return BoxChain(self.ambient_dim, self.dim,
-                        {c: canonical_residue(g, p) for c, g in self._items.items()})
+        # dropping the cells whose residue is 0 only removes cuts, so the
+        # remaining cells need no split and the item map stays canonical
+        residues = ((c, canonical_residue(g, p)) for c, g in self._items.items())
+        return self._with_items({c: r for c, r in residues if r})
 
     def axis_values(self, axis: int) -> tuple[Fraction, ...]:
         """All interval endpoints of the chain's cells on one axis, sorted."""
@@ -265,12 +279,12 @@ class BoxChain:
                 if hi < r:
                     items.append((cell, g))
                 elif lo < r < hi:
-                    items.append((cell.replace(axis, lo, r), g))
+                    items.append((cell._replaced(axis, lo, r), g))
             else:
                 if lo > r:
                     items.append((cell, g))
                 elif lo < r < hi:
-                    items.append((cell.replace(axis, r, hi), g))
+                    items.append((cell._replaced(axis, r, hi), g))
         return BoxChain(self.ambient_dim, self.dim, items)
 
     def slice(self, axis: int, r) -> "BoxChain":
@@ -549,7 +563,7 @@ def _push_round(chain: BoxChain, axis: int, eta: Fraction, rho: Fraction) -> Box
         rlo, rhi = _round_value(lo, eta, rho), _round_value(hi, eta, rho)
         if lo < hi and rlo == rhi:
             continue
-        items.append((cell.replace(axis, rlo, rhi), g))
+        items.append((cell._replaced(axis, rlo, rhi), g))
     return BoxChain(chain.ambient_dim, chain.dim, items)
 
 
@@ -570,10 +584,10 @@ def _sweep(chain: BoxChain, axis: int, eta: Fraction, rho: Fraction) -> BoxChain
         pos = sorted(set(cell.directions) | {axis}).index(axis) + 1
         if target > lo:
             sign = 1 if pos % 2 == 1 else -1
-            swept = cell.replace(axis, lo, target)
+            swept = cell._replaced(axis, lo, target)
         else:
             sign = -1 if pos % 2 == 1 else 1
-            swept = cell.replace(axis, target, lo)
+            swept = cell._replaced(axis, target, lo)
         items.append((swept, sign * g))
     return BoxChain(chain.ambient_dim, chain.dim + 1, items)
 

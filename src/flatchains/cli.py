@@ -208,8 +208,7 @@ def _cmd_flatnorm(args, cf):
     return {"value": format_number(witness.value),
             "remainder": _chain_doc(witness.remainder),
             "filling": _chain_doc(witness.filling),
-            "exact": witness.exact, "bound": witness.bound,
-            "bound_saturated": witness.bound_saturated}, 0
+            "exact": witness.exact, "bound": witness.bound}, 0
 
 
 def _cmd_flatnormp(args, cf):
@@ -381,7 +380,8 @@ _FLAGS = {
     "r": (_csv(Fraction), {"help": "level, or comma list of levels"}),
     "eta": (Fraction, {"help": "coarse grid spacing"}),
     "rho": (_csv(Fraction), {"help": "comma list of rounding thresholds in (0,1)"}),
-    "bound": (None, {"type": int, "help": "coefficient bound for flatnorm"}),
+    "bound": (None, {"type": int, "help": "optimize over fillings with |coefficient| <= bound"
+                                          " (a proved flow optimum that fits is kept)"}),
     "subdiv": (None, {"type": int, "help": "refinement factor"}),
     "side": (None, {"choices": ("below", "above"), "default": "below"}),
     "apex": (_csv(Fraction), {"help": "comma-separated apex coordinates"}),
@@ -502,7 +502,7 @@ def _emit_usage_error(argv: list, stop: SystemExit) -> None:
         return
     options = argv[1:argv.index("--")] if "--" in argv else argv[1:]
     if "--json" in options:
-        _emit({"version": 1, "command": argv[0],
+        _emit({"version": 2, "command": argv[0],
                "error": {"kind": "precondition", "message": message},
                "timing": None}, as_json=True)
 
@@ -515,7 +515,7 @@ def main(argv=None) -> int:
         _emit_usage_error(argv, stop)
         raise
     started = time.perf_counter()
-    doc = {"version": 1, "command": args.command}
+    doc = {"version": 2, "command": args.command}
     try:
         doc["inputs"] = _parse_flags(args)
         cf = load_chainfile(args.file)

@@ -2,22 +2,53 @@
 
 The flat norm of a k-chain T minimizes mass(T - dS) + mass(S) over
 (k+1)-chains S; the mod-p variant minimizes the relaxed masses over
-mod-p assignments, a finite search space.  Both are solved by the same
-depth-first branch-and-bound: variables are the (k+1)-cells in
-decreasing-volume order, the lower bound at a partial assignment counts
-the cells of the remainder whose cofaces are all assigned plus the mass
-of the assigned filling, and the incumbent is replaced only by a
-strictly better value or an equal value with a lexicographically
-smaller witness.  Results are therefore deterministic.
+mod-p assignments, a finite search space.
 
-When every volume the search touches is an int or a Fraction, the
-volumes are multiplied by the LCM of their denominators and the search
-runs on plain integers; the cost is divided back at the end.  Scaling
-by a positive constant keeps every comparison, so the witness is the
-one exact rational arithmetic would pick.  Float volumes keep float
-arithmetic, summed in the same order.  The depth-first walk keeps its
-state on an explicit stack, one level per (k+1)-cell, so the depth of a
-search is not bounded by the interpreter's recursion limit.
+The integral flat norm is a network problem whenever the complex is one
+in the right place, and is then solved exactly as a min-cost flow
+(`_min_cost_flow`, successive shortest paths with potentials):
+
+- dual circulation: every k-cell has at most two cofaces, with
+  coefficients +-1 of opposite sign once each (k+1)-cell's orientation
+  is possibly flipped (a 2-colouring; the smallest cell id of each
+  connected piece keeps its orientation).  This holds for every
+  codimension-1 box complex.  The LP dual, max <T, y> subject to
+  |y| <= vol on k-cells and |d^T y| <= vol on (k+1)-cells, is then a
+  max-profit circulation on the dual graph: the (k+1)-cells plus a
+  ground node, one arc per k-cell and a ground arc per (k+1)-cell.  The
+  filling is read from the optimal node potentials, relative to ground.
+- primal flow: every (k+1)-cell has at most two faces, with
+  coefficients +-1 of opposite sign, as for 0-chains on a graph.  The
+  filling is then itself a flow, and the remainder a flow to ground.
+
+Every flow answer is certified in exact arithmetic: R = T - dS, the
+dual y is feasible, and <T, y> equals mass(R) + mass(S).  Only that
+check makes an integral result exact; a failed check is an
+InternalDefectError.  Among tied optima the dual-circulation witness is
+the least one: at every (k+1)-cell, S is the smallest coefficient that
+any optimal filling has there (in the possibly flipped orientation).
+The primal-flow witness is the flow the solver reaches, with nodes,
+arcs and shortest-path ties taken in cell-id order.  Both depend only on
+the complex and T.
+
+Everything else, the mod-p problems, fills, float volumes and
+non-network complexes, runs a depth-first branch-and-bound over
+coefficient assignments (`_exact_search`): variables are the
+(k+1)-cells in decreasing-volume order, the lower bound at a partial
+assignment counts the cells of the remainder whose cofaces are all
+assigned plus the mass of the assigned filling, and the incumbent is
+replaced only by a strictly better value or an equal value with a
+lexicographically smaller witness.  Results are therefore
+deterministic.
+
+When every volume a solver touches is an int or a Fraction, the volumes
+are multiplied by the LCM of their denominators and the solver runs on
+plain integers; values are divided back at the end.  Scaling by a
+positive constant keeps every comparison, so the witness is the one
+exact rational arithmetic would pick.  Float volumes keep float
+arithmetic, summed in the same order.  Both the search and the flow
+keep their state on explicit stacks and heaps, so their depth is not
+bounded by the interpreter's recursion limit.
 
 All infima are relative to the chain's own complex: competitors range
 over the cells the complex actually has, not over an ambient space.
@@ -48,16 +79,15 @@ class FlatWitness:
     """An optimal decomposition T = remainder + boundary(filling).
 
     value is mass(remainder) + mass(filling) in the relevant (plain or
-    mod-p) mass; exact is True when optimality is proved, and
-    bound_saturated flags an integral solve whose optimum touched the
-    coefficient box.
+    mod-p) mass, and exact is True when optimality is proved.  bound is
+    the coefficient box |S| <= bound an integral search ran in; it is
+    None for mod-p results and for integral results the flow proved.
     """
 
     value: object
     remainder: IntChain
     filling: IntChain
     exact: bool
-    bound_saturated: bool
     modulus: Optional[int] = None
     bound: Optional[int] = None
 
@@ -241,45 +271,329 @@ def flat_norm_mod_p(T: Union[IntChain, ModPChain], p: int) -> FlatWitness:
     remainder = base - filling.boundary()
     value = remainder.mass_p(p) + filling.mass_p(p)
     _check_engine_value(value, cost)
-    return FlatWitness(value, remainder, filling, exact=True,
-                       bound_saturated=False, modulus=p)
+    return FlatWitness(value, remainder, filling, exact=True, modulus=p)
 
 
 def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
     """The integral flat norm of a chain, relative to its complex.
 
-    The filling search runs over integer coefficients in [-B, B].  With
-    an explicit bound the solve is a single pass; otherwise B starts at
-    twice (max coefficient + 1) and escalates by one, at most eight
-    times, while the optimum sits on the box and optimality is still
-    unproved.  Optimality is proved whenever every cell outside the box
-    would on its own already cost more than the value found.
+    With exact volumes on a network complex (see the module docstring)
+    the flat norm is a min-cost flow, proved by a matching dual: the
+    result has exact=True and bound=None.  Otherwise one search runs over
+    fillings with coefficients in [-B, B], where B is the given bound or
+    twice (max coefficient + 1), and reports bound=B.  Its value is
+    proved when every cell outside the box would on its own already cost
+    more than the value found, or when it equals the flow's certified
+    optimum.
+
+    An explicit bound asks for the optimum over |S| <= bound: the flow's
+    answer stands when its filling fits in that box, and the search runs
+    when it does not.
     """
+    if bound is not None and (not isinstance(bound, int) or bound < 1):
+        raise PreconditionError(f"coefficient bound must be an integer >= 1, got {bound!r}")
+    flow = _flow_flat_norm(T)
+    if flow is not None and (bound is None
+                             or all(abs(g) <= bound for _, g in flow.filling.items())):
+        return flow
     cx, k = T.complex, T.dim
-    user_bound = bound is not None
-    if user_bound:
-        if not isinstance(bound, int) or bound < 1:
-            raise PreconditionError(f"coefficient bound must be an integer >= 1, got {bound!r}")
-        b = bound
-    else:
-        top = max((abs(g) for _, g in T.items()), default=0)
-        b = 2 * (top + 1)
-    sigmas = cx.cells(k + 1)
-    escalations = 0
+    b = bound if bound is not None else 2 * (max((abs(g) for _, g in T.items()), default=0) + 1)
+    cost, s_coeffs = _exact_search(cx, k, dict(T.coeffs), bound=b)
+    filling = IntChain(cx, k + 1, s_coeffs)
+    remainder = T - filling.boundary()
+    value = remainder.mass() + filling.mass()
+    _check_engine_value(value, cost)
+    proved = ((flow is not None and value == flow.value)
+              or all((b + 1) * cx.volume(sid) > value for sid in cx.cells(k + 1)))
+    return FlatWitness(value, remainder, filling, exact=proved, bound=b)
+
+
+# -- the integral flat norm as a min-cost flow ------------------------------
+
+def _flow_flat_norm(T: IntChain) -> Optional[FlatWitness]:
+    """The certified min-cost-flow solution, or None when some volume is
+    inexact or not positive, or the complex is no network in the
+    dimensions k and k+1."""
+    cx, k = T.complex, T.dim
+    sigmas = list(cx.cells(k + 1))
+    target = T.coeffs
+    taus = sorted(set(target).union(*(cx.boundary_of(sid) for sid in sigmas)))
+    vols = [cx.volume(cid) for cid in sigmas + taus]
+    scale = _common_denominator(vols)
+    if scale is None or not all(v > 0 for v in vols):
+        return None
+    vol = {cid: v.numerator * (scale // v.denominator) for cid, v in zip(sigmas + taus, vols)}
+    solved = (_dual_circulation(cx, sigmas, taus, target, vol)
+              or _primal_flow(cx, sigmas, taus, target, vol))
+    if solved is None:
+        return None
+    s_coeffs, y = solved
+    filling = IntChain(cx, k + 1, s_coeffs)
+    remainder = T - filling.boundary()
+    value = remainder.mass() + filling.mass()
+    if _dual_value(T, sigmas, y, scale) != value:
+        raise InternalDefectError("flow optimum differs from its dual value")
+    return FlatWitness(value, remainder, filling, exact=True)
+
+
+def _dual_value(T: IntChain, sigmas, y: dict, scale: int) -> Fraction:
+    """<T, y / scale>, after checking in exact arithmetic that y / scale is
+    feasible for the dual: |y| <= vol on the k-cells, |d^T y| <= vol on
+    the (k+1)-cells."""
+    cx = T.complex
+    for tid, v in y.items():
+        if abs(v) > cx.volume(tid) * scale:
+            raise InternalDefectError(f"flow dual exceeds the volume of cell {tid!r}")
+    for sid in sigmas:
+        if abs(sum(b * y.get(tid, 0) for tid, b in cx.boundary_of(sid).items())) \
+                > cx.volume(sid) * scale:
+            raise InternalDefectError(f"flow dual exceeds the volume of cell {sid!r}")
+    return Fraction(sum(g * y.get(tid, 0) for tid, g in T.coeffs.items()), scale)
+
+
+def _dual_circulation(cx: Complex, sigmas, taus, target, vol):
+    """(S, y) when every k-cell has at most two cofaces with coefficients
+    +-1 of opposite sign, after flipping some (k+1)-cells; else None.
+
+    Nodes are the (k+1)-cells and a ground node.  A k-cell is an arc
+    from its -1 coface to its +1 coface (ground standing in for a
+    missing one), carrying y in [-vol, vol] at profit T per unit; each
+    (k+1)-cell has a ground arc of capacity vol.  The potentials of the
+    optimal circulation, the greatest ones with ground at 0, give the
+    least optimal filling S = -potential.
+    """
+    ground = len(sigmas)
+    node = {sid: i for i, sid in enumerate(sigmas)}
+    cofaces: dict[str, list] = {tid: [] for tid in taus}
+    for sid in sigmas:
+        for tid, b in cx.boundary_of(sid).items():
+            faces = cofaces[tid]
+            if b not in (1, -1) or len(faces) == 2:
+                return None
+            faces.append((node[sid], b))
+    # sign[i] = -1 flips cell i; cells sharing a face must then disagree on it
+    sign = [0] * ground
+    for start in range(ground):
+        if sign[start]:
+            continue
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for tid, a in cx.boundary_of(sigmas[i]).items():
+                for j, b in cofaces[tid]:
+                    if j == i:
+                        continue
+                    if not sign[j]:
+                        sign[j] = -a * b * sign[i]
+                        stack.append(j)
+                    elif sign[j] != -a * b * sign[i]:
+                        return None
+    y: dict[str, int] = {}
+    arcs, carried = [], []
+    for tid in taus:
+        g = target.get(tid, 0)
+        if not cofaces[tid]:
+            y[tid] = vol[tid] if g > 0 else -vol[tid] if g < 0 else 0
+            continue
+        head = tail = ground
+        for i, b in cofaces[tid]:
+            if sign[i] * b > 0:
+                head = i
+            else:
+                tail = i
+        arcs.append((tail, head, -vol[tid], vol[tid], -g))
+        carried.append(tid)
+    arcs.extend((ground, i, -vol[sid], vol[sid], 0) for i, sid in enumerate(sigmas))
+    flow, pot = _min_cost_flow(ground + 1, arcs, [0] * (ground + 1), ground)
+    y.update(zip(carried, flow))
+    return {sid: -sign[i] * pot[i] for i, sid in enumerate(sigmas) if pot[i]}, y
+
+
+def _primal_flow(cx: Complex, sigmas, taus, target, vol):
+    """(S, y) when every (k+1)-cell has at most two faces with
+    coefficients +-1 of opposite sign; else None.
+
+    Nodes are the k-cells and a ground node; T_tau units must arrive at
+    each k-cell.  A (k+1)-cell is a pair of opposite arcs from its -1 face
+    to its +1 face (ground standing in for a missing one) at cost vol per
+    unit, and so is the remainder on each k-cell, to and from ground.
+    The dual y is the potential, with ground at 0.
+    """
+    ground = len(taus)
+    node = {tid: i for i, tid in enumerate(taus)}
+    # more than any flow carries, so every arc keeps residual capacity
+    cap = sum(abs(g) for g in target.values()) + 1
+    arcs, carried = [], []
+    for sid in sigmas:
+        faces = cx.boundary_of(sid)
+        if (len(faces) > 2 or any(b not in (1, -1) for b in faces.values())
+                or (len(faces) == 2 and sum(faces.values()))):
+            return None
+        if not faces:
+            continue
+        head = tail = ground
+        for tid, b in faces.items():
+            if b > 0:
+                head = node[tid]
+            else:
+                tail = node[tid]
+        arcs.append((tail, head, 0, cap, vol[sid]))
+        arcs.append((head, tail, 0, cap, vol[sid]))
+        carried.append(sid)
+    for i, tid in enumerate(taus):
+        arcs.append((ground, i, 0, cap, vol[tid]))
+        arcs.append((i, ground, 0, cap, vol[tid]))
+    supply = [-target.get(tid, 0) for tid in taus] + [sum(target.values())]
+    flow, pot = _min_cost_flow(ground + 1, arcs, supply, ground)
+    s = {sid: flow[2 * j] - flow[2 * j + 1] for j, sid in enumerate(carried)}
+    return {sid: g for sid, g in s.items() if g}, dict(zip(taus, pot))
+
+
+def _min_cost_flow(n: int, arcs: list, supply: list, root: int) -> tuple[list, list]:
+    """A min-cost flow by successive shortest paths with potentials.
+
+    arcs are (u, v, lo, hi, cost) over nodes 0..n-1 with integer bounds
+    and costs, the flow x on each within [lo, hi] at cost * x; supply[v]
+    is the net outflow v must have (summing to 0).  Each arc starts at
+    its cheaper bound, so every residual arc has nonnegative cost.  Each
+    round finds shortest distances from all nodes with excess to the
+    nearest node with a deficit (Dijkstra on reduced costs), raises the
+    potentials by them, and saturates the zero-reduced-cost paths by
+    blocking flows.  Nodes are taken in index order and ties in the heap
+    go to the lower index, so the answer is a function of the input.
+
+    Returns the flow on each arc and potentials pot with
+    cost + pot[u] - pot[v] >= 0 on every residual arc, the greatest such
+    with pot[root] = 0: pot[v] is the residual distance from root to v.
+    """
+    m2 = 2 * len(arcs)
+    head, cap, cost = [0] * m2, [0] * m2, [0] * m2
+    adj: list[list[int]] = [[] for _ in range(n)]
+    excess = list(supply)
+    for i, (u, v, lo, hi, c) in enumerate(arcs):
+        x = lo if c > 0 else hi if c < 0 else min(max(0, lo), hi)
+        a = 2 * i
+        head[a], cap[a], cost[a] = v, hi - x, c
+        head[a + 1], cap[a + 1], cost[a + 1] = u, x - lo, -c
+        adj[u].append(a)
+        adj[v].append(a + 1)
+        excess[u] -= x
+        excess[v] += x
+    pot = [0] * n
     while True:
-        cost, s_coeffs = _exact_search(cx, k, dict(T.coeffs), bound=b)
-        filling = IntChain(cx, k + 1, s_coeffs)
-        remainder = T - filling.boundary()
-        value = remainder.mass() + filling.mass()
-        _check_engine_value(value, cost)
-        saturated = any(abs(g) == b for g in s_coeffs.values())
-        proved = all((b + 1) * cx.volume(sid) > value for sid in sigmas)
-        if user_bound or proved or not saturated or escalations >= 8:
+        sources = [v for v in range(n) if excess[v] > 0]
+        if not sources:
             break
-        b += 1
-        escalations += 1
-    return FlatWitness(value, remainder, filling, exact=proved,
-                       bound_saturated=saturated, bound=b)
+        dist, reach = _distances(n, adj, head, cap, cost, pot, sources, excess)
+        if reach is None:
+            raise InternalDefectError("no feasible flow: a supply reaches no demand")
+        for v in range(n):
+            d = dist[v]
+            pot[v] += reach if d is None or d > reach else d
+        while _blocking_flow(n, adj, head, cap, cost, pot, excess):
+            pass
+    dist, _ = _distances(n, adj, head, cap, cost, pot, [root], None)
+    if None in dist:
+        raise InternalDefectError("flow potentials are unbounded")
+    top = pot[root]
+    pot = [pot[v] + dist[v] - top for v in range(n)]
+    return [cap[2 * i + 1] + lo for i, (_, _, lo, _, _) in enumerate(arcs)], pot
+
+
+def _distances(n, adj, head, cap, cost, pot, sources, excess) -> tuple[list, object]:
+    """Dijkstra on reduced costs from sources over residual arcs: the
+    distances (None where unreached) and the distance of the nearest
+    node with a deficit.
+
+    With excess given, it stops at that node (reach is None when no
+    deficit is reachable), and unsettled nodes keep tentative distances,
+    none below reach.  Without, it runs to the end and reach is None.
+    """
+    from heapq import heappop, heappush  # only flow solves load it
+
+    dist: list = [None] * n
+    done = [False] * n
+    heap = []
+    for s in sources:
+        dist[s] = 0
+        heap.append((0, s))
+    reach = None
+    while heap:
+        d, u = heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if excess is not None and excess[u] < 0:
+            reach = d
+            break
+        base = d + pot[u]
+        for a in adj[u]:
+            if cap[a]:
+                v = head[a]
+                if not done[v]:
+                    nd = base + cost[a] - pot[v]
+                    if dist[v] is None or nd < dist[v]:
+                        dist[v] = nd
+                        heappush(heap, (nd, v))
+    return dist, reach
+
+
+def _blocking_flow(n, adj, head, cap, cost, pot, excess) -> bool:
+    """Push flow from nodes with excess to nodes with a deficit along
+    zero-reduced-cost residual arcs, in breadth-first levels, until no
+    such path is left in the level graph; False when none existed."""
+    level = [-1] * n
+    queue = [v for v in range(n) if excess[v] > 0]
+    for v in queue:
+        level[v] = 0
+    found = False
+    for u in queue:
+        if excess[u] < 0:
+            found = True
+            continue
+        pu = pot[u]
+        for a in adj[u]:
+            if cap[a]:
+                v = head[a]
+                if level[v] < 0 and cost[a] + pu == pot[v]:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+    if not found:
+        return False
+    nxt = [0] * n
+    for s in range(n):
+        while excess[s] > 0:
+            path: list[int] = []
+            u = s
+            while excess[u] >= 0 or u == s:
+                arcs_u = adj[u]
+                i = nxt[u]
+                while i < len(arcs_u):
+                    a = arcs_u[i]
+                    v = head[a]
+                    if cap[a] and level[v] == level[u] + 1 and cost[a] + pot[u] == pot[v]:
+                        break
+                    i += 1
+                nxt[u] = i
+                if i < len(arcs_u):
+                    path.append(a)
+                    u = v
+                    continue
+                level[u] = -1  # dead end
+                if not path:
+                    break
+                u = head[path.pop() ^ 1]
+                nxt[u] += 1
+            if not path:
+                break
+            amount = min(excess[s], -excess[u], min(cap[a] for a in path))
+            for a in path:
+                cap[a] -= amount
+                cap[a ^ 1] += amount
+            excess[s] -= amount
+            excess[u] += amount
+    return True
 
 
 def _component_sums_vanish(L: IntChain, p: int) -> bool:

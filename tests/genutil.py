@@ -127,6 +127,20 @@ def path_complex(volumes):
     })
 
 
+def unit_grid_complex(n):
+    """The abstract n-by-n unit grid: vertices v{i}_{j}, horizontal edges
+    h{i}_{j}, vertical edges u{i}_{j} and squares f{i}_{j}, all volume 1."""
+    verts = [(f"v{i}_{j}", 1, []) for i in range(n + 1) for j in range(n + 1)]
+    edges = [(f"h{i}_{j}", 1, [(f"v{i}_{j}", -1), (f"v{i + 1}_{j}", 1)])
+             for i in range(n) for j in range(n + 1)]
+    edges += [(f"u{i}_{j}", 1, [(f"v{i}_{j}", -1), (f"v{i}_{j + 1}", 1)])
+              for i in range(n + 1) for j in range(n)]
+    squares = [(f"f{i}_{j}", 1, [(f"h{i}_{j}", 1), (f"u{i + 1}_{j}", 1),
+                                 (f"h{i}_{j + 1}", -1), (f"u{i}_{j}", -1)])
+               for i in range(n) for j in range(n)]
+    return Complex({0: verts, 1: edges, 2: squares})
+
+
 GRID_SHAPES_2D = [(2, 2), (3, 2), (2, 3), (4, 2), (1, 4), (1, 6), (3, 1)]
 GRID_SHAPES_3D = [(2, 2, 2), (1, 2, 2), (2, 1, 2), (1, 1, 3)]
 

@@ -11,7 +11,9 @@ from flatchains import (
     BoxChain,
     PreconditionError,
     arrangement_complex,
+    canonical_residue,
     compile_chain,
+    deform,
     grid_chain,
     slice_mass_integral,
     slice_mass_star,
@@ -114,6 +116,46 @@ def test_negation_and_scaling_match_the_constructor(rng):
     assert (0 * t).is_zero()
     with pytest.raises(PreconditionError):
         Fraction(1, 2) * t
+
+
+def test_reduce_mod_p_matches_the_constructor(rng):
+    # reduce_mod_p skips re-canonicalization: dropping the cells whose
+    # residue is 0 only removes cuts
+    for _ in range(40):
+        n = rng.choice([1, 2, 3])
+        k = rng.randint(0, n)
+        t = random_box_chain(rng, n, k, max_cells=5, coeff=6)
+        for p in (2, 3, 5):
+            reduced = t.reduce_mod_p(p)
+            built = BoxChain(n, k, {c: canonical_residue(g, p) for c, g in t.items()})
+            assert (reduced.ambient_dim, reduced.dim) == (n, k)
+            assert reduced.items() == built.items()
+            assert reduced == built
+
+
+def same_as_fresh(c):
+    fresh = BoxCell(c.intervals)
+    assert c == fresh and hash(c) == hash(fresh)
+    assert c.directions == fresh.directions and repr(c) == repr(fresh)
+    assert c.id_token() == fresh.id_token()
+
+
+def test_faces_and_deformation_cells_match_fresh_cells(rng):
+    # faces and the cells restrict and deform build skip __post_init__'s
+    # checks; they must be indistinguishable from constructor-built cells
+    for _ in range(20):
+        n = rng.choice([2, 3])
+        t = random_box_chain(rng, n, rng.randint(1, n), max_cells=3, coeff=3, nonzero=True)
+        for c, _ in t.items():
+            for axis in c.directions:
+                for side in ("lo", "hi"):
+                    same_as_fresh(c.face(axis, side))
+        res = deform(t, 1)
+        level = generic_level(rng, t, 0)
+        for chain in (res.rounded, res.chain_sweep, res.boundary_sweep,
+                      t.restrict(0, level), t.restrict(0, level, "above")):
+            for c, _ in chain.items():
+                same_as_fresh(c)
 
 
 def test_boundary_signs_of_the_square():

@@ -1,6 +1,8 @@
 """Flat-norm solvers: exact values, witnesses, inequalities, fillings."""
 
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,9 @@ from flatchains import (
     grid_chain,
     isoperimetric_ratio,
 )
+from flatchains.flatnorm import _exact_search
 from genutil import (flat_norm_mod_p_oracle, path_complex, random_chain_on,
-                     random_grid_complex)
+                     random_grid_complex, unit_grid_complex)
 
 
 def square_setup():
@@ -137,16 +140,30 @@ def test_square_boundary_integral_flat_norm():
     assert w.value == 1
     assert w.remainder.is_zero()
     assert abs(w.filling.mass()) == 1
-    assert w.exact and not w.bound_saturated
+    assert w.exact
 
 
 def test_integral_bound_argument():
     cx = path_complex([1, 1, 1])
     t = cx.chain(0, {"q3": 1, "q0": -1})
+    # the proved optimum (S = 0) fits in the box, so the flow answers
     w = flat_norm_int(t, bound=1)
-    assert w.bound == 1 and w.value == 2
+    assert w.bound is None and w.value == 2 and w.exact
     with pytest.raises(PreconditionError, match="bound"):
         flat_norm_int(t, bound=0)
+
+
+def test_integral_bound_smaller_than_the_optimum_runs_the_search():
+    # twice the unit square's rim: the optimum fills the square twice
+    # (value 2); within |S| <= 1 the best is one fill and one rim left (5)
+    cx, sq = square_setup()
+    rim2 = 2 * sq.boundary()
+    assert flat_norm_int(rim2).value == 2
+    w = flat_norm_int(rim2, bound=1)
+    assert (w.value, w.bound, w.exact) == (5, 1, False)
+    assert w.filling == sq and w.remainder == sq.boundary()
+    w = flat_norm_int(rim2, bound=2)
+    assert (w.value, w.bound, w.exact) == (2, None, True)
 
 
 def test_integral_solver_matches_brute_force(rng):
@@ -156,8 +173,156 @@ def test_integral_solver_matches_brute_force(rng):
         cx, _ = arrangement_complex(full)
         t = random_chain_on(rng, cx, 1, max_cells=3, coeff=2)
         w = flat_norm_int(t)
-        assert w.value == brute_flat_norm_int(t, w.bound)
+        # |coefficients| <= 2 on at most 3 unit edges: mass(T) <= 6, so no
+        # optimal filling has a coefficient above 6
+        assert w.value == brute_flat_norm_int(t, 6)
         assert t == w.remainder + w.filling.boundary()
+
+
+# ---------------------------------------------------------------------------
+# integral solver as a min-cost flow
+
+def sufficient_bound(t):
+    """No optimal filling has a coefficient above this: one such cell would
+    cost more than leaving T as it is."""
+    cx = t.complex
+    return int(t.mass() / min(cx.volume(s) for s in cx.cells(t.dim + 1))) + 1
+
+
+def check_against_search(t, brute_limit=3000):
+    """The flow's value equals the search at a sufficient bound and, when
+    small enough, brute force; returns the flow witness."""
+    w = flat_norm_int(t)
+    assert w.exact and w.bound is None
+    assert t == w.remainder + w.filling.boundary()
+    assert w.value == w.remainder.mass() + w.filling.mass()
+    b = sufficient_bound(t)
+    cost, _ = _exact_search(t.complex, t.dim, dict(t.coeffs), bound=b)
+    assert w.value == cost
+    if (2 * b + 1) ** len(t.complex.cells(t.dim + 1)) <= brute_limit:
+        assert w.value == brute_flat_norm_int(t, b)
+    return w
+
+
+def relabelled(cx, rng, flip=0.0):
+    """A copy of cx with random exact volumes on the positive-dimensional
+    cells, and each top cell's orientation reversed with probability flip."""
+    top = cx.top_dim
+    layout = {}
+    for d in cx.dims():
+        rows = []
+        for cid in cx.cells(d):
+            vol = 1 if d == 0 else rng.choice([Fraction(1, 2), Fraction(1, 3),
+                                               Fraction(2, 3), 1, Fraction(3, 2)])
+            sign = -1 if d == top and rng.random() < flip else 1
+            rows.append((cid, vol, [(f, sign * c) for f, c in cx.boundary_of(cid).items()]))
+        layout[d] = rows
+    return Complex(layout)
+
+
+def random_graph(rng, nodes=6, edges=8):
+    """A random multigraph-free graph complex with fractional edge lengths."""
+    verts = [f"v{i}" for i in range(nodes)]
+    pairs = rng.sample(list(itertools.combinations(verts, 2)), edges)
+    return Complex({0: [(v, 1, []) for v in verts],
+                    1: [(f"e{i}", rng.choice([Fraction(1, 2), Fraction(1, 3), 1, 2]),
+                         [(a, -1), (b, 1)]) for i, (a, b) in enumerate(pairs)]})
+
+
+def test_flow_matches_search_on_box_complexes(rng):
+    for _ in range(25):
+        cx = random_grid_complex(rng, small=True)
+        t = random_chain_on(rng, cx, cx.top_dim - 1, max_cells=3, coeff=2)
+        check_against_search(t)
+
+
+def test_flow_matches_search_on_flipped_fractional_complexes(rng):
+    # reversed top cells need the 2-colouring; volumes scale by their LCM
+    for _ in range(25):
+        cx = relabelled(random_grid_complex(rng, small=True), rng, flip=0.5)
+        t = random_chain_on(rng, cx, cx.top_dim - 1, max_cells=3, coeff=2)
+        w = check_against_search(t)
+        assert isinstance(w.value, (int, Fraction))
+
+
+def test_flow_matches_search_on_graph_0_chains(rng):
+    # vertices of degree 3 or more: the primal-flow case
+    for _ in range(15):
+        cx = random_graph(rng)
+        t = random_chain_on(rng, cx, 0, max_cells=3, coeff=2)
+        check_against_search(t)
+    grid = unit_grid_complex(3)
+    for _ in range(5):
+        check_against_search(random_chain_on(rng, grid, 0, max_cells=3, coeff=2))
+    # a triangle with a pendant edge is small enough for brute force
+    paw = Complex({0: [(v, 1, []) for v in "abcd"],
+                   1: [(f"{u}{v}", 1, [(u, -1), (v, 1)]) for u, v in ("ab", "bc", "ac", "cd")]})
+    for _ in range(4):
+        check_against_search(random_chain_on(rng, paw, 0, max_cells=3, coeff=1),
+                             brute_limit=10 ** 4)
+
+
+def test_flow_witness_is_the_least_optimal_filling():
+    # two unit edges: q2 - q0 costs 2 as it stands or filled by the path;
+    # the least filling is 0 for q2 - q0 and -(e1 + e2) for q0 - q2
+    cx = path_complex([1, 1])
+    assert flat_norm_int(cx.chain(0, {"q2": 1, "q0": -1})).filling.is_zero()
+    assert flat_norm_int(cx.chain(0, {"q0": 1, "q2": -1})).filling == cx.chain(
+        1, {"e1": -1, "e2": -1})
+
+
+def test_flow_witness_does_not_depend_on_listing_order(rng):
+    cx = random_grid_complex(rng, small=True)
+    mirror = Complex({d: [(cid, cx.volume(cid), list(reversed(cx.boundary_of(cid).items())))
+                          for cid in reversed(cx.cells(d))] for d in reversed(cx.dims())})
+    for _ in range(10):
+        t = random_chain_on(rng, cx, cx.top_dim - 1, coeff=2)
+        w = flat_norm_int(t)
+        v = flat_norm_int(mirror.chain(t.dim, dict(t.coeffs)))
+        assert dict(w.filling.coeffs) == dict(v.filling.coeffs)
+
+
+def test_codimension_2_takes_the_search():
+    # in a 2x1x1 block of cubes an edge of the shared square has three
+    # square cofaces and every square four edges: no network structure
+    cx, _ = arrangement_complex(grid_chain(3, 3, [(0, 2), (0, 1), (0, 1)], 1))
+    edge = cx.chain(1, {cx.cells(1)[0]: 1})
+    w = flat_norm_int(edge)
+    assert (w.value, w.bound, w.exact) == (1, 4, True)
+    # with squares of area 1/100 the box test no longer proves the value
+    tiny = Complex({d: [(cid, Fraction(1, 100) if d == 2 else cx.volume(cid),
+                         list(cx.boundary_of(cid).items())) for cid in cx.cells(d)]
+                    for d in cx.dims()})
+    w = flat_norm_int(tiny.chain(1, dict(edge.coeffs)))
+    assert (w.value, w.bound, w.exact) == (1, 4, False)
+
+
+def test_float_volumes_take_the_search(rng):
+    cx = path_complex([0.01] * 4)
+    w = flat_norm_int(cx.chain(0, {"q4": 3, "q0": -3}))
+    assert w.bound == 8 and not w.exact  # 9 * 0.01 does not exceed 0.12
+    assert abs(w.value - 0.12) < 1e-12
+    for _ in range(5):
+        fcx = random_grid_complex(rng, float_volumes=True, small=True)
+        t = random_chain_on(rng, fcx, fcx.top_dim - 1, max_cells=3, coeff=2)
+        w = flat_norm_int(t)
+        assert w.bound == 2 * (max(abs(g) for _, g in t.items()) + 1)
+        if w.exact:
+            cost, _ = _exact_search(fcx, t.dim, dict(t.coeffs), bound=3 * w.bound)
+            assert abs(w.value - cost) <= 1e-12 * max(1.0, abs(cost))
+
+
+@pytest.mark.parametrize("n,limit", [(5, 0.1), (20, 1.0)])
+def test_random_grid_chains_are_proved_quickly(n, limit):
+    cx = unit_grid_complex(n)
+    rng = random.Random(n)
+    t = cx.chain(1, {e: rng.choice([-1, 1]) for e in cx.cells(1)})
+    started = time.perf_counter()
+    w = flat_norm_int(t)
+    elapsed = time.perf_counter() - started
+    assert w.exact and w.bound is None
+    assert t == w.remainder + w.filling.boundary()
+    assert elapsed < limit
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Chain file parsing, serialization, and the command line front end."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 from importlib import resources
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flatchains.cli import COMMANDS, main
 from flatchains.core import PreconditionError
@@ -368,3 +372,43 @@ def test_text_output_without_json_flag(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == "command: mass\nmass: \"1\"\n"
+
+
+# ---- robustness: tiny random abstract files ----
+
+@st.composite
+def abstract_chain_files(draw):
+    """Text of a small abstract chain file, valid or not: up to three cells
+    per dimension with any volume, faces to any declared cell with any small
+    sign, and a chain that may name unknown cells or a missing dimension."""
+    vol = st.sampled_from(["1", "2", "1/2", "2/3", "0", "-1"])
+    lines = ["chainfile 1 abstract"]
+    ids = []
+    for d in range(draw(st.integers(1, 3))):
+        lines.append(f"dim {d}")
+        for i in range(draw(st.integers(0, 3))):
+            ids.append(f"c{d}_{i}")
+            lines.append(f"cell c{d}_{i} {draw(vol)}")
+    if ids:
+        faces = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                        st.integers(-2, 2)), max_size=8))
+        lines += [f"face {a} {b} {s}" for a, b, s in faces]
+    lines.append(f"chain {draw(st.integers(0, 3))}")
+    named = draw(st.lists(st.sampled_from(ids + ["nowhere"]), max_size=3, unique=True))
+    lines += [f"coeff {cid} {draw(st.integers(-3, 3))}" for cid in named]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "random.chain"
+
+
+@given(text=abstract_chain_files(),
+       command=st.sampled_from(["flatnorm", "validate", "mass", "boundary"]))
+def test_random_abstract_files_never_hit_a_defect(fuzz_file, text, command):
+    # rejected input exits 2; exit 1 would be an internal defect
+    fuzz_file.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main([command, str(fuzz_file), "--json"])
+    assert rc in (0, 2), out.getvalue()

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from flatchains import (BoxCell, BoxChain, ChainFile, Complex,
+from flatchains import (BoxCell, BoxChain, ChainFile,
                         FillInfeasibleError, arrangement_complex, fill_mod_p,
                         flat_norm_int, flat_norm_mod_p, serialize_chainfile)
 from flatchains.cli import main
 
-from genutil import flat_norm_mod_p_oracle, random_chain_on, random_grid_complex
+from genutil import (flat_norm_mod_p_oracle, random_chain_on, random_grid_complex,
+                     unit_grid_complex)
 
 
 def mixed_denominator_setup():
@@ -22,20 +23,6 @@ def mixed_denominator_setup():
     cells = [(BoxCell(((i * h, (i + 1) * h), (j * t, (j + 1) * t))), 1 + i + 2 * j)
              for i in range(2) for j in range(2)]
     return arrangement_complex(BoxChain(2, 2, cells))
-
-
-def unit_grid_complex(n):
-    """The abstract n-by-n unit grid: vertices v{i}_{j}, horizontal edges
-    h{i}_{j}, vertical edges u{i}_{j} and squares f{i}_{j}, all volume 1."""
-    verts = [(f"v{i}_{j}", 1, []) for i in range(n + 1) for j in range(n + 1)]
-    edges = [(f"h{i}_{j}", 1, [(f"v{i}_{j}", -1), (f"v{i + 1}_{j}", 1)])
-             for i in range(n) for j in range(n + 1)]
-    edges += [(f"u{i}_{j}", 1, [(f"v{i}_{j}", -1), (f"v{i}_{j + 1}", 1)])
-              for i in range(n + 1) for j in range(n)]
-    squares = [(f"f{i}_{j}", 1, [(f"h{i}_{j}", 1), (f"u{i + 1}_{j}", 1),
-                                 (f"h{i}_{j + 1}", -1), (f"u{i}_{j}", -1)])
-               for i in range(n) for j in range(n)]
-    return Complex({0: verts, 1: edges, 2: squares})
 
 
 def test_mixed_denominators_match_oracle(rng):
