@@ -424,7 +424,7 @@ def _boundary_items(cell: BoxCell) -> list[tuple[BoxCell, int]]:
     return items
 
 
-def _build_complex(cells: Iterable[BoxCell], ambient_dim: int) -> Complex:
+def _build_complex(cells: Iterable[BoxCell]) -> Complex:
     by_dim: dict[int, dict[str, tuple]] = {}
     for cell in cells:
         token = cell.id_token()
@@ -435,7 +435,7 @@ def _build_complex(cells: Iterable[BoxCell], ambient_dim: int) -> Complex:
         vol = cell.volume if cell.dim else 1
         layer[token] = (token, vol, bdry)
     data = {d: sorted(layer.values()) for d, layer in by_dim.items()}
-    return Complex(data, ambient_dim=ambient_dim)
+    return Complex(data)
 
 
 def compile_chain(chain: BoxChain) -> tuple[Complex, IntChain]:
@@ -449,7 +449,7 @@ def compile_chain(chain: BoxChain) -> tuple[Complex, IntChain]:
         seen.add(cell)
         if cell.dim:
             frontier.extend(f for f, _ in _boundary_items(cell))
-    cx = _build_complex(seen, chain.ambient_dim)
+    cx = _build_complex(seen)
     coeffs = {cell.id_token(): g for cell, g in chain.items()}
     return cx, IntChain(cx, chain.dim, coeffs)
 
@@ -481,7 +481,7 @@ def arrangement_complex(chain: BoxChain, subdivide: int = 1) -> tuple[Complex, I
         cells += [(lo, hi) for lo, hi in itertools.pairwise(vals)]
         per_axis_cells.append(sorted(cells))
     all_cells = [BoxCell(combo) for combo in itertools.product(*per_axis_cells)]
-    cx = _build_complex(all_cells, n)
+    cx = _build_complex(all_cells)
     coeffs: dict[str, int] = {}
     index = [{v: i for i, v in enumerate(c)} for c in lattices]
     for cell, g in chain.items():

@@ -77,12 +77,12 @@ def _chain_doc(chain) -> dict:
         return {"carrier": "simplicial", "ambient": chain.ambient_dim,
                 "dim": chain.dim,
                 "items": [[_simplex_token(s), g] for s, g in chain.items()]}
-    if isinstance(chain, ModPChain):
-        return {"carrier": "abstract", "dim": chain.dim, "p": chain.p,
-                "items": [[cid, g] for cid, g in chain.items()]}
     if isinstance(chain, IntChain):
-        return {"carrier": "abstract", "dim": chain.dim,
-                "items": [[cid, g] for cid, g in chain.items()]}
+        doc = {"carrier": "abstract", "dim": chain.dim,
+               "items": [[cid, g] for cid, g in chain.items()]}
+        if isinstance(chain, ModPChain):
+            doc["p"] = chain.p
+        return doc
     raise InternalDefectError(f"cannot serialize {type(chain).__name__}")
 
 
@@ -106,13 +106,14 @@ def _payload(cf: ChainFile, carrier: str):
 
 
 def _as_cellular(cf: ChainFile, ambient: bool) -> IntChain:
-    """A chain over an explicit complex: abstract directly, box compiled.
+    """A chain over an explicit complex: abstract validated, box compiled.
 
     With ambient=True a box chain is compiled over the full arrangement
     of its coordinate values, so higher-dimensional fillings exist; the
     flat norms this computes are relative to that complex.
     """
     if cf.carrier == "abstract":
+        cf.payload[0].validate().require("invalid complex")
         return cf.payload[1]
     if cf.carrier == "box":
         from .boxes import arrangement_complex, compile_chain

@@ -251,16 +251,16 @@ def cone_mass_report(x, T: SimplicialChain, p: Optional[int] = None) -> ConeMass
     r_sq = max((sum((a - b) ** 2 for a, b in zip(v, apex))
                 for s, _ in T.items() for v in s.vertices), default=Fraction(0))
     r = math.sqrt(r_sq.numerator / r_sq.denominator)
-    base = T.mass()
+    base, cone_mass = T.mass(), coned.mass()
     tol = 1e-9 * (1 + r * base)
-    if coned.mass() > r * base + tol:
+    if cone_mass > r * base + tol:
         raise InternalDefectError(
-            f"cone mass {coned.mass()} exceeds {r} * {base}")
+            f"cone mass {cone_mass} exceeds {r} * {base}")
     mass_p = None
     if p is not None:
         _check_modulus(p)
-        mass_p = coned.mass_p(p)
-        if mass_p > r * T.mass_p(p) + tol:
+        mass_p, base_p = coned.mass_p(p), T.mass_p(p)
+        if mass_p > r * base_p + tol:
             raise InternalDefectError(
-                f"cone mod-{p} mass {mass_p} exceeds {r} * {T.mass_p(p)}")
-    return ConeMassReport(coned.mass(), mass_p, r)
+                f"cone mod-{p} mass {mass_p} exceeds {r} * {base_p}")
+    return ConeMassReport(cone_mass, mass_p, r)

@@ -3,9 +3,9 @@
 A complex is a graded family of cells.  Every cell has an id (a string,
 unique across the whole complex), a positive volume, and an integer
 boundary vector over the cells one dimension down.  Chains are sparse
-integer coefficient vectors over the cells of a single dimension; mod-p
-chains store canonical residues in the half-open window (-p/2, p/2],
-with ties at +p/2 for even p.
+integer coefficient vectors over the cells of a single dimension.  A
+ModPChain is an IntChain of canonical residues in the half-open window
+(-p/2, p/2], with ties at +p/2 for even p, that also carries p.
 
 All coefficient arithmetic is exact (Python ints).  Volumes may be
 ints, Fractions, or floats; the geometric carriers supply exact
@@ -69,6 +69,11 @@ class ValidationReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    def require(self, what: str) -> None:
+        """Raise PreconditionError naming the failing cell, unless ok."""
+        if not self.ok:
+            raise PreconditionError(f"{what} at cell {self.cell_id!r}: {self.message}")
+
 
 class Complex:
     """A finite cell complex with explicit integer boundary operators.
@@ -80,12 +85,11 @@ class Complex:
     closure axioms.
     """
 
-    __slots__ = ("_cells", "_dim_of", "ambient_dim")
+    __slots__ = ("_cells", "_dim_of")
 
-    def __init__(self, cells: Mapping[int, Iterable], ambient_dim: Optional[int] = None):
+    def __init__(self, cells: Mapping[int, Iterable]):
         self._cells: dict[int, dict[str, _Cell]] = {}
         self._dim_of: dict[str, int] = {}
-        self.ambient_dim = ambient_dim
         for dim in sorted(cells):
             if not isinstance(dim, int) or dim < 0:
                 raise PreconditionError(f"invalid cell dimension {dim!r}")
@@ -100,8 +104,7 @@ class Complex:
                     if not isinstance(c, int):
                         raise PreconditionError(
                             f"boundary coefficient of {cid!r} on {fid!r} must be an integer")
-                    if c != 0:
-                        bmap[fid] = bmap.get(fid, 0) + c
+                    bmap[fid] = bmap.get(fid, 0) + c
                 bmap = {f: c for f, c in bmap.items() if c != 0}
                 layer[cid] = _Cell(vol, MappingProxyType(bmap))
                 self._dim_of[cid] = dim
@@ -232,8 +235,10 @@ class IntChain:
         return not self._coeffs
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, IntChain) and other.complex is self.complex
-                and other.dim == self.dim and other._coeffs == self._coeffs)
+        # exact type and modulus: an IntChain never equals a ModPChain
+        return (type(other) is type(self) and other.complex is self.complex
+                and other.dim == self.dim and other._coeffs == self._coeffs
+                and getattr(other, "p", None) == getattr(self, "p", None))
 
     __hash__ = None
 
@@ -276,7 +281,6 @@ class IntChain:
         return sum((norm_mod_p(g, p) * self.complex.volume(c) for c, g in self.items()), 0)
 
     def reduce_mod_p(self, p: int) -> "ModPChain":
-        _check_modulus(p)
         return ModPChain(self.complex, p, self.dim,
                          {c: canonical_residue(g, p) for c, g in self._coeffs.items()})
 
@@ -284,72 +288,40 @@ class IntChain:
         return f"IntChain(dim={self.dim}, {dict(self.items())!r})"
 
 
-class ModPChain:
-    """A chain with canonical mod-p residues in (-p/2, p/2] as coefficients."""
+class ModPChain(IntChain):
+    """An IntChain of canonical residues in (-p/2, p/2] that carries p.
 
-    __slots__ = ("complex", "p", "dim", "_coeffs")
+    Inherited arithmetic acts on this lift and returns an IntChain."""
+
+    __slots__ = ("p",)
 
     def __init__(self, cx: Complex, p: int, dim: int, coeffs: Mapping[str, int]):
         _check_modulus(p)
-        clean: dict[str, int] = {}
-        for cid, g in coeffs.items():
-            if not isinstance(g, int):
-                raise PreconditionError(
-                    f"integer residue expected on cell {cid!r}, got {g!r}")
-            if g == 0:
-                continue
+        IntChain.__init__(self, cx, dim, coeffs)
+        for cid, g in self._coeffs.items():
             if canonical_residue(g, p) != g:
                 raise PreconditionError(
                     f"residue {g} on cell {cid!r} is not canonical for p={p}")
-            if cx.dim_of(cid) != dim:
-                raise PreconditionError(
-                    f"cell {cid!r} has dimension {cx.dim_of(cid)}, chain has dimension {dim}")
-            clean[cid] = g
-        self.complex = cx
         self.p = p
-        self.dim = dim
-        self._coeffs = clean
-
-    @property
-    def coeffs(self) -> Mapping[str, int]:
-        return MappingProxyType(self._coeffs)
-
-    def items(self):
-        return sorted(self._coeffs.items())
-
-    def __getitem__(self, cid: str) -> int:
-        return self._coeffs.get(cid, 0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ModPChain) and other.complex is self.complex
-                and other.p == self.p and other.dim == self.dim
-                and other._coeffs == self._coeffs)
-
-    __hash__ = None
 
     def lift(self) -> IntChain:
         """The canonical integer representative, one cell at a time."""
         return IntChain(self.complex, self.dim, dict(self._coeffs))
 
-    def mass_p(self):
-        return sum((abs(g) * self.complex.volume(c) for c, g in self.items()), 0)
+    def mass_p(self, p: Optional[int] = None):
+        if p is not None and p != self.p:
+            raise PreconditionError(f"chain has modulus {self.p}, requested {p}")
+        return self.mass()
 
     def __repr__(self) -> str:
         return f"ModPChain(p={self.p}, dim={self.dim}, {dict(self.items())!r})"
 
 
-def mass_p(t, p: int):
+def mass_p(t: IntChain, p: int):
     """Relaxed mass: cellwise norm_mod_p times volume.
 
     Accepts an IntChain, or a ModPChain whose modulus matches p.
     """
-    if isinstance(t, ModPChain):
-        if t.p != p:
-            raise PreconditionError(f"chain has modulus {t.p}, requested {p}")
-        return t.mass_p()
     return t.mass_p(p)
 
 
@@ -419,10 +391,7 @@ def push_forward(t: IntChain, f: CellularMap) -> IntChain:
     """Push a chain through a cellular map (linear extension)."""
     if t.complex is not f.source:
         raise PreconditionError("chain does not live on the map's source complex")
-    report = f.validate()
-    if not report:
-        raise PreconditionError(
-            f"not a chain map at cell {report.cell_id!r}: {report.message}")
+    f.validate().require("not a chain map")
     out: dict[str, int] = {}
     for cid, g in t._coeffs.items():
         img = f.image(cid)
@@ -437,9 +406,7 @@ def as_fraction(x) -> Fraction:
     """Exact conversion to Fraction; floats convert by their binary value."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return Fraction(x)
     if isinstance(x, str):
         try:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .core import IntChain, InternalDefectError, PreconditionError, _check_modulus, as_fraction
 
@@ -59,7 +59,6 @@ class CurveSystem:
     """An ordered collection of curve items with consecutive 1-based ids."""
 
     items: tuple[CurveItem, ...]
-    p: Optional[int] = None
 
     def __post_init__(self):
         for pos, item in enumerate(self.items, start=1):
@@ -68,11 +67,11 @@ class CurveSystem:
                     f"item ids must be consecutive from 1; position {pos} holds id {item.index}")
 
     @staticmethod
-    def from_triples(triples: Sequence, p: Optional[int] = None) -> "CurveSystem":
+    def from_triples(triples: Sequence) -> "CurveSystem":
         items = tuple(
             CurveItem(i, str(s), str(e), as_fraction(m))
             for i, (s, e, m) in enumerate(triples, start=1))
-        return CurveSystem(items, p)
+        return CurveSystem(items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -140,7 +139,7 @@ def preprocess(system: CurveSystem) -> tuple[CurveSystem, PreprocessTrace]:
                   for pos, (s, e, m, _) in enumerate(work, start=1))
     trace = PreprocessTrace(tuple(src for _, _, _, src in work),
                             tuple(loops), tuple(events))
-    reduced = CurveSystem(items, system.p)
+    reduced = CurveSystem(items)
     for a in items:
         for b in items:
             if a.end == b.start:
@@ -510,7 +509,7 @@ def cycle_representative(T: IntChain, p: int) -> IntChain:
     paths = decompose_paths_loops(lifted)
     system = CurveSystem(tuple(
         CurveItem(i, path.vertices[0], path.vertices[-1], path.mass)
-        for i, path in enumerate(paths, start=1)), p)
+        for i, path in enumerate(paths, start=1)))
     chosen = extract_cycle_indices(system, p)
     result = lifted
     for i in chosen:

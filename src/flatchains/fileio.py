@@ -132,6 +132,18 @@ def _parse_shape(tokens, no, shape):
     shape[tokens[0]] = value
 
 
+def _resolve_shape(shape, items, body, carrier) -> tuple[int, int]:
+    """Ambient and chain dimension: the file's lines, else the first item's."""
+    if items:
+        ambient = shape["ambient"] if shape["ambient"] is not None else items[0][0].ambient_dim
+        dim = shape["dim"] if shape["dim"] is not None else items[0][0].dim
+        return ambient, dim
+    if shape["ambient"] is None or shape["dim"] is None:
+        raise ParseError(body[-1][0] if body else 1,
+                         f"an empty {carrier} chain needs ambient and dim lines")
+    return shape["ambient"], shape["dim"]
+
+
 def _parse_box(body) -> BoxChain:
     from .boxes import BoxCell, BoxChain
 
@@ -153,15 +165,7 @@ def _parse_box(body) -> BoxChain:
             items.append((cell, coeff))
         else:
             raise ParseError(no, f"unexpected {tokens[0]!r} in a box file")
-    if items:
-        ambient = shape["ambient"] if shape["ambient"] is not None else items[0][0].ambient_dim
-        dim = shape["dim"] if shape["dim"] is not None else items[0][0].dim
-    elif shape["ambient"] is None or shape["dim"] is None:
-        raise ParseError(body[-1][0] if body else 1,
-                         "an empty box chain needs ambient and dim lines")
-    else:
-        ambient, dim = shape["ambient"], shape["dim"]
-    return BoxChain(ambient, dim, items)
+    return BoxChain(*_resolve_shape(shape, items, body, "box"), items)
 
 
 def _parse_curves(body) -> CurveSystem:
@@ -205,15 +209,7 @@ def _parse_simplicial(body) -> SimplicialChain:
             items.append((Simplex(vertices), coeff))
         else:
             raise ParseError(no, f"unexpected {tokens[0]!r} in a simplicial file")
-    if items:
-        ambient = shape["ambient"] if shape["ambient"] is not None else items[0][0].ambient_dim
-        dim = shape["dim"] if shape["dim"] is not None else items[0][0].dim
-    elif shape["ambient"] is None or shape["dim"] is None:
-        raise ParseError(body[-1][0] if body else 1,
-                         "an empty simplicial chain needs ambient and dim lines")
-    else:
-        ambient, dim = shape["ambient"], shape["dim"]
-    return SimplicialChain(ambient, dim, items)
+    return SimplicialChain(*_resolve_shape(shape, items, body, "simplicial"), items)
 
 
 def _parse_abstract(body) -> tuple[Complex, IntChain]:

@@ -61,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Union
+from typing import Optional
 
 from .core import (
     Complex,
@@ -251,24 +251,20 @@ def _check_engine_value(reported, searched) -> None:
         raise InternalDefectError("solver cost disagrees with the witness mass")
 
 
-def flat_norm_mod_p(T: Union[IntChain, ModPChain], p: int) -> FlatWitness:
+def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
     """The flat norm mod p of a chain, relative to its complex.
 
     Minimizes mass_p(T - dS) + mass_p(S) over all mod-p coefficient
     assignments S to the (k+1)-cells; always exact since the search
-    space is finite.
+    space is finite.  A ModPChain must carry the modulus p.
     """
-    if isinstance(T, ModPChain):
-        if T.p != p:
-            raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
-        base = T.lift()
-    else:
-        base = T
-        _check_modulus(p)
-    cx, k = base.complex, base.dim
-    cost, s_coeffs = _exact_search(cx, k, dict(base.coeffs), p=p)
+    _check_modulus(p)
+    if isinstance(T, ModPChain) and T.p != p:
+        raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
+    cx, k = T.complex, T.dim
+    cost, s_coeffs = _exact_search(cx, k, dict(T.coeffs), p=p)
     filling = IntChain(cx, k + 1, s_coeffs)
-    remainder = base - filling.boundary()
+    remainder = T - filling.boundary()
     value = remainder.mass_p(p) + filling.mass_p(p)
     _check_engine_value(value, cost)
     return FlatWitness(value, remainder, filling, exact=True, modulus=p)

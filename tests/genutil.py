@@ -302,7 +302,7 @@ def random_curve_system(rng, p, max_groups=4, point_pool=6):
                 for a, b in itertools.pairwise(walk):
                     triples.append((a, b, _mass(rng)))
     rng.shuffle(triples)
-    return CurveSystem.from_triples(triples, p=p)
+    return CurveSystem.from_triples(triples)
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,53 @@ def test_modp_chain_rules():
         mass_p(m, 5)
 
 
+def test_modp_chain_is_its_canonical_lift_carrying_p():
+    cx = path_complex([1, Fraction(1, 2)])
+    m = cx.chain(1, {"e1": 4, "e2": -5}).reduce_mod_p(3)
+    assert isinstance(m, IntChain) and m.p == 3
+    assert dict(m.items()) == {"e1": 1, "e2": 1}
+    assert type(m.lift()) is IntChain
+    assert dict(m.lift().items()) == dict(m.items())
+
+
+def test_chain_equality_never_crosses_type_or_modulus():
+    cx = path_complex([1, 1])
+    t = cx.chain(1, {"e1": 1, "e2": -1})
+    m3, m5 = t.reduce_mod_p(3), t.reduce_mod_p(5)
+    assert dict(m3.items()) == dict(m5.items()) == dict(t.items())
+    assert m3 == ModPChain(cx, 3, 1, {"e1": 1, "e2": -1})
+    assert m3 != m5 and m5 != m3
+    assert t != m3 and m3 != t
+    assert m3.lift() == t
+    assert cx.zero_chain(1) != ModPChain(cx, 2, 1, {})
+    with pytest.raises(TypeError):
+        hash(m3)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=3, max_size=3), st.integers(2, 13))
+def test_modp_mass_p_agrees_and_checks_the_modulus(g, p):
+    cx = path_complex([1, Fraction(1, 2), Fraction(3, 4)])
+    t = cx.chain(1, dict(zip(["e1", "e2", "e3"], g)))
+    m = t.reduce_mod_p(p)
+    assert m.mass_p() == m.mass_p(m.p) == mass_p(m, p) == t.mass_p(p) == m.mass()
+    for q in (p + 1, 2 * p):
+        with pytest.raises(PreconditionError, match=f"chain has modulus {p}, requested {q}"):
+            m.mass_p(q)
+        with pytest.raises(PreconditionError, match="chain has modulus"):
+            mass_p(m, q)
+
+
+def test_modp_arithmetic_acts_on_the_lift():
+    cx = path_complex([1, 1])
+    m = ModPChain(cx, 3, 1, {"e1": 1, "e2": -1})
+    for out, want in ((m + m, {"e1": 2, "e2": -2}), (-m, {"e1": -1, "e2": 1}),
+                      (m - m, {}), (2 * m, {"e1": 2, "e2": -2}),
+                      (m.boundary(), {"q0": -1, "q2": -1, "q1": 2})):
+        assert type(out) is IntChain
+        assert dict(out.items()) == want
+    assert (m + m).reduce_mod_p(3) == ModPChain(cx, 3, 1, {"e1": -1, "e2": 1})
+
+
 # ---------------------------------------------------------------------------
 # cellular maps
 

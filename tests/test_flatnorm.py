@@ -52,6 +52,24 @@ def brute_flat_norm_int(t, bound):
 # ---------------------------------------------------------------------------
 # mod-p solver
 
+def test_reduced_chain_gives_the_same_witness(rng):
+    for _ in range(30):
+        cx = random_grid_complex(rng, small=True)
+        t = random_chain_on(rng, cx, rng.choice([0, 1]))
+        for p in (2, 3, 5):
+            m = t.reduce_mod_p(p)
+            w = flat_norm_mod_p(t, p)
+            wm = flat_norm_mod_p(m, p)
+            assert wm == flat_norm_mod_p(m.lift(), p)
+            assert (wm.value, wm.filling, wm.exact, wm.modulus) == (
+                w.value, w.filling, w.exact, w.modulus)
+            # the remainders differ by t - m, a multiple of p
+            assert wm.remainder == w.remainder - (t - m)
+            assert type(wm.remainder) is IntChain
+    with pytest.raises(PreconditionError, match="chain has modulus 3, requested 2"):
+        flat_norm_mod_p(t.reduce_mod_p(3), 2)
+
+
 def test_square_boundary_flat_norm_pinned():
     cx, sq = square_setup()
     rim = sq.boundary()

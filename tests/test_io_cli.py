@@ -209,6 +209,39 @@ def test_validate_flags_a_bad_boundary_operator(capsys):
     assert doc["result"]["message"]
 
 
+NEGATIVE_VOLUME = """chainfile 1 abstract
+dim 0
+cell a 1
+cell b 1
+dim 1
+cell e -1
+face e a -1
+face e b 1
+chain 1
+coeff e 1
+"""
+
+SOLVERS = ["flatnorm", "flatnormp", "fill", "isoratio", "decompose", "cyclerep"]
+
+
+@pytest.mark.parametrize("command", SOLVERS)
+@pytest.mark.parametrize("text,cell,message", [
+    ((FIXTURES / "bad_complex.chain").read_text(), "F", "boundary of boundary is nonzero"),
+    (NEGATIVE_VOLUME, "e", "cell volume must be positive"),
+], ids=["bad_complex", "negative_volume"])
+def test_solvers_reject_an_invalid_abstract_complex(command, text, cell, message,
+                                                    tmp_path, capsys):
+    path = tmp_path / "invalid.chain"
+    path.write_text(text)
+    flags = ["--p", "2"] if "p" in COMMANDS[command][2] else []
+    rc, out = run_cli([command, str(path), *flags, "--json"], capsys)
+    assert rc == 2
+    doc = json.loads(out)
+    assert "result" not in doc
+    assert doc["error"] == {"kind": "precondition",
+                            "message": f"invalid complex at cell {cell!r}: {message}"}
+
+
 def test_parse_error_exit_code(capsys):
     rc, out = run_cli(fixture_argv(["mass", "broken.chain"]), capsys)
     assert rc == 2
