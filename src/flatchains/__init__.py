@@ -6,19 +6,18 @@ homotopy identities, cycle extraction from curve systems, and the cone
 construction on simplicial chains, plus a file format and CLI tying it
 together.
 
-Each public name below is imported from its module on first access, so
-importing the package (or the CLI) does not load modules a caller never
-uses.  The cone module is the exception: its function `cone` shares the
-submodule's name, and once `flatchains.cone` is imported Python binds
-the package attribute to the module, which a lazy lookup could not undo.
-Importing it eagerly leaves the function bound; it is the smallest
-module and needs only `core`.
+Each public name below, apart from those of `core`, is imported from its
+module on first access, so importing the package (or the CLI) does not
+load modules a caller never uses.  The function `cone` shares its
+module's name, and importing `flatchains.cone` makes Python bind the
+package attribute to the module; the package's module class turns that
+binding into the function.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
-from .cone import (ConeMassReport, Simplex, SimplicialChain,
-                   boundary_simplicial, cone, cone_mass_report)
 from .core import (CellularMap, Complex, FillInfeasibleError, IntChain,
                    InternalDefectError, ModPChain, PreconditionError,
                    ValidationReport, as_fraction, canonical_residue, mass_p,
@@ -31,6 +30,8 @@ _LAZY_MODULES = {
     "boxes": ("BoxCell", "BoxChain", "DeformationResult", "arrangement_complex",
               "compile_chain", "deform", "grid_chain", "slice_mass_integral",
               "slice_mass_star"),
+    "cone": ("ConeMassReport", "Simplex", "SimplicialChain", "boundary_simplicial", "cone",
+             "cone_mass_report"),
     "curves": ("CurveItem", "CurvePath", "CurveSystem", "PreprocessTrace",
                "cycle_representative", "decompose_paths_loops",
                "extract_cycle_indices", "preprocess", "system_boundary"),
@@ -53,6 +54,17 @@ def __getattr__(name: str):
 
 def __dir__() -> list:
     return sorted({*globals(), *_LAZY})
+
+
+class _Package(_ModuleType):
+    def __setattr__(self, name, value):
+        # the import system binds a loaded submodule as a package attribute
+        if name == "cone" and isinstance(value, _ModuleType):
+            value = value.cone
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package
 
 
 __all__ = [

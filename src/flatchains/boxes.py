@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     Complex,
+    Frozen,
     IntChain,
     InternalDefectError,
     PreconditionError,
@@ -39,21 +40,17 @@ from .core import (
 Interval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class BoxCell:
+@total_ordering
+class BoxCell(Frozen):
     """A closed axis-aligned box, possibly degenerate in some axes.
 
     directions and the hash are computed once from the intervals; they
     take no part in equality, ordering or repr.
     """
 
-    intervals: tuple[Interval, ...]
-    directions: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, intervals: tuple[Interval, ...]):
         fixed = []
-        for pair in self.intervals:
+        for pair in intervals:
             lo, hi = pair
             lo, hi = as_fraction(lo), as_fraction(hi)
             if lo > hi:
@@ -67,6 +64,14 @@ class BoxCell:
 
     def __hash__(self) -> int:
         return self._hash
+
+    # written out, not inherited: dict lookups and sorts of cells run these;
+    # total_ordering derives <=, > and >= from them
+    def __eq__(self, other):
+        return self.intervals == other.intervals if other.__class__ is BoxCell else NotImplemented
+
+    def __lt__(self, other):
+        return self.intervals < other.intervals if other.__class__ is BoxCell else NotImplemented
 
     @property
     def ambient_dim(self) -> int:
@@ -90,7 +95,7 @@ class BoxCell:
         return BoxCell(tuple(ivs))
 
     def _replaced(self, axis: int, lo: Fraction, hi: Fraction) -> "BoxCell":
-        # replace() for Fraction endpoints lo <= hi, without __post_init__'s
+        # replace() for Fraction endpoints lo <= hi, without __init__'s
         # conversions and checks
         ivs = self.intervals
         cell = object.__new__(BoxCell)
@@ -496,8 +501,7 @@ def arrangement_complex(chain: BoxChain, subdivide: int = 1) -> tuple[Complex, I
 
 # -- coordinate-rounding deformation ---------------------------------------
 
-@dataclass(frozen=True)
-class DeformationResult:
+class DeformationResult(Frozen):
     """Outcome of the coordinate-rounding deformation T = P + U + dQ.
 
     rounded is the chain pushed fully onto the coarse grid, chain_sweep
@@ -508,14 +512,14 @@ class DeformationResult:
     is boundary(original), built once (None for a 0-chain).
     """
 
-    original: BoxChain
-    rounded: BoxChain
-    boundary_sweep: BoxChain
-    chain_sweep: BoxChain
-    eta: Fraction
-    rho: tuple[Fraction, ...]
-    original_boundary: Optional[BoxChain] = field(repr=False, compare=False)
-    modulus: Optional[int] = None
+    _fields = ("original", "rounded", "boundary_sweep", "chain_sweep", "eta", "rho", "modulus")
+
+    def __init__(self, original: BoxChain, rounded: BoxChain, boundary_sweep: BoxChain,
+                 chain_sweep: BoxChain, eta: Fraction, rho: tuple[Fraction, ...],
+                 original_boundary: Optional[BoxChain], modulus: Optional[int] = None):
+        vars(self).update(original=original, rounded=rounded, boundary_sweep=boundary_sweep,
+                          chain_sweep=chain_sweep, eta=eta, rho=rho,
+                          original_boundary=original_boundary, modulus=modulus)
 
     def _relaxed_mass(self, chain: BoxChain) -> Fraction:
         return chain.mass_p(self.modulus) if self.modulus is not None else chain.mass()

@@ -3,7 +3,9 @@
 One subcommand per operation, one chain file per invocation.  Each
 subcommand takes only its own flags, listed in COMMANDS, plus `--json`
 and `--timing`; any other flag is a usage error (exit 2, argparse's
-message on stderr, and under `--json` an error document as well).
+message on stderr, and under `--json` an error document as well).  A
+call builds the parser of its subcommand alone; help, no arguments or an
+unknown subcommand build the full parser.
 Default output is a short human-readable report; `--json` switches to a
 single structured document (stable key order, canonical number strings)
 that validates against the packaged schema.json.  Exit codes: 0 on success,
@@ -431,13 +433,22 @@ class _Parser(argparse.ArgumentParser):
             raise
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: all subparsers, or only the given subcommand's.
+
+    The two print the same usage line, so their messages are the same.
+    """
     parser = _Parser(
         prog="flatchains",
         description="Mass, flat norm, slicing, deformation, and cycle "
                     "extraction for chains mod p on finite complexes.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required, optional) in COMMANDS.items():
+    # with a lone subparser the metavar keeps every choice in the usage line;
+    # the full parser sets none, or argparse's errors would name the argument
+    # by the metavar, not `command`
+    choices = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name in COMMANDS if command is None else (command,):
+        _, required, optional = COMMANDS[name]
         # no abbreviations: `deform --r` must not be taken for `--rho`
         cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("file", help="chain file")
@@ -511,7 +522,7 @@ def _emit_usage_error(argv: list, stop: SystemExit) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as stop:
         _emit_usage_error(argv, stop)
         raise

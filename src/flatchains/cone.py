@@ -19,11 +19,11 @@ symbol by symbol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .core import PreconditionError, InternalDefectError, as_fraction, norm_mod_p, _check_modulus
+from .core import (Frozen, PreconditionError, InternalDefectError, as_fraction, norm_mod_p,
+                   _check_modulus)
 
 Point = tuple[Fraction, ...]
 
@@ -53,15 +53,14 @@ def _det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(Frozen):
     """An ordered (k+1)-tuple of points in the same ambient space."""
 
-    vertices: tuple[Point, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        pts = tuple(_as_point(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", pts)
+    def __init__(self, vertices: tuple[Point, ...]):
+        pts = tuple(_as_point(v) for v in vertices)
+        vars(self).update(vertices=pts)
         if not pts:
             raise PreconditionError("a simplex needs at least one vertex")
         n = len(pts[0])

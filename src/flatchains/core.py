@@ -14,7 +14,6 @@ rationals, so mass computations stay exact whenever the input does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -53,18 +52,53 @@ def _check_modulus(p) -> None:
         raise PreconditionError(f"invalid modulus: {p!r} (an integer >= 2 is required)")
 
 
-@dataclass(frozen=True)
-class _Cell:
-    volume: object
-    boundary: Mapping[str, int]
+class Frozen:
+    """Base of the immutable value classes, whose __init__ fills `vars(self)`.
+
+    The names in `_fields` make the repr, equality and hash, in order; other
+    attributes take part in none of them.  Assigning or deleting raises.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    message: str = ""
-    cell_id: Optional[str] = None
-    detail: Mapping = field(default_factory=dict)
+class _Cell(Frozen):
+    _fields = ("volume", "boundary")
+
+    def __init__(self, volume, boundary: Mapping[str, int]):
+        # one per cell of every complex: item assignment is the cheapest store
+        fields = self.__dict__
+        fields["volume"], fields["boundary"] = volume, boundary
+
+
+class ValidationReport(Frozen):
+    _fields = ("ok", "message", "cell_id", "detail")
+
+    def __init__(self, ok: bool, message: str = "", cell_id: Optional[str] = None,
+                 detail: Optional[Mapping] = None):
+        vars(self).update(ok=ok, message=message, cell_id=cell_id,
+                          detail={} if detail is None else detail)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -325,8 +359,7 @@ def mass_p(t: IntChain, p: int):
     return t.mass_p(p)
 
 
-@dataclass(frozen=True)
-class CellularMap:
+class CellularMap(Frozen):
     """A cellular map between complexes of equal top dimension.
 
     `assignment` sends each source cell id either to None (collapse) or
@@ -335,9 +368,10 @@ class CellularMap:
     validate().
     """
 
-    source: Complex
-    target: Complex
-    assignment: Mapping[str, object]
+    _fields = ("source", "target", "assignment")
+
+    def __init__(self, source: Complex, target: Complex, assignment: Mapping[str, object]):
+        vars(self).update(source=source, target=target, assignment=assignment)
 
     def image(self, cid: str):
         val = self.assignment.get(cid)

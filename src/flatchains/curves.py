@@ -31,40 +31,37 @@ whenever no merge doubles an index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IntChain, InternalDefectError, PreconditionError, _check_modulus, as_fraction
+from .core import (Frozen, IntChain, InternalDefectError, PreconditionError, _check_modulus,
+                   as_fraction)
 
 
-@dataclass(frozen=True)
-class CurveItem:
+class CurveItem(Frozen):
     """A directed curve: 1-based index, start/end point ids, mass."""
 
-    index: int
-    start: str
-    end: str
-    mass: object = Fraction(0)
+    _fields = ("index", "start", "end", "mass")
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise PreconditionError(f"item index must be a positive integer, got {self.index!r}")
-        if not self.mass >= 0:
-            raise PreconditionError(f"item {self.index} has negative mass {self.mass!r}")
+    def __init__(self, index: int, start: str, end: str, mass=Fraction(0)):
+        if not isinstance(index, int) or index < 1:
+            raise PreconditionError(f"item index must be a positive integer, got {index!r}")
+        if not mass >= 0:
+            raise PreconditionError(f"item {index} has negative mass {mass!r}")
+        vars(self).update(index=index, start=start, end=end, mass=mass)
 
 
-@dataclass(frozen=True)
-class CurveSystem:
+class CurveSystem(Frozen):
     """An ordered collection of curve items with consecutive 1-based ids."""
 
-    items: tuple[CurveItem, ...]
+    _fields = ("items",)
 
-    def __post_init__(self):
-        for pos, item in enumerate(self.items, start=1):
+    def __init__(self, items: tuple[CurveItem, ...]):
+        for pos, item in enumerate(items, start=1):
             if item.index != pos:
                 raise PreconditionError(
                     f"item ids must be consecutive from 1; position {pos} holds id {item.index}")
+        vars(self).update(items=items)
 
     @staticmethod
     def from_triples(triples: Sequence) -> "CurveSystem":
@@ -86,8 +83,7 @@ def system_boundary(system: CurveSystem) -> dict[str, int]:
     return {pt: g for pt, g in sorted(out.items()) if g != 0}
 
 
-@dataclass(frozen=True)
-class PreprocessTrace:
+class PreprocessTrace(Frozen):
     """How the reduced items map back to the original ones.
 
     sources[i] lists, in traversal order, the original ids concatenated
@@ -95,9 +91,11 @@ class PreprocessTrace:
     items; events records each move in execution order.
     """
 
-    sources: tuple[tuple[int, ...], ...]
-    loops: tuple[tuple[int, ...], ...]
-    events: tuple[tuple, ...] = field(default=())
+    _fields = ("sources", "loops", "events")
+
+    def __init__(self, sources: tuple[tuple[int, ...], ...], loops: tuple[tuple[int, ...], ...],
+                 events: tuple[tuple, ...] = ()):
+        vars(self).update(sources=sources, loops=loops, events=events)
 
 
 def preprocess(system: CurveSystem) -> tuple[CurveSystem, PreprocessTrace]:
@@ -380,14 +378,15 @@ def extract_cycle_indices(system: CurveSystem, p: int) -> list[int]:
 
 # -- path and loop decomposition of 1-chains --------------------------------
 
-@dataclass(frozen=True)
-class CurvePath:
+class CurvePath(Frozen):
     """A simple directed edge walk: open path or closed loop."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, int], ...]  # (edge cell id, +1 forward / -1 reverse)
-    closed: bool
-    mass: object
+    _fields = ("vertices", "edges", "closed", "mass")
+
+    def __init__(self, vertices: tuple[str, ...],
+                 edges: tuple[tuple[str, int], ...],  # (edge cell id, +1 forward / -1 reverse)
+                 closed: bool, mass):
+        vars(self).update(vertices=vertices, edges=edges, closed=closed, mass=mass)
 
     def chain(self, cx) -> IntChain:
         coeffs: dict[str, int] = {}

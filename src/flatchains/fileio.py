@@ -20,11 +20,10 @@ byte.  Coefficients must be plain integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
-from .core import Complex, IntChain, PreconditionError, _check_modulus
+from .core import Complex, Frozen, IntChain, PreconditionError, _check_modulus
 
 if TYPE_CHECKING:  # each parser imports its carrier's module when it runs
     from .boxes import BoxChain
@@ -68,19 +67,20 @@ def _integer(token: str, line: int) -> int:
         raise ParseError(line, f"integer expected, got {token!r}") from None
 
 
-@dataclass(eq=False, frozen=True)
-class ChainFile:
+class ChainFile(Frozen):
     """A parsed chain file: carrier tag, optional modulus, payload."""
 
-    carrier: str
-    payload: Union[BoxChain, CurveSystem, SimplicialChain, tuple[Complex, IntChain]]
-    p: Optional[int] = None
+    _fields = ("carrier", "payload", "p")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __post_init__(self):
-        if self.carrier not in CARRIERS:
-            raise PreconditionError(f"unknown carrier {self.carrier!r}")
-        if self.p is not None:
-            _check_modulus(self.p)
+    def __init__(self, carrier: str,
+                 payload: Union[BoxChain, CurveSystem, SimplicialChain, tuple[Complex, IntChain]],
+                 p: Optional[int] = None):
+        if carrier not in CARRIERS:
+            raise PreconditionError(f"unknown carrier {carrier!r}")
+        if p is not None:
+            _check_modulus(p)
+        vars(self).update(carrier=carrier, payload=payload, p=p)
 
 
 def parse_chainfile(text: str) -> ChainFile:

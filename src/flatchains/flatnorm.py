@@ -58,7 +58,6 @@ relative setting; absolute values can differ from a richer ambient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -66,6 +65,7 @@ from typing import Optional
 from .core import (
     Complex,
     FillInfeasibleError,
+    Frozen,
     IntChain,
     InternalDefectError,
     ModPChain,
@@ -74,8 +74,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class FlatWitness:
+class FlatWitness(Frozen):
     """An optimal decomposition T = remainder + boundary(filling).
 
     value is mass(remainder) + mass(filling) in the relevant (plain or
@@ -84,12 +83,12 @@ class FlatWitness:
     None for mod-p results and for integral results the flow proved.
     """
 
-    value: object
-    remainder: IntChain
-    filling: IntChain
-    exact: bool
-    modulus: Optional[int] = None
-    bound: Optional[int] = None
+    _fields = ("value", "remainder", "filling", "exact", "modulus", "bound")
+
+    def __init__(self, value, remainder: IntChain, filling: IntChain, exact: bool,
+                 modulus: Optional[int] = None, bound: Optional[int] = None):
+        vars(self).update(value=value, remainder=remainder, filling=filling, exact=exact,
+                          modulus=modulus, bound=bound)
 
 
 def _residue_order(p: int) -> list[int]:

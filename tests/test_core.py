@@ -1,17 +1,29 @@
-"""Residue arithmetic, chains, boundaries, validation, cellular maps."""
+"""Residue arithmetic, chains, boundaries, validation, cellular maps, value classes."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flatchains import (
+    BoxCell,
+    BoxChain,
     CellularMap,
+    ChainFile,
     Complex,
+    CurveItem,
+    CurvePath,
+    CurveSystem,
+    DeformationResult,
+    FlatWitness,
     IntChain,
     ModPChain,
     PreconditionError,
+    PreprocessTrace,
+    Simplex,
+    ValidationReport,
     as_fraction,
     canonical_residue,
     mass_p,
@@ -19,6 +31,7 @@ from flatchains import (
     push_forward,
     validate_complex,
 )
+from flatchains.core import _Cell
 from genutil import random_chain_on, random_grid_complex
 
 moduli = st.integers(2, 97)
@@ -371,3 +384,106 @@ def test_as_fraction_accepts_exact_forms():
         as_fraction("x")
     with pytest.raises(PreconditionError):
         as_fraction(object())
+
+
+# ---------------------------------------------------------------------------
+# immutable value classes
+
+EDGE = Complex({0: [("a", 1, []), ("b", 1, [])], 1: [("e", 1, [("b", 1), ("a", -1)])]})
+
+
+def _value_cases():
+    seg = BoxChain(1, 1, [(BoxCell(((0, 1),)), 1)])
+
+    def deformation(original_boundary=seg.boundary(), modulus=None):
+        return DeformationResult(seg, seg, BoxChain(1, 0, {}), BoxChain(1, 2, {}), Fraction(1),
+                                 (Fraction(1, 2),), original_boundary, modulus)
+
+    def witness(exact):
+        return FlatWitness(Fraction(1), IntChain(EDGE, 1, {"e": 1}), IntChain(EDGE, 2, {}),
+                           exact, modulus=2)
+
+    def curves(n=1):
+        return CurveSystem((CurveItem(1, "a", "b"), CurveItem(2, "b", "a", 2))[:n])
+
+    def twice(make, *args):
+        return make(*args), make(*args)
+
+    chains = ("BoxChain(n=1, dim=1, cells=1), rounded=BoxChain(n=1, dim=1, cells=1), "
+              "boundary_sweep=BoxChain(n=1, dim=0, cells=0), "
+              "chain_sweep=BoxChain(n=1, dim=2, cells=0)")
+    item = "CurveItem(index=1, start='a', end='b', mass=Fraction(0, 1))"
+    # name: (instance, its twin, a differing instance, repr of the instance,
+    # hashable); the reprs are the ones the former dataclasses printed
+    return {
+        "_Cell": (*twice(_Cell, 2, MappingProxyType({"a": -1, "b": 1})),
+                  _Cell(3, MappingProxyType({"a": -1, "b": 1})),
+                  "_Cell(volume=2, boundary=mappingproxy({'a': -1, 'b': 1}))", False),
+        "ValidationReport": (*twice(ValidationReport, True),
+                             ValidationReport(False, "bad", "e", {"target": "x"}),
+                             "ValidationReport(ok=True, message='', cell_id=None, detail={})",
+                             False),
+        "CellularMap": (*twice(lambda: CellularMap(EDGE, EDGE, {"e": ("e", 1), "a": ("a", 1)})),
+                        CellularMap(EDGE, EDGE, {"e": ("e", -1)}),
+                        f"CellularMap(source={EDGE!r}, target={EDGE!r}, "
+                        "assignment={'e': ('e', 1), 'a': ('a', 1)})", False),
+        "BoxCell": (*twice(BoxCell, ((0, 1), (2, 2), (0, Fraction(3, 2)))),
+                    BoxCell(((0, 1), (2, 2), (0, 2))), "[0,1]x{2}x[0,3/2]", True),
+        # the twin differs in original_boundary alone, which equality ignores
+        "DeformationResult": (deformation(), deformation(original_boundary=None),
+                              deformation(modulus=2),
+                              f"DeformationResult(original={chains}, eta=Fraction(1, 1), "
+                              "rho=(Fraction(1, 2),), modulus=None)", False),
+        "CurveItem": (*twice(CurveItem, 1, "a", "b", Fraction(3, 2)), CurveItem(1, "a", "b"),
+                      "CurveItem(index=1, start='a', end='b', mass=Fraction(3, 2))", True),
+        "CurveSystem": (*twice(curves, 2), curves(),
+                        f"CurveSystem(items=({item}, CurveItem(index=2, start='b', end='a', "
+                        "mass=2)))", True),
+        "PreprocessTrace": (*twice(PreprocessTrace, ((1, 2),), ((3,),)),
+                            PreprocessTrace(((1, 2),), ((3,),), (("loop", (3,)),)),
+                            "PreprocessTrace(sources=((1, 2),), loops=((3,),), events=())", True),
+        "CurvePath": (*twice(CurvePath, ("a", "b"), (("e", 1),), False, Fraction(1)),
+                      CurvePath(("b", "a"), (("e", -1),), False, Fraction(1)),
+                      "CurvePath(vertices=('a', 'b'), edges=(('e', 1),), closed=False, "
+                      "mass=Fraction(1, 1))", True),
+        "Simplex": (*twice(Simplex, ((0, 0), (1, Fraction(1, 2)))), Simplex(((0, 0), (1, 0))),
+                    "Simplex[(0,0), (1,1/2)]", True),
+        # the twin of a chain file is not equal to it: a chain file equals only itself
+        "ChainFile": (*twice(lambda: ChainFile("curves", curves(), 3)),
+                      ChainFile("curves", curves()),
+                      f"ChainFile(carrier='curves', payload=CurveSystem(items=({item},)), p=3)",
+                      True),
+        "FlatWitness": (*twice(witness, True), witness(False),
+                        "FlatWitness(value=Fraction(1, 1), remainder=IntChain(dim=1, {'e': 1}), "
+                        "filling=IntChain(dim=2, {}), exact=True, modulus=2, bound=None)", False),
+    }
+
+
+VALUE_CASES = _value_cases()
+
+
+@pytest.mark.parametrize("name", VALUE_CASES)
+def test_value_classes_keep_repr_equality_hash_and_frozenness(name):
+    a, twin, other, text, hashable = VALUE_CASES[name]
+    assert repr(a) == text
+    assert a == a and a != other and other != a
+    assert a != (text,) and a.__eq__((text,)) is NotImplemented
+    if name == "ChainFile":
+        assert a != twin and hash(a) != hash(twin)
+    else:
+        assert a == twin and not a != twin
+        if hashable:
+            assert hash(a) == hash(twin)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+    if name == "BoxCell":
+        assert a < other and a <= other and other > a and other >= a and not a < twin
+        with pytest.raises(TypeError):
+            a < (text,)  # noqa: B015
+    field = next(iter(vars(a)))
+    for change in (lambda: setattr(a, field, None), lambda: setattr(a, "extra", 1),
+                   lambda: delattr(a, field)):
+        with pytest.raises(AttributeError):
+            change()
+    assert repr(a) == text

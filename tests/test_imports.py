@@ -15,9 +15,13 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# loaded by every call: the package imports `cone` (and with it `core`)
-# eagerly, and the CLI needs `fileio` to read its file
-BASE = {"flatchains", "flatchains.core", "flatchains.cone", "flatchains.fileio"}
+# loaded by every call: the package imports `core` eagerly, and the CLI
+# needs `fileio` to read its file
+BASE = {"flatchains", "flatchains.core", "flatchains.fileio"}
+
+# standard modules too costly to import for the CLI: dataclasses pulls in
+# inspect, which pulls in dis, ast and tokenize
+HEAVY = {"dataclasses", "inspect"}
 
 
 def run_python(*args):
@@ -27,18 +31,22 @@ def run_python(*args):
                           text=True, timeout=60)
 
 
-def flatchains_imports(stderr: str) -> set:
-    """The flatchains modules named in a `-X importtime` report."""
-    names = {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
-             if line.startswith("import time:") and "|" in line}
+def imported(stderr: str) -> set:
+    """The modules named in a `-X importtime` report."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def flatchains_imports(names: set) -> set:
     return {name for name in names if name.split(".")[0] == "flatchains"}
 
 
 def test_importing_the_cli_loads_only_its_core():
-    done = run_python("-c", "import json, sys, flatchains.cli; print(json.dumps("
-                            "[m for m in sys.modules if m.split('.')[0] == 'flatchains']))")
+    done = run_python("-X", "importtime", "-c", "import json, sys, flatchains.cli; print("
+                      "json.dumps([m for m in sys.modules if m.split('.')[0] == 'flatchains']))")
     assert done.returncode == 0, done.stderr
     assert set(json.loads(done.stdout)) == BASE | {"flatchains.cli"}
+    assert not imported(done.stderr) & HEAVY
 
 
 # (argv, modules beyond BASE); `python -m` runs the CLI as __main__, so
@@ -58,9 +66,23 @@ CALLS = [
     (["preprocess", "curves_mixed.chain"], {"curves"}),
     (["decompose", "square_rim.chain"], {"boxes", "curves"}),
     (["cyclerep", "parallel_paths.chain"], {"boxes", "curves"}),
-    (["cone", "segment.chain", "--apex", "0,0"], set()),
-    (["conereport", "segment.chain", "--apex", "0,0", "--p", "2"], set()),
+    (["cone", "segment.chain", "--apex", "0,0"], {"cone"}),
+    (["conereport", "segment.chain", "--apex", "0,0", "--p", "2"], {"cone"}),
+    (["reduce", "path3.chain", "--p", "2"], set()),
+    (["isoratio", "square_rim.chain", "--p", "2"], {"boxes", "flatnorm"}),
+    (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes"}),
+    (["islice", "square.chain", "--axis", "0,1", "--r", "1/2,1/2"], {"boxes"}),
+    (["slicemass", "square.chain", "--axis", "0", "--p", "2"], {"boxes"}),
+    (["slicestar", "square.chain", "--p", "2"], {"boxes"}),
+    (["refinecompare", "square_rim.chain", "--subdiv", "2", "--p", "2"], {"boxes", "flatnorm"}),
+    (["sysboundary", "curves_pair.chain"], {"curves"}),
 ]
+
+
+def test_calls_cover_every_subcommand():
+    from flatchains.cli import COMMANDS
+
+    assert {argv[0] for argv, _ in CALLS} == set(COMMANDS)
 
 
 @pytest.mark.parametrize("argv,extra", CALLS, ids=[" ".join(c[0][:2]) for c in CALLS])
@@ -70,7 +92,9 @@ def test_a_call_loads_only_what_its_subcommand_needs(argv, extra):
                       cmd, str(FIXTURES / name), *flags, "--json")
     assert done.returncode == 0, done.stdout
     assert json.loads(done.stdout)["command"] == cmd
-    assert flatchains_imports(done.stderr) == BASE | {f"flatchains.{m}" for m in extra}
+    names = imported(done.stderr)
+    assert flatchains_imports(names) == BASE | {f"flatchains.{m}" for m in extra}
+    assert not names & HEAVY
 
 
 def test_infeasible_fill_still_exits_2():

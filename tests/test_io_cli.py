@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flatchains.cli import COMMANDS, main
+from flatchains.cli import COMMANDS, build_parser, main
 from flatchains.core import PreconditionError
 from flatchains.fileio import (ParseError, format_number, load_chainfile,
                                parse_chainfile, save_chainfile,
@@ -334,6 +335,36 @@ def test_usage_error_under_json_prints_an_error_doc(argv, message, capsys, schem
     with pytest.raises(SystemExit):
         main(argv)
     assert capsys.readouterr().out == ""
+
+
+# argparse's output for the usage errors above, `<cmd> --help` for every
+# subcommand, `--help`, no arguments and an unknown subcommand, at 80 columns
+ARGPARSE_GOLDENS = json.loads((Path(__file__).parent / "argparse_goldens.json").read_text())
+
+
+def argparse_output(parse, argv, capsys, monkeypatch) -> dict:
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    captured = capsys.readouterr()
+    return {"argv": argv, "code": exit_.value.code, "stdout": captured.out,
+            "stderr": captured.err}
+
+
+@pytest.mark.skipif(not (3, 10) <= sys.version_info[:2] <= (3, 12),
+                    reason="argparse wraps its usage lines differently from Python 3.13")
+@pytest.mark.parametrize("case", ARGPARSE_GOLDENS)
+def test_argparse_output_is_byte_identical(case, capsys, monkeypatch):
+    assert argparse_output(main, ARGPARSE_GOLDENS[case]["argv"], capsys,
+                           monkeypatch) == ARGPARSE_GOLDENS[case]
+
+
+@pytest.mark.parametrize("case", [c for c, g in ARGPARSE_GOLDENS.items()
+                                  if g["argv"] and g["argv"][0] in COMMANDS])
+def test_a_lone_subparser_prints_what_the_full_parser_prints(case, capsys, monkeypatch):
+    argv = ARGPARSE_GOLDENS[case]["argv"]
+    assert (argparse_output(main, argv, capsys, monkeypatch)
+            == argparse_output(build_parser().parse_args, argv, capsys, monkeypatch))
 
 
 @pytest.mark.parametrize("argv", [["nosuch", "--json"], ["--json"]])
