@@ -31,24 +31,54 @@ The primal-flow witness is the flow the solver reaches, with nodes,
 arcs and shortest-path ties taken in cell-id order.  Both depend only on
 the complex and T.
 
-Everything else, the mod-p problems, fills, float volumes and
-non-network complexes, runs a depth-first branch-and-bound over
-coefficient assignments (`_exact_search`): variables are the
-(k+1)-cells in decreasing-volume order, the lower bound at a partial
-assignment counts the cells of the remainder whose cofaces are all
-assigned plus the mass of the assigned filling, and the incumbent is
-replaced only by a strictly better value or an equal value with a
-lexicographically smaller witness.  Results are therefore
-deterministic.
+The mod-p flat norm and mod-p fills run a frontier dynamic program
+(`_frontier`) when every volume is exact and the frontier is narrow.
+The (k+1)-cells are placed in a greedy sweep order: the next cell has
+the most open faces, then the fewest faces it would newly open, then
+the smallest id.  A state is the residues mod p of the open k-cells,
+those touched by a placed cell with a coface still to come; a k-cell's
+cost is charged (for a fill: its residue must be 0) when its last coface
+is placed.  A state costing more than mass_p(T), the cost of S = 0, is
+dropped, and only two layers of states are kept.  Each state carries
+the least pair (cost, key), where key lists the ranks of the assigned
+values (0, 1, -1, 2, -2, ...) over the cells in id order as the digits
+of one integer.  That pair is the search's own tie-break, so both
+routes return the same witness, which is decoded from the final key
+without backtracking.  The width w, the most k-cells a state carries,
+is known from the order before solving, and the program runs only when
+p ** w <= `_FRONTIER_STATES`; at that cap its two layers stay under
+~100 MB.
+
+Everything else runs a depth-first branch-and-bound over coefficient
+assignments (`_exact_search`), each for a reason:
+- wide frontiers, whose states would not fit the cap.  The search is
+  often faster there too: on 25 sparse 0- and 1-chains of 3-D box grids
+  at p = 5 with widths 13 to 27, it took 21 s in all, and a program
+  without the cap 69 s (one instance past 60 s).  At widths 9 and 10 the
+  program was faster (1.0 s against 4.5 s on 13 instances), but the cap
+  is set by memory;
+- float volumes, whose documented summation order the search keeps;
+- the integral fallback of `flat_norm_int`, where a program over
+  coefficients in [-B, B] took 2.4 s on 120 random 3-D 1-chains
+  against 1.3 s for the search.
+Its variables are the (k+1)-cells in decreasing-volume order, the
+lower bound at a partial assignment counts the cells of the remainder
+whose cofaces are all assigned plus the mass of the assigned filling,
+and the incumbent is replaced only by a strictly better value or an
+equal value with a lexicographically smaller witness: least cost, then
+the least tuple of (|v|, v < 0) over the cells in id order.  Results are
+therefore deterministic.  The general mod-2 problem is NP-hard (Chen &
+Freedman, 2011), so no method is fast on every input; the program is
+the bounded-width route of Blaser & Vagset (2020).
 
 When every volume a solver touches is an int or a Fraction, the volumes
 are multiplied by the LCM of their denominators and the solver runs on
 plain integers; values are divided back at the end.  Scaling by a
 positive constant keeps every comparison, so the witness is the one
 exact rational arithmetic would pick.  Float volumes keep float
-arithmetic, summed in the same order.  Both the search and the flow
-keep their state on explicit stacks and heaps, so their depth is not
-bounded by the interpreter's recursion limit.
+arithmetic, summed in the same order.  The search, the program and the
+flow keep their state on explicit stacks, heaps and tables, so their
+depth is not bounded by the interpreter's recursion limit.
 
 All infima are relative to the chain's own complex: competitors range
 over the cells the complex actually has, not over an ambient space.
@@ -60,6 +90,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -238,6 +269,186 @@ def _exact_search(cx: Complex, k: int, target: dict[str, int], *,
     return best_cost, {sigmas[i]: best_assign[i] for i in range(m) if best_assign[i]}
 
 
+# The frontier program runs when p ** width is at most this, so a layer
+# holds at most this many states.  Two layers of 2 ** 17 states (a 17x17
+# grid at p = 2, 289 cells) took ~85 MB over the interpreter's own ~30 MB.
+_FRONTIER_STATES = 2 ** 17
+
+
+def _solve_mod_p(cx: Complex, k: int, target: dict[str, int], p: int, fill: bool = False):
+    """(cost, assignment) as `_exact_search` returns it, or None when a
+    fill is infeasible: from the frontier program when the volumes are
+    exact and the frontier narrow, else from the search."""
+    sigmas = cx.cells(k + 1)
+    taus = sorted(set(target).union(*(cx.boundary_of(sid) for sid in sigmas)))
+    vol_s = [cx.volume(sid) for sid in sigmas]
+    vol_t = [cx.volume(tid) for tid in taus]
+    scale = _common_denominator(vol_s + vol_t)
+    if scale is not None:
+        row = {tid: t for t, tid in enumerate(taus)}
+        faces = [[(row[tid], coeff) for tid, coeff in cx.boundary_of(sid).items()]
+                 for sid in sigmas]
+        order, width = _sweep_order(faces, len(taus))
+        if p ** width <= _FRONTIER_STATES:
+            vol_s = [v.numerator * (scale // v.denominator) for v in vol_s]
+            vol_t = [v.numerator * (scale // v.denominator) for v in vol_t]
+            found = _frontier(order, faces, [target.get(tid, 0) for tid in taus],
+                              vol_s, vol_t, p, fill)
+            if found is None:
+                return None
+            cost, assign = found
+            return Fraction(cost, scale), {sigmas[i]: v for i, v in enumerate(assign) if v}
+    return _exact_search(cx, k, target, p=p, fill=fill)
+
+
+def _sweep_order(faces: list, n_taus: int) -> tuple[list[int], int]:
+    """A greedy sweep order of the (k+1)-cells and its width, the largest
+    number of k-cells left open after a step (touched, with a coface
+    still to come).
+
+    The next cell has the most open faces, then the fewest faces it
+    would leave newly open, then the smallest id."""
+    from heapq import heapify, heappop, heappush
+
+    cofaces: list[list[int]] = [[] for _ in range(n_taus)]
+    for i, fs in enumerate(faces):
+        for t, _ in fs:
+            cofaces[t].append(i)
+    n_open = [0] * len(faces)
+    n_new = [sum(len(cofaces[t]) > 1 for t, _ in fs) for fs in faces]
+    heap = [(0, n_new[i], i) for i in range(len(faces))]
+    heapify(heap)
+    placed = [False] * len(faces)
+    left = [len(c) for c in cofaces]
+    order, width, size = [], 0, 0
+    while heap:
+        neg_open, new, i = heappop(heap)
+        if placed[i] or -neg_open != n_open[i] or new != n_new[i]:
+            continue  # superseded by a later entry
+        placed[i] = True
+        order.append(i)
+        for t, _ in faces[i]:
+            if left[t] == len(cofaces[t]):
+                size += 1
+                for j in cofaces[t]:
+                    if not placed[j]:
+                        n_open[j] += 1
+                        n_new[j] -= 1
+                        heappush(heap, (-n_open[j], n_new[j], j))
+            left[t] -= 1
+            if not left[t]:
+                size -= 1
+        width = max(width, size)
+    return order, width
+
+
+def _frontier(order, faces, target, vol_s, vol_t, p, fill):
+    """The search's optimum, (cost, assignment in id order), or None when
+    a fill is infeasible: dynamic programming over the sweep `order`.
+
+    A state is the residues mod p of the open k-cells, in the order of
+    `layout`; a k-cell's cost is charged when its last coface is placed.
+    Each state keeps the least (cost, key) pair that reaches it, where
+    key = sum of rank(v_i) * p**(m-1-i) over the cells i in id order, with
+    rank the position of v_i in `_residue_order(p)`.  Both are packed into
+    one integer cost * p**m + key, so one comparison orders them, and the
+    final key decodes to the witness."""
+    m = len(faces)
+    vals = _residue_order(p)
+    W = p ** m
+    last = {}
+    for i in order:
+        for t, _ in faces[i]:
+            last[t] = i
+    base = 0
+    for t, g in enumerate(target):
+        if t not in last:
+            if fill and g % p:
+                return None
+            base += min(g % p, -g % p) * vol_t[t]
+    # A state above the limit is dropped: S = 0 costs mass_p(T), and no
+    # fill costs more than every cell at its largest residue.
+    if fill:
+        limit = (sum(vol_s) * (p // 2) + 1) * W
+    else:
+        limit = (sum(min(g % p, -g % p) * v for g, v in zip(target, vol_t)) + 1) * W
+    weight = [p ** (m - 1 - i) for i in range(m)]  # of cell i's key digit
+    layout: list[int] = []
+    states = {(): base * W}
+    for i in order:
+        here = faces[i]
+        at = {t: j for j, (t, _) in enumerate(here)}
+        old, old_pos, rest = [], [], []
+        for j, t in enumerate(layout):
+            if t in at:
+                old.append(at[t])
+                old_pos.append(j)
+            else:
+                rest.append(j)
+        fresh = [target[t] % p for t, _ in here]
+        stay = [j for j, (t, _) in enumerate(here) if last[t] != i]
+        shut = [(j, vol_t[t] * W) for j, (t, _) in enumerate(here) if last[t] == i]
+        steps = [(v, abs(v) * vol_s[i] * W + rank * weight[i]) for rank, v in enumerate(vals)]
+
+        def moves(residues):
+            # (residues of the faces in `stay`, added cost) for each value
+            # of cell i, from the residues of its faces in `old`
+            start = fresh.copy()
+            for j, r in zip(old, residues):
+                start[j] = r
+            out = []
+            for v, add in steps:
+                res = [(r - c * v) % p for r, (_, c) in zip(start, here)]
+                for j, vw in shut:
+                    r = res[j]
+                    if fill and r:
+                        break
+                    add += min(r, p - r) * vw
+                else:
+                    out.append((tuple(res[j] for j in stay), add))
+            return out
+
+        # a step reads and writes only the residues of cell i's faces: its
+        # moves are tabulated on those, and the rest of a state is carried
+        table: dict = {}
+        get_old = _picker(old_pos)
+        get_rest = _picker(rest)
+        nxt: dict = {}
+        for state, val in states.items():
+            kept = get_rest(state)
+            residues = get_old(state)
+            tab = table.get(residues)
+            if tab is None:
+                tab = table[residues] = moves(residues)
+            for tail, add in tab:
+                cost = val + add
+                if cost < limit:
+                    s = kept + tail
+                    if cost < nxt.get(s, limit):
+                        nxt[s] = cost
+        if not nxt:
+            return None
+        states = nxt
+        layout = [layout[j] for j in rest] + [here[j][0] for j in stay]
+    (val,) = states.values()
+    cost, key = divmod(val, W)
+    assign = [0] * m
+    for i in range(m - 1, -1, -1):
+        key, rank = divmod(key, p)
+        assign[i] = vals[rank]
+    return cost, assign
+
+
+def _picker(positions: list[int]):
+    """A function taking those positions of a tuple, as a tuple."""
+    if not positions:
+        return lambda s: ()
+    if len(positions) == 1:
+        j = positions[0]
+        return lambda s: (s[j],)
+    return itemgetter(*positions)
+
+
 def _is_float_mass(*values) -> bool:
     return any(isinstance(v, float) for v in values)
 
@@ -261,7 +472,7 @@ def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
     if isinstance(T, ModPChain) and T.p != p:
         raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
     cx, k = T.complex, T.dim
-    cost, s_coeffs = _exact_search(cx, k, dict(T.coeffs), p=p)
+    cost, s_coeffs = _solve_mod_p(cx, k, dict(T.coeffs), p)
     filling = IntChain(cx, k + 1, s_coeffs)
     remainder = T - filling.boundary()
     value = remainder.mass_p(p) + filling.mass_p(p)
@@ -638,7 +849,7 @@ def fill_mod_p(L: IntChain, p: int) -> IntChain:
             raise PreconditionError(f"not a cycle mod p: boundary residue at cell {cid!r}")
     elif not _component_sums_vanish(L, p):
         raise FillInfeasibleError("infeasible in this complex")
-    found = _exact_search(cx, k, dict(L.coeffs), p=p, fill=True)
+    found = _solve_mod_p(cx, k, dict(L.coeffs), p, fill=True)
     if found is None:
         raise FillInfeasibleError("infeasible in this complex")
     _, s_coeffs = found

@@ -255,6 +255,55 @@ def flat_norm_mod_p_oracle(T, p):
     return int(best) if scale == 1 else Fraction(int(best), scale)
 
 
+WITNESS_ORACLE_LIMIT = 10 ** 5
+
+
+def lexmin_witness_oracle(T, p, fill=False):
+    """Exhaustive mod-p optimum with its tie-break, for cross-checking
+    the solvers' witnesses.
+
+    Enumerates every assignment of canonical residues in (-p/2, p/2] to
+    the (k+1)-cells.  The cost is mass_p(T - dS) + mass_p(S), or with
+    fill=True mass_p(S) over the assignments with dS = T mod p.  Returns
+    (cost, S) for the least cost and, among those, the least tuple of
+    (|v|, v < 0) over the cells in id order; None when no fill exists.
+    Exact volumes only; refuses more than WITNESS_ORACLE_LIMIT
+    assignments.
+    """
+    cx, k = T.complex, T.dim
+    sigmas = sorted(cx.cells(k + 1))
+    m = len(sigmas)
+    if p ** m > WITNESS_ORACLE_LIMIT:
+        raise PreconditionError("oracle too large")
+    taus = sorted(set(T.coeffs).union(*(cx.boundary_of(sid) for sid in sigmas)))
+    vols = [Fraction(cx.volume(c)) for c in sigmas + taus]
+    scale = lcm(*(v.denominator for v in vols))
+    vols = np.array([int(v * scale) for v in vols], dtype=np.int64)
+    vol_s, vol_t = vols[:m], vols[m:]
+    incidence = np.array([[cx.boundary_of(sid).get(tid, 0) for tid in taus]
+                          for sid in sigmas], dtype=np.int64).reshape(m, len(taus))
+    t_vec = np.array([T[tid] for tid in taus], dtype=np.int64)
+
+    residue = np.array([g - p if 2 * g > p else g for g in range(p)], dtype=np.int64)
+    digits = (np.arange(p ** m, dtype=np.int64)[:, None]
+              // p ** np.arange(m, dtype=np.int64)) % p
+    s_res = residue[digits]
+    left = (t_vec[None, :] - s_res @ incidence) % p
+    cost = np.abs(s_res) @ vol_s
+    if fill:
+        feasible = np.flatnonzero((left == 0).all(axis=1))
+        if not len(feasible):
+            return None
+        s_res, cost = s_res[feasible], cost[feasible]
+    else:
+        cost = cost + np.minimum(left, p - left) @ vol_t
+    tied = s_res[cost == cost.min()]
+    ranks = 2 * np.abs(tied) + (tied < 0)
+    best = tied[np.lexsort(ranks.T[::-1])[0]]
+    filling = cx.chain(k + 1, {sid: int(v) for sid, v in zip(sigmas, best) if v})
+    return Fraction(int(cost.min()), scale), filling
+
+
 # ---------------------------------------------------------------------------
 # curve systems
 

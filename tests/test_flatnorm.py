@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from flatchains import (
+    BoxCell,
+    BoxChain,
     Complex,
     FillInfeasibleError,
     IntChain,
@@ -21,9 +23,10 @@ from flatchains import (
     grid_chain,
     isoperimetric_ratio,
 )
+import flatchains.flatnorm as flatnorm
 from flatchains.flatnorm import _exact_search
-from genutil import (flat_norm_mod_p_oracle, path_complex, random_chain_on,
-                     random_grid_complex, unit_grid_complex)
+from genutil import (WITNESS_ORACLE_LIMIT, flat_norm_mod_p_oracle, lexmin_witness_oracle,
+                     path_complex, random_chain_on, random_grid_complex, unit_grid_complex)
 
 
 def square_setup():
@@ -119,6 +122,88 @@ def test_mod_p_solver_matches_oracle_small(rng):
         k = rng.choice([d for d in cx.dims() if d < cx.top_dim])
         t = random_chain_on(rng, cx, k)
         assert flat_norm_mod_p(t, p).value == flat_norm_mod_p_oracle(t, p)
+
+
+CUBE_EDGES = [tuple((0, 1) if j == axis else (corner[j], corner[j]) for j in range(3))
+              for axis in range(3) for corner in itertools.product((0, 1), repeat=3)
+              if corner[axis] == 0]
+
+
+def small_instance(rng, dim, k, p, fill):
+    """A complex small enough for the witness oracle and a k-chain on it,
+    a cycle mod p (or a 0-chain with coefficient sum 0 mod p) for a fill.
+
+    3-D 0-chains live on a graph of unit-cube edges in R^3; the rest on
+    box grids.  Cell ids are shuffled, and some of the time the volumes
+    are random fractions."""
+    if dim == 3 and k == 0:
+        edges = rng.sample(CUBE_EDGES, rng.randint(3, 7))
+        cx, _ = compile_chain(BoxChain(3, 1, [(BoxCell(e), 1) for e in edges]))
+    else:
+        shapes = ([(1, 1, 1), (1, 1, 2)] if dim == 3 else
+                  [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)])
+        fits = []
+        for shape in shapes:
+            cx, _ = arrangement_complex(grid_chain(dim, dim, [(0, s) for s in shape], 1))
+            if p ** cx.num_cells(k + 1) <= WITNESS_ORACLE_LIMIT:
+                fits.append(cx)
+        cx = rng.choice(fits)
+    # shuffled ids, so that id order is not the solver's sweep order
+    ids = [cid for d in cx.dims() for cid in cx.cells(d)]
+    name = {cid: f"c{n:02d}" for n, cid in enumerate(rng.sample(ids, len(ids)))}
+    rescale = rng.random() < 0.3
+    cx = Complex({d: [(name[cid], Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                       if rescale and d else cx.volume(cid),
+                       [(name[f], c) for f, c in cx.boundary_of(cid).items()])
+                      for cid in cx.cells(d)] for d in cx.dims()})
+    # two cells at +-1 on unit volumes make tied optima common
+    cells, coeff = rng.choice([(2, 1), (5, 6)])
+    if not fill:
+        return random_chain_on(rng, cx, k, max_cells=cells, coeff=coeff)
+    if k == 1:
+        return (random_chain_on(rng, cx, 2, max_cells=cells, coeff=coeff).boundary()
+                + p * random_chain_on(rng, cx, 1, max_cells=2, coeff=2))
+    coeffs = dict(random_chain_on(rng, cx, 0, max_cells=cells, coeff=coeff).coeffs)
+    first = next(iter(coeffs))
+    coeffs[first] -= sum(coeffs.values()) % p
+    return cx.chain(0, coeffs)
+
+
+@pytest.mark.parametrize("route,reps", [("frontier", 5), ("search", 1)])
+def test_witness_is_the_least_optimum_in_id_order(rng, monkeypatch, route, reps):
+    # both routes return the least cost, then the least (|v|, v < 0) tuple
+    # over the filling's cells in id order
+    def no_search(*args, **kwargs):
+        raise AssertionError("took the search")
+
+    if route == "search":
+        monkeypatch.setattr(flatnorm, "_FRONTIER_STATES", 0)
+    else:
+        monkeypatch.setattr(flatnorm, "_exact_search", no_search)
+    cases = list(itertools.product((2, 3), (0, 1), (2, 3, 5), (False, True))) * reps
+    for dim, k, p, fill in cases:
+        t = small_instance(rng, dim, k, p, fill)
+        want = lexmin_witness_oracle(t, p, fill)
+        if not fill:
+            w = flat_norm_mod_p(t, p)
+            assert (w.value, w.filling) == want, (dim, k, p, t)
+        elif want is None:
+            with pytest.raises(FillInfeasibleError):
+                fill_mod_p(t, p)
+        else:
+            filling = fill_mod_p(t, p)
+            assert (filling.mass_p(p), filling) == want, (dim, k, p, t)
+
+
+def test_tied_fills_break_in_id_order_not_in_sweep_order():
+    # This filling ties at mass 4 with {h0_1, u1_0, u2_0, u2_1}.  In id
+    # order (h0_0, h0_1, ...) it comes first, being 0 on h0_1; in the
+    # solver's sweep order (h0_0, h1_0, ...) it would come second.
+    cx = unit_grid_complex(2)
+    chain = cx.chain(0, {v: 1 for v in ("v0_1", "v1_0", "v2_0", "v2_2")})
+    want = cx.chain(1, {e: 1 for e in ("h0_2", "h1_0", "h1_2", "u0_1")})
+    assert lexmin_witness_oracle(chain, 2, fill=True) == (4, want)
+    assert fill_mod_p(chain, 2) == want
 
 
 def test_modulus_mismatch_and_validation():

@@ -469,10 +469,12 @@ def fuzz_file(tmp_path_factory):
 
 
 @given(text=abstract_chain_files(),
-       command=st.sampled_from(["flatnorm", "validate", "mass", "boundary"]))
+       command=st.sampled_from([["flatnorm"], ["validate"], ["mass"], ["boundary"],
+                                ["flatnormp", "--p", "2"], ["flatnormp", "--p", "3"],
+                                ["fill", "--p", "2"], ["isoratio", "--p", "2"]]))
 def test_random_abstract_files_never_hit_a_defect(fuzz_file, text, command):
     # rejected input exits 2; exit 1 would be an internal defect
     fuzz_file.write_text(text)
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        rc = main([command, str(fuzz_file), "--json"])
+        rc = main([command[0], str(fuzz_file), *command[1:], "--json"])
     assert rc in (0, 2), out.getvalue()

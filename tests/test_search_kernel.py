@@ -1,7 +1,8 @@
-"""The flat-norm search kernel: integer-scaled exact volumes, float
-volumes, searches deeper than the interpreter's recursion limit, and
-0-chain fills refused before the search."""
+"""The mod-p solvers: integer-scaled exact volumes, float volumes,
+searches deeper than the interpreter's recursion limit, 0-chain fills
+refused before solving, and inputs the search alone could not finish."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -92,3 +93,35 @@ def test_feasible_0_chain_fills_are_unchanged():
     corners = cx.chain(0, {"v0_0": 1, "v3_3": 1})
     assert fill_mod_p(corners, 2) == cx.chain(1, {e: 1 for e in (
         "h0_3", "h1_3", "h2_3", "u0_0", "u0_1", "u0_2")})
+
+
+@pytest.mark.parametrize("coeffs,mass,witness", [
+    ({"v0_0": 1, "v1_1": -1}, 2, {"h0_1": -1, "u0_0": -1}),
+    ({"v0_0": -4, "v1_2": -5, "v3_1": 4}, 4, {"h0_1": -1, "h1_1": -1, "h2_1": -1, "u0_0": -1}),
+])
+def test_feasible_0_chain_fills_at_p5_are_fast(coeffs, mass, witness):
+    # the search walks up to 5^24 edge assignments here (5-10 s)
+    cx = unit_grid_complex(3)
+    started = time.perf_counter()
+    filling = fill_mod_p(cx.chain(0, coeffs), 5)
+    assert time.perf_counter() - started < 1
+    assert filling == cx.chain(1, witness)
+    assert filling.mass_p(5) == mass
+
+
+def test_forty_one_random_segments_are_answered():
+    # the 41 unit segments of the benchmark's `segments34` input, drawn the
+    # same way; duplicates merge into 34 cells, 7 of them with coefficient
+    # 2, so its mass mod 2 is 27, which no filling improves
+    pool = random.Random(44)
+    coeffs: dict = {}
+    for x, y in ((pool.randrange(12), pool.randrange(12)) for _ in range(41)):
+        coeffs[(x, y)] = coeffs.get((x, y), 0) + 1
+    assert len(coeffs) == 34
+    chain = BoxChain(2, 1, [(BoxCell(((x, x + 1), (y, y))), g) for (x, y), g in coeffs.items()])
+    _, compiled = arrangement_complex(chain)
+    started = time.perf_counter()
+    w = flat_norm_mod_p(compiled, 2)
+    assert time.perf_counter() - started < 2
+    assert w.value == 27
+    assert w.exact
