@@ -1,7 +1,7 @@
 """Finite cell complexes, integer chains, and mod-p reductions.
 
 A complex is a graded family of cells.  Every cell has an id (a string,
-unique across the whole complex), a positive volume, and an integer
+unique across the whole complex), a positive finite volume, and an integer
 boundary vector over the cells one dimension down.  Chains are sparse
 integer coefficient vectors over the cells of a single dimension.  A
 ModPChain is an IntChain of canonical residues in the half-open window
@@ -15,6 +15,7 @@ rationals, so mass computations stay exact whenever the input does.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isfinite
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -192,6 +193,9 @@ class Complex:
                             False, "dimension-0 cell must have volume 1", cid,
                             {"volume": cell.volume})
                     continue
+                if isinstance(cell.volume, float) and not isfinite(cell.volume):
+                    return ValidationReport(
+                        False, "cell volume must be finite", cid, {"volume": cell.volume})
                 try:
                     if not cell.volume > 0:
                         return ValidationReport(

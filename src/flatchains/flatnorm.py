@@ -32,22 +32,21 @@ arcs and shortest-path ties taken in cell-id order.  Both depend only on
 the complex and T.
 
 The mod-p flat norm and mod-p fills run a frontier dynamic program
-(`_frontier`) when every volume is exact and the frontier is narrow.
-The (k+1)-cells are placed in a greedy sweep order: the next cell has
-the most open faces, then the fewest faces it would newly open, then
-the smallest id.  A state is the residues mod p of the open k-cells,
-those touched by a placed cell with a coface still to come; a k-cell's
-cost is charged (for a fill: its residue must be 0) when its last coface
-is placed.  A state costing more than mass_p(T), the cost of S = 0, is
-dropped, and only two layers of states are kept.  Each state carries
-the least pair (cost, key), where key lists the ranks of the assigned
-values (0, 1, -1, 2, -2, ...) over the cells in id order as the digits
-of one integer.  That pair is the search's own tie-break, so both
-routes return the same witness, which is decoded from the final key
-without backtracking.  The width w, the most k-cells a state carries,
-is known from the order before solving, and the program runs only when
-p ** w <= `_FRONTIER_STATES`; at that cap its two layers stay under
-~100 MB.
+(`_frontier`) when the frontier is narrow.  The (k+1)-cells are placed
+in a greedy sweep order: the next cell has the most open faces, then the
+fewest faces it would newly open, then the smallest id.  A state is the
+residues mod p of the open k-cells, those touched by a placed cell with
+a coface still to come; a k-cell's cost is charged (for a fill: its
+residue must be 0) when its last coface is placed.  A state costing more
+than mass_p(T), the cost of S = 0, is dropped, and only two layers of
+states are kept.  Each state carries the least pair (cost, key), where
+key lists the positions of the assigned values in (0, 1, -1, 2, -2, ...)
+over the cells in id order as the digits of one integer.  That pair is
+the search's own tie-break, so both routes return the same witness,
+which is decoded from the final key without backtracking.  The width w,
+the most k-cells a state carries, is known from the order before
+solving, and the program runs only when p ** w <= `_FRONTIER_STATES`; at
+that cap its two layers stay under ~100 MB.
 
 Everything else runs a depth-first branch-and-bound over coefficient
 assignments (`_exact_search`), each for a reason:
@@ -57,7 +56,6 @@ assignments (`_exact_search`), each for a reason:
   without the cap 69 s (one instance past 60 s).  At widths 9 and 10 the
   program was faster (1.0 s against 4.5 s on 13 instances), but the cap
   is set by memory;
-- float volumes, whose documented summation order the search keeps;
 - the integral fallback of `flat_norm_int`, where a program over
   coefficients in [-B, B] took 2.4 s on 120 random 3-D 1-chains
   against 1.3 s for the search.
@@ -71,12 +69,16 @@ therefore deterministic.  The general mod-2 problem is NP-hard (Chen &
 Freedman, 2011), so no method is fast on every input; the program is
 the bounded-width route of Blaser & Vagset (2020).
 
-When every volume a solver touches is an int or a Fraction, the volumes
-are multiplied by the LCM of their denominators and the solver runs on
-plain integers; values are divided back at the end.  Scaling by a
-positive constant keeps every comparison, so the witness is the one
-exact rational arithmetic would pick.  Float volumes keep float
-arithmetic, summed in the same order.  The search, the program and the
+Every solver reads one table (`_Problem`), built once per public call:
+the cells in id order, the faces of each (k+1)-cell as rows of the
+k-cells, and the volumes as integers over the LCM of their denominators.
+A float volume counts at its exact binary value, and a non-finite one is
+refused.  Scaling by a positive constant keeps every comparison, so the
+witness is the one exact rational arithmetic on those values would pick;
+costs are divided back at the end, while a reported value is the mass of
+the witness, computed from the complex's own volumes.  The flow's
+certificate is checked against those volumes in exact arithmetic, so it
+answers only int and Fraction volumes.  The search, the program and the
 flow keep their state on explicit stacks, heaps and tables, so their
 depth is not bounded by the interpreter's recursion limit.
 
@@ -94,7 +96,6 @@ from operator import itemgetter
 from typing import Optional
 
 from .core import (
-    Complex,
     FillInfeasibleError,
     Frozen,
     IntChain,
@@ -122,6 +123,42 @@ class FlatWitness(Frozen):
                           modulus=modulus, bound=bound)
 
 
+class _Problem:
+    """One solve's input as tables, indexed by row.
+
+    sigmas are the (k+1)-cells in id order; taus are the k-cells of T and
+    of every boundary, sorted, and target holds T on them.  faces[i]
+    lists (row in taus, coefficient) for sigmas[i].  vol_s and vol_t are
+    the volumes of sigmas and taus times scale, the LCM of their
+    denominators; exact is True when every volume is an int or a Fraction.
+    """
+
+    __slots__ = ("sigmas", "taus", "faces", "target", "vol_s", "vol_t", "scale", "exact")
+
+    def __init__(self, T: IntChain):
+        cx, k = T.complex, T.dim
+        self.sigmas = cx.cells(k + 1)
+        bounds = [cx.boundary_of(sid) for sid in self.sigmas]
+        self.taus = sorted(set(T.coeffs).union(*bounds))
+        row = {tid: t for t, tid in enumerate(self.taus)}
+        self.faces = [[(row[tid], c) for tid, c in b.items()] for b in bounds]
+        self.target = [T.coeffs.get(tid, 0) for tid in self.taus]
+        vols = [cx.volume(cid) for cid in self.sigmas] + [cx.volume(cid) for cid in self.taus]
+        self.exact = all(isinstance(v, (int, Fraction)) for v in vols)
+        try:
+            ratios = [v.as_integer_ratio() for v in vols]
+        except (OverflowError, ValueError):
+            raise PreconditionError("cell volumes must be finite") from None
+        self.scale = lcm(*(d for _, d in ratios))
+        scaled = [n * (self.scale // d) for n, d in ratios]
+        self.vol_s, self.vol_t = scaled[:len(self.sigmas)], scaled[len(self.sigmas):]
+
+    def answer(self, cost: int, assign) -> tuple:
+        """(cost / scale, {cell id: value}) from a scaled cost and the
+        values of the (k+1)-cells in id order."""
+        return Fraction(cost, self.scale), {sid: v for sid, v in zip(self.sigmas, assign) if v}
+
+
 def _residue_order(p: int) -> list[int]:
     vals = [0]
     for t in range(1, (p - 1) // 2 + 1):
@@ -138,53 +175,32 @@ def _int_order(bound: int) -> list[int]:
     return vals
 
 
-def _rank(v: int) -> tuple[int, int]:
-    return (abs(v), 0 if v >= 0 else 1)
-
-
-def _common_denominator(vols) -> Optional[int]:
-    """LCM of the denominators when every volume is an int or a Fraction;
-    None when some volume is inexact."""
-    if not all(isinstance(v, (int, Fraction)) for v in vols):
-        return None
-    return lcm(*(v.denominator for v in vols))
-
-
-def _exact_search(cx: Complex, k: int, target: dict[str, int], *,
-                  p: Optional[int] = None, bound: Optional[int] = None,
+def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[int] = None,
                   fill: bool = False):
     """Minimize the flat objective (or the filling mass under congruence
     constraints when fill=True) over coefficient assignments to the
-    (k+1)-cells.  Returns (cost, assignment) or None when infeasible."""
-    sigmas = sorted(cx.cells(k + 1), key=lambda cid: (-cx.volume(cid), cid))
-    m = len(sigmas)
+    (k+1)-cells.  Returns (cost, assignment) as `_Problem.answer` does,
+    or None when infeasible."""
+    level = sorted(range(len(prob.sigmas)), key=lambda i: (-prob.vol_s[i], i))
+    m = len(level)
     vals = _residue_order(p) if p is not None else _int_order(bound)
 
-    taus = set(target)
-    last_touch: dict[str, int] = {}
-    for i, sid in enumerate(sigmas):
-        for tid in cx.boundary_of(sid):
-            taus.add(tid)
-            last_touch[tid] = i
-    taus = sorted(taus)
-    row = {tid: t for t, tid in enumerate(taus)}
-    cob = [[(row[tid], coeff) for tid, coeff in cx.boundary_of(sid).items()]
-           for sid in sigmas]
+    last_touch: dict[int, int] = {}
+    for i, sigma in enumerate(level):
+        for t, _ in prob.faces[sigma]:
+            last_touch[t] = i
+    cob = [prob.faces[sigma] for sigma in level]
     det_at: list[list[int]] = [[] for _ in range(m)]
     loose = []
-    for t, tid in enumerate(taus):
-        if tid in last_touch:
-            det_at[last_touch[tid]].append(t)
+    for t in range(len(prob.taus)):
+        if t in last_touch:
+            det_at[last_touch[t]].append(t)
         else:
             loose.append(t)
 
-    vol_s = [cx.volume(sid) for sid in sigmas]
-    vol_t = [cx.volume(tid) for tid in taus]
-    scale = _common_denominator(vol_s + vol_t)
-    if scale is not None:
-        vol_s = [v.numerator * (scale // v.denominator) for v in vol_s]
-        vol_t = [v.numerator * (scale // v.denominator) for v in vol_t]
-    acc = [target.get(tid, 0) for tid in taus]
+    vol_s = [prob.vol_s[sigma] for sigma in level]
+    vol_t = prob.vol_t
+    acc = list(prob.target)
 
     base = 0
     for t in loose:
@@ -201,22 +217,21 @@ def _exact_search(cx: Complex, k: int, target: dict[str, int], *,
     # Depth-first over levels 0..m on an explicit stack: nxt[i] indexes
     # the next value of vals to try at level i, and cost_at[i] is the cost
     # of the assignment to the levels before i.  Coming back to level i
-    # first undoes the value last tried there.
-    assign = [0] * m
+    # first undoes the value last tried there.  At a leaf, nxt[i] - 1 is
+    # the position in vals, ordered by (|v|, v < 0), of level i's value.
     nxt = [0] * (m + 1)
     cost_at = [base] * (m + 1)
-    id_order = sorted(range(m), key=lambda i: sigmas[i])
+    id_order = sorted(range(m), key=level.__getitem__)
     best_cost = None
     best_key = None
-    best_assign = None
     i = 0
     while i >= 0:
         if i == m:
             cost = cost_at[m]
-            key = tuple(_rank(assign[j]) for j in id_order)
+            key = tuple(nxt[j] for j in id_order)
             if best_cost is None or cost < best_cost or (cost == best_cost
                                                          and key < best_key):
-                best_cost, best_key, best_assign = cost, key, assign.copy()
+                best_cost, best_key = cost, key
             i -= 1
             continue
         j = nxt[i]
@@ -235,7 +250,6 @@ def _exact_search(cx: Complex, k: int, target: dict[str, int], *,
             i -= 1  # candidate magnitudes only grow from here
             continue
         nxt[i] = j + 1
-        assign[i] = v
         if v:
             for t, coeff in faces:
                 acc[t] -= coeff * v
@@ -264,9 +278,7 @@ def _exact_search(cx: Complex, k: int, target: dict[str, int], *,
             i += 1
     if best_cost is None:
         return None
-    if scale is not None:
-        best_cost = Fraction(best_cost, scale)
-    return best_cost, {sigmas[i]: best_assign[i] for i in range(m) if best_assign[i]}
+    return prob.answer(best_cost, [vals[r - 1] for r in best_key])
 
 
 # The frontier program runs when p ** width is at most this, so a layer
@@ -275,30 +287,14 @@ def _exact_search(cx: Complex, k: int, target: dict[str, int], *,
 _FRONTIER_STATES = 2 ** 17
 
 
-def _solve_mod_p(cx: Complex, k: int, target: dict[str, int], p: int, fill: bool = False):
-    """(cost, assignment) as `_exact_search` returns it, or None when a
-    fill is infeasible: from the frontier program when the volumes are
-    exact and the frontier narrow, else from the search."""
-    sigmas = cx.cells(k + 1)
-    taus = sorted(set(target).union(*(cx.boundary_of(sid) for sid in sigmas)))
-    vol_s = [cx.volume(sid) for sid in sigmas]
-    vol_t = [cx.volume(tid) for tid in taus]
-    scale = _common_denominator(vol_s + vol_t)
-    if scale is not None:
-        row = {tid: t for t, tid in enumerate(taus)}
-        faces = [[(row[tid], coeff) for tid, coeff in cx.boundary_of(sid).items()]
-                 for sid in sigmas]
-        order, width = _sweep_order(faces, len(taus))
-        if p ** width <= _FRONTIER_STATES:
-            vol_s = [v.numerator * (scale // v.denominator) for v in vol_s]
-            vol_t = [v.numerator * (scale // v.denominator) for v in vol_t]
-            found = _frontier(order, faces, [target.get(tid, 0) for tid in taus],
-                              vol_s, vol_t, p, fill)
-            if found is None:
-                return None
-            cost, assign = found
-            return Fraction(cost, scale), {sigmas[i]: v for i, v in enumerate(assign) if v}
-    return _exact_search(cx, k, target, p=p, fill=fill)
+def _solve_mod_p(prob: _Problem, p: int, fill: bool = False):
+    """(cost, assignment) as `_Problem.answer` gives it, or None when a
+    fill is infeasible: from the frontier program when the frontier is
+    narrow, else from the search."""
+    order, width = _sweep_order(prob.faces, len(prob.taus))
+    if p ** width <= _FRONTIER_STATES:
+        return _frontier(prob, order, p, fill)
+    return _exact_search(prob, p=p, fill=fill)
 
 
 def _sweep_order(faces: list, n_taus: int) -> tuple[list[int], int]:
@@ -342,8 +338,8 @@ def _sweep_order(faces: list, n_taus: int) -> tuple[list[int], int]:
     return order, width
 
 
-def _frontier(order, faces, target, vol_s, vol_t, p, fill):
-    """The search's optimum, (cost, assignment in id order), or None when
+def _frontier(prob: _Problem, order: list[int], p: int, fill: bool):
+    """The search's optimum, as `_Problem.answer` gives it, or None when
     a fill is infeasible: dynamic programming over the sweep `order`.
 
     A state is the residues mod p of the open k-cells, in the order of
@@ -353,6 +349,7 @@ def _frontier(order, faces, target, vol_s, vol_t, p, fill):
     rank the position of v_i in `_residue_order(p)`.  Both are packed into
     one integer cost * p**m + key, so one comparison orders them, and the
     final key decodes to the witness."""
+    faces, target, vol_s, vol_t = prob.faces, prob.target, prob.vol_s, prob.vol_t
     m = len(faces)
     vals = _residue_order(p)
     W = p ** m
@@ -436,7 +433,7 @@ def _frontier(order, faces, target, vol_s, vol_t, p, fill):
     for i in range(m - 1, -1, -1):
         key, rank = divmod(key, p)
         assign[i] = vals[rank]
-    return cost, assign
+    return prob.answer(cost, assign)
 
 
 def _picker(positions: list[int]):
@@ -449,16 +446,22 @@ def _picker(positions: list[int]):
     return itemgetter(*positions)
 
 
-def _is_float_mass(*values) -> bool:
-    return any(isinstance(v, float) for v in values)
-
-
 def _check_engine_value(reported, searched) -> None:
-    if _is_float_mass(reported, searched):
+    if isinstance(reported, float):
         if abs(reported - searched) > 1e-9 * (1 + abs(reported)):
             raise InternalDefectError("solver cost drifted from the witness mass")
     elif reported != searched:
         raise InternalDefectError("solver cost disagrees with the witness mass")
+
+
+def _decompose(T: IntChain, s_coeffs: dict, p: Optional[int] = None) -> tuple:
+    """(filling, remainder, value) for the filling S = s_coeffs: the
+    remainder is T - dS and the value mass(R) + mass(S), or their mass_p."""
+    filling = IntChain(T.complex, T.dim + 1, s_coeffs)
+    remainder = T - filling.boundary()
+    if p is None:
+        return filling, remainder, remainder.mass() + filling.mass()
+    return filling, remainder, remainder.mass_p(p) + filling.mass_p(p)
 
 
 def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
@@ -471,11 +474,8 @@ def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
     _check_modulus(p)
     if isinstance(T, ModPChain) and T.p != p:
         raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
-    cx, k = T.complex, T.dim
-    cost, s_coeffs = _solve_mod_p(cx, k, dict(T.coeffs), p)
-    filling = IntChain(cx, k + 1, s_coeffs)
-    remainder = T - filling.boundary()
-    value = remainder.mass_p(p) + filling.mass_p(p)
+    cost, s_coeffs = _solve_mod_p(_Problem(T), p)
+    filling, remainder, value = _decompose(T, s_coeffs, p)
     _check_engine_value(value, cost)
     return FlatWitness(value, remainder, filling, exact=True, modulus=p)
 
@@ -498,46 +498,34 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
     """
     if bound is not None and (not isinstance(bound, int) or bound < 1):
         raise PreconditionError(f"coefficient bound must be an integer >= 1, got {bound!r}")
-    flow = _flow_flat_norm(T)
+    prob = _Problem(T)
+    flow = _flow_flat_norm(T, prob)
     if flow is not None and (bound is None
                              or all(abs(g) <= bound for _, g in flow.filling.items())):
         return flow
-    cx, k = T.complex, T.dim
     b = bound if bound is not None else 2 * (max((abs(g) for _, g in T.items()), default=0) + 1)
-    cost, s_coeffs = _exact_search(cx, k, dict(T.coeffs), bound=b)
-    filling = IntChain(cx, k + 1, s_coeffs)
-    remainder = T - filling.boundary()
-    value = remainder.mass() + filling.mass()
+    cost, s_coeffs = _exact_search(prob, bound=b)
+    filling, remainder, value = _decompose(T, s_coeffs)
     _check_engine_value(value, cost)
     proved = ((flow is not None and value == flow.value)
-              or all((b + 1) * cx.volume(sid) > value for sid in cx.cells(k + 1)))
+              or all((b + 1) * T.complex.volume(sid) > value for sid in prob.sigmas))
     return FlatWitness(value, remainder, filling, exact=proved, bound=b)
 
 
 # -- the integral flat norm as a min-cost flow ------------------------------
 
-def _flow_flat_norm(T: IntChain) -> Optional[FlatWitness]:
+def _flow_flat_norm(T: IntChain, prob: _Problem) -> Optional[FlatWitness]:
     """The certified min-cost-flow solution, or None when some volume is
-    inexact or not positive, or the complex is no network in the
+    a float or not positive, or the complex is no network in the
     dimensions k and k+1."""
-    cx, k = T.complex, T.dim
-    sigmas = list(cx.cells(k + 1))
-    target = T.coeffs
-    taus = sorted(set(target).union(*(cx.boundary_of(sid) for sid in sigmas)))
-    vols = [cx.volume(cid) for cid in sigmas + taus]
-    scale = _common_denominator(vols)
-    if scale is None or not all(v > 0 for v in vols):
+    if not prob.exact or not all(v > 0 for v in prob.vol_s + prob.vol_t):
         return None
-    vol = {cid: v.numerator * (scale // v.denominator) for cid, v in zip(sigmas + taus, vols)}
-    solved = (_dual_circulation(cx, sigmas, taus, target, vol)
-              or _primal_flow(cx, sigmas, taus, target, vol))
+    solved = _dual_circulation(prob) or _primal_flow(prob)
     if solved is None:
         return None
     s_coeffs, y = solved
-    filling = IntChain(cx, k + 1, s_coeffs)
-    remainder = T - filling.boundary()
-    value = remainder.mass() + filling.mass()
-    if _dual_value(T, sigmas, y, scale) != value:
+    filling, remainder, value = _decompose(T, s_coeffs)
+    if _dual_value(T, prob.sigmas, y, prob.scale) != value:
         raise InternalDefectError("flow optimum differs from its dual value")
     return FlatWitness(value, remainder, filling, exact=True)
 
@@ -557,7 +545,7 @@ def _dual_value(T: IntChain, sigmas, y: dict, scale: int) -> Fraction:
     return Fraction(sum(g * y.get(tid, 0) for tid, g in T.coeffs.items()), scale)
 
 
-def _dual_circulation(cx: Complex, sigmas, taus, target, vol):
+def _dual_circulation(prob: _Problem):
     """(S, y) when every k-cell has at most two cofaces with coefficients
     +-1 of opposite sign, after flipping some (k+1)-cells; else None.
 
@@ -568,15 +556,13 @@ def _dual_circulation(cx: Complex, sigmas, taus, target, vol):
     optimal circulation, the greatest ones with ground at 0, give the
     least optimal filling S = -potential.
     """
-    ground = len(sigmas)
-    node = {sid: i for i, sid in enumerate(sigmas)}
-    cofaces: dict[str, list] = {tid: [] for tid in taus}
-    for sid in sigmas:
-        for tid, b in cx.boundary_of(sid).items():
-            faces = cofaces[tid]
-            if b not in (1, -1) or len(faces) == 2:
+    ground = len(prob.sigmas)
+    cofaces: list[list] = [[] for _ in prob.taus]
+    for i, faces in enumerate(prob.faces):
+        for t, b in faces:
+            if b not in (1, -1) or len(cofaces[t]) == 2:
                 return None
-            faces.append((node[sid], b))
+            cofaces[t].append((i, b))
     # sign[i] = -1 flips cell i; cells sharing a face must then disagree on it
     sign = [0] * ground
     for start in range(ground):
@@ -586,8 +572,8 @@ def _dual_circulation(cx: Complex, sigmas, taus, target, vol):
         stack = [start]
         while stack:
             i = stack.pop()
-            for tid, a in cx.boundary_of(sigmas[i]).items():
-                for j, b in cofaces[tid]:
+            for t, a in prob.faces[i]:
+                for j, b in cofaces[t]:
                     if j == i:
                         continue
                     if not sign[j]:
@@ -597,26 +583,25 @@ def _dual_circulation(cx: Complex, sigmas, taus, target, vol):
                         return None
     y: dict[str, int] = {}
     arcs, carried = [], []
-    for tid in taus:
-        g = target.get(tid, 0)
-        if not cofaces[tid]:
-            y[tid] = vol[tid] if g > 0 else -vol[tid] if g < 0 else 0
+    for tid, g, vol, cof in zip(prob.taus, prob.target, prob.vol_t, cofaces):
+        if not cof:
+            y[tid] = vol if g > 0 else -vol if g < 0 else 0
             continue
         head = tail = ground
-        for i, b in cofaces[tid]:
+        for i, b in cof:
             if sign[i] * b > 0:
                 head = i
             else:
                 tail = i
-        arcs.append((tail, head, -vol[tid], vol[tid], -g))
+        arcs.append((tail, head, -vol, vol, -g))
         carried.append(tid)
-    arcs.extend((ground, i, -vol[sid], vol[sid], 0) for i, sid in enumerate(sigmas))
+    arcs.extend((ground, i, -vol, vol, 0) for i, vol in enumerate(prob.vol_s))
     flow, pot = _min_cost_flow(ground + 1, arcs, [0] * (ground + 1), ground)
     y.update(zip(carried, flow))
-    return {sid: -sign[i] * pot[i] for i, sid in enumerate(sigmas) if pot[i]}, y
+    return {sid: -sign[i] * pot[i] for i, sid in enumerate(prob.sigmas) if pot[i]}, y
 
 
-def _primal_flow(cx: Complex, sigmas, taus, target, vol):
+def _primal_flow(prob: _Problem):
     """(S, y) when every (k+1)-cell has at most two faces with
     coefficients +-1 of opposite sign; else None.
 
@@ -626,34 +611,32 @@ def _primal_flow(cx: Complex, sigmas, taus, target, vol):
     unit, and so is the remainder on each k-cell, to and from ground.
     The dual y is the potential, with ground at 0.
     """
-    ground = len(taus)
-    node = {tid: i for i, tid in enumerate(taus)}
+    ground = len(prob.taus)
     # more than any flow carries, so every arc keeps residual capacity
-    cap = sum(abs(g) for g in target.values()) + 1
+    cap = sum(abs(g) for g in prob.target) + 1
     arcs, carried = [], []
-    for sid in sigmas:
-        faces = cx.boundary_of(sid)
-        if (len(faces) > 2 or any(b not in (1, -1) for b in faces.values())
-                or (len(faces) == 2 and sum(faces.values()))):
+    for sid, faces, vol in zip(prob.sigmas, prob.faces, prob.vol_s):
+        if (len(faces) > 2 or any(b not in (1, -1) for _, b in faces)
+                or (len(faces) == 2 and faces[0][1] + faces[1][1])):
             return None
         if not faces:
             continue
         head = tail = ground
-        for tid, b in faces.items():
+        for t, b in faces:
             if b > 0:
-                head = node[tid]
+                head = t
             else:
-                tail = node[tid]
-        arcs.append((tail, head, 0, cap, vol[sid]))
-        arcs.append((head, tail, 0, cap, vol[sid]))
+                tail = t
+        arcs.append((tail, head, 0, cap, vol))
+        arcs.append((head, tail, 0, cap, vol))
         carried.append(sid)
-    for i, tid in enumerate(taus):
-        arcs.append((ground, i, 0, cap, vol[tid]))
-        arcs.append((i, ground, 0, cap, vol[tid]))
-    supply = [-target.get(tid, 0) for tid in taus] + [sum(target.values())]
+    for t, vol in enumerate(prob.vol_t):
+        arcs.append((ground, t, 0, cap, vol))
+        arcs.append((t, ground, 0, cap, vol))
+    supply = [-g for g in prob.target] + [sum(prob.target)]
     flow, pot = _min_cost_flow(ground + 1, arcs, supply, ground)
     s = {sid: flow[2 * j] - flow[2 * j + 1] for j, sid in enumerate(carried)}
-    return {sid: g for sid, g in s.items() if g}, dict(zip(taus, pot))
+    return {sid: g for sid, g in s.items() if g}, dict(zip(prob.taus, pot))
 
 
 def _min_cost_flow(n: int, arcs: list, supply: list, root: int) -> tuple[list, list]:
@@ -849,7 +832,7 @@ def fill_mod_p(L: IntChain, p: int) -> IntChain:
             raise PreconditionError(f"not a cycle mod p: boundary residue at cell {cid!r}")
     elif not _component_sums_vanish(L, p):
         raise FillInfeasibleError("infeasible in this complex")
-    found = _solve_mod_p(cx, k, dict(L.coeffs), p, fill=True)
+    found = _solve_mod_p(_Problem(L), p, fill=True)
     if found is None:
         raise FillInfeasibleError("infeasible in this complex")
     _, s_coeffs = found

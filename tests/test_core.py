@@ -138,6 +138,10 @@ def test_validate_catches_bad_volumes():
                         1: [("e", 0, [("a", 1)])]}).validate().ok
     assert not Complex({0: [("a", 1, [])],
                         1: [("e", -3, [("a", 1)])]}).validate().ok
+    for bad in (float("inf"), float("nan")):
+        report = Complex({0: [("a", 1, [])], 1: [("e", bad, [("a", 1)])]}).validate()
+        assert (report.ok, report.cell_id, report.message) == (
+            False, "e", "cell volume must be finite")
 
 
 def test_validate_catches_nonzero_boundary_of_boundary():

@@ -24,7 +24,7 @@ from flatchains import (
     isoperimetric_ratio,
 )
 import flatchains.flatnorm as flatnorm
-from flatchains.flatnorm import _exact_search
+from flatchains.flatnorm import _exact_search, _Problem
 from genutil import (WITNESS_ORACLE_LIMIT, flat_norm_mod_p_oracle, lexmin_witness_oracle,
                      path_complex, random_chain_on, random_grid_complex, unit_grid_complex)
 
@@ -300,7 +300,7 @@ def check_against_search(t, brute_limit=3000):
     assert t == w.remainder + w.filling.boundary()
     assert w.value == w.remainder.mass() + w.filling.mass()
     b = sufficient_bound(t)
-    cost, _ = _exact_search(t.complex, t.dim, dict(t.coeffs), bound=b)
+    cost, _ = _exact_search(_Problem(t), bound=b)
     assert w.value == cost
     if (2 * b + 1) ** len(t.complex.cells(t.dim + 1)) <= brute_limit:
         assert w.value == brute_flat_norm_int(t, b)
@@ -411,7 +411,7 @@ def test_float_volumes_take_the_search(rng):
         w = flat_norm_int(t)
         assert w.bound == 2 * (max(abs(g) for _, g in t.items()) + 1)
         if w.exact:
-            cost, _ = _exact_search(fcx, t.dim, dict(t.coeffs), bound=3 * w.bound)
+            cost, _ = _exact_search(_Problem(t), bound=3 * w.bound)
             assert abs(w.value - cost) <= 1e-12 * max(1.0, abs(cost))
 
 

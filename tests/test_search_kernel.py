@@ -1,6 +1,8 @@
-"""The mod-p solvers: integer-scaled exact volumes, float volumes,
-searches deeper than the interpreter's recursion limit, 0-chain fills
-refused before solving, and inputs the search alone could not finish."""
+"""The flat-norm solvers' shared input table: volumes scaled to
+integers, float volumes at their exact binary values, non-finite ones
+refused, and one table per call; searches deeper than the interpreter's
+recursion limit, 0-chain fills refused before solving, and inputs the
+search alone could not finish."""
 
 import random
 import time
@@ -8,13 +10,19 @@ from fractions import Fraction
 
 import pytest
 
-from flatchains import (BoxCell, BoxChain, ChainFile,
-                        FillInfeasibleError, arrangement_complex, fill_mod_p,
-                        flat_norm_int, flat_norm_mod_p, serialize_chainfile)
+from flatchains import (BoxCell, BoxChain, ChainFile, Complex,
+                        FillInfeasibleError, PreconditionError, arrangement_complex,
+                        fill_mod_p, flat_norm_int, flat_norm_mod_p, grid_chain,
+                        serialize_chainfile)
 from flatchains.cli import main
+import flatchains.flatnorm as flatnorm
 
-from genutil import (flat_norm_mod_p_oracle, random_chain_on, random_grid_complex,
-                     unit_grid_complex)
+from genutil import (flat_norm_mod_p_oracle, path_complex, random_chain_on,
+                     random_grid_complex, unit_grid_complex)
+
+
+def close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
 
 
 def mixed_denominator_setup():
@@ -57,6 +65,63 @@ def test_float_volumes_match_oracle(rng):
             want = flat_norm_mod_p_oracle(t, p)
             assert isinstance(got, float)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want))
+
+
+def test_float_volumes_take_the_frontier(rng, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("took the search")
+
+    monkeypatch.setattr(flatnorm, "_exact_search", no_search)
+    for _ in range(4):
+        cx = random_grid_complex(rng, float_volumes=True, small=True)
+        k = cx.top_dim - 1
+        # a fill is the flat norm where every k-cell outweighs any filling
+        heavy_vol = 5 * sum(cx.volume(s) for s in cx.cells(k + 1))
+        heavy = Complex({d: [(cid, heavy_vol if d == k else cx.volume(cid),
+                              list(cx.boundary_of(cid).items())) for cid in cx.cells(d)]
+                         for d in cx.dims()})
+        for p in (2, 3, 5):
+            t = random_chain_on(rng, cx, k)
+            assert close(flat_norm_mod_p(t, p).value, flat_norm_mod_p_oracle(t, p))
+            cycle = random_chain_on(rng, cx, k + 1).boundary()
+            assert close(fill_mod_p(cycle, p).mass_p(p),
+                         flat_norm_mod_p_oracle(heavy.chain(k, dict(cycle.coeffs)), p))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_volumes_are_refused(bad):
+    ends = path_complex([1, bad, 1]).chain(0, {"q0": 1, "q3": -1})
+    for solve in (lambda: flat_norm_mod_p(ends, 2), lambda: fill_mod_p(ends, 2),
+                  lambda: flat_norm_int(ends)):
+        with pytest.raises(PreconditionError, match="cell volumes must be finite"):
+            solve()
+
+
+def test_one_table_per_call(monkeypatch):
+    built, searched = [], []
+
+    class Counted(flatnorm._Problem):
+        __slots__ = ()
+
+        def __init__(self, T):
+            built.append(T)
+            super().__init__(T)
+
+    search = flatnorm._exact_search
+
+    def spied(*args, **kwargs):
+        searched.append(kwargs)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(flatnorm, "_Problem", Counted)
+    monkeypatch.setattr(flatnorm, "_exact_search", spied)
+    # codimension 2: the flow does not apply, and the search falls back
+    cx, _ = arrangement_complex(grid_chain(3, 3, [(0, 2), (0, 1), (0, 1)], 1))
+    assert flat_norm_int(cx.chain(1, {cx.cells(1)[0]: 1})).bound == 4
+    assert (len(built), len(searched)) == (1, 1)
+    # width 33 at p = 2: the mod-p search
+    flat_norm_mod_p(unit_grid_complex(32).chain(1, {"h16_16": 1}), 2)
+    assert (len(built), len(searched)) == (2, 2)
 
 
 def test_single_edge_on_32x32_grid(tmp_path, capsys):
