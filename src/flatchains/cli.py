@@ -493,13 +493,17 @@ def _parse_flags(args) -> dict:
 
 
 def _emit(doc: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
-        return
-    print(f"command: {doc['command']}")
-    body = doc.get("result") if doc.get("result") is not None else doc.get("error")
-    for key in sorted(body):
-        print(f"{key}: {json.dumps(body[key], sort_keys=True)}")
+    try:
+        if as_json:
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            print(f"command: {doc['command']}")
+            body = doc.get("result") if doc.get("result") is not None else doc.get("error")
+            for key in sorted(body):
+                print(f"{key}: {json.dumps(body[key], sort_keys=True)}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: let the final flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit_usage_error(argv: list, stop: SystemExit) -> None:

@@ -21,53 +21,57 @@ in the right place, and is then solved exactly as a min-cost flow
   coefficients +-1 of opposite sign, as for 0-chains on a graph.  The
   filling is then itself a flow, and the remainder a flow to ground.
 
-Every flow answer is certified in exact arithmetic: R = T - dS, the
-dual y is feasible, and <T, y> equals mass(R) + mass(S).  Only that
-check makes an integral result exact; a failed check is an
-InternalDefectError.  Among tied optima the dual-circulation witness is
-the least one: at every (k+1)-cell, S is the smallest coefficient that
-any optimal filling has there (in the possibly flipped orientation).
-The primal-flow witness is the flow the solver reaches, with nodes,
-arcs and shortest-path ties taken in cell-id order.  Both depend only on
-the complex and T.
+Every flow answer is certified in exact arithmetic, a float volume at
+its binary value: R = T - dS, the dual y is feasible, and <T, y> equals
+mass(R) + mass(S).  Only that check makes an integral result exact; a
+failed check is an InternalDefectError.  Among tied optima the
+dual-circulation witness is the least one: at every (k+1)-cell, S is the
+smallest coefficient that any optimal filling has there (in the possibly
+flipped orientation).  The primal-flow witness is the flow the solver
+reaches, with nodes, arcs and shortest-path ties taken in cell-id order.
+Both depend only on the complex and T.
 
-The mod-p flat norm and mod-p fills run a frontier dynamic program
-(`_frontier`) when the frontier is narrow.  The (k+1)-cells are placed
-in a greedy sweep order: the next cell has the most open faces, then the
-fewest faces it would newly open, then the smallest id.  A state is the
-residues mod p of the open k-cells, those touched by a placed cell with
-a coface still to come; a k-cell's cost is charged (for a fill: its
-residue must be 0) when its last coface is placed.  A state costing more
-than mass_p(T), the cost of S = 0, is dropped, and only two layers of
-states are kept.  Each state carries the least pair (cost, key), where
-key lists the positions of the assigned values in (0, 1, -1, 2, -2, ...)
-over the cells in id order as the digits of one integer.  That pair is
-the search's own tie-break, so both routes return the same witness,
-which is decoded from the final key without backtracking.  The width w,
-the most k-cells a state carries, is known from the order before
-solving, and the program runs only when p ** w <= `_FRONTIER_STATES`; at
-that cap its two layers stay under ~100 MB.
+A fill mod p is the mod-p flat norm in which every k-cell weighs more
+than any filling: an optimum below that weight leaves no remainder, and
+without one the fill is infeasible.  So the mod-p solvers take a strict
+upper bound on the cost, the limit, and drop whatever reaches it; for a
+flat norm it is mass_p(T) + 1, the cost of S = 0 plus one.
+
+The mod-p flat norm runs a frontier dynamic program (`_frontier`) when
+the frontier is narrow.  The (k+1)-cells are placed in a greedy sweep
+order: the next cell has the most open faces, then the fewest faces it
+would newly open, then the smallest id.  A state is the residues mod p
+of the open k-cells, those touched by a placed cell with a coface still
+to come; a k-cell's cost is charged when its last coface is placed.  A
+state at the limit is dropped, and only two layers of states are kept.
+Each state carries the least pair (cost, key), where key lists the
+positions of the assigned values in (0, 1, -1, 2, -2, ...) over the
+cells in id order as the digits of one integer.  That pair is the
+search's own tie-break, so both routes return the same witness, which
+is decoded from the final key without backtracking.  The width w, the
+most k-cells a state carries, is known from the order before solving,
+and the program runs only when p ** w <= `_FRONTIER_STATES`; at that cap
+its two layers stay under ~100 MB.
 
 Everything else runs a depth-first branch-and-bound over coefficient
 assignments (`_exact_search`), each for a reason:
-- wide frontiers, whose states would not fit the cap.  The search is
-  often faster there too: on 25 sparse 0- and 1-chains of 3-D box grids
-  at p = 5 with widths 13 to 27, it took 21 s in all, and a program
-  without the cap 69 s (one instance past 60 s).  At widths 9 and 10 the
-  program was faster (1.0 s against 4.5 s on 13 instances), but the cap
-  is set by memory;
-- the integral fallback of `flat_norm_int`, where a program over
-  coefficients in [-B, B] took 2.4 s on 120 random 3-D 1-chains
-  against 1.3 s for the search.
+- wide frontiers, whose states would not fit the cap.  On 25 sparse 0-
+  and 1-chains of 3-D box grids at p = 5 with widths 13 to 27, the
+  search took 21 s in all and a program without the cap 69 s; at widths
+  9 and 10 the program was faster (1.0 s against 4.5 s on 13 instances);
+- integral flat norms on non-network complexes, or under an explicit
+  bound below the flow's filling.  A program over coefficients in
+  [-B, B] took 2.4 s on 120 random 3-D 1-chains, the search 1.3 s.
 Its variables are the (k+1)-cells in decreasing-volume order, the
 lower bound at a partial assignment counts the cells of the remainder
 whose cofaces are all assigned plus the mass of the assigned filling,
-and the incumbent is replaced only by a strictly better value or an
-equal value with a lexicographically smaller witness: least cost, then
-the least tuple of (|v|, v < 0) over the cells in id order.  Results are
-therefore deterministic.  The general mod-2 problem is NP-hard (Chen &
-Freedman, 2011), so no method is fast on every input; the program is
-the bounded-width route of Blaser & Vagset (2020).
+and the incumbent, which starts just below the limit, is replaced only
+by a strictly better value or an equal value with a lexicographically
+smaller witness: least cost, then the least tuple of (|v|, v < 0) over
+the cells in id order.  Results are therefore deterministic.  The
+general mod-2 problem is NP-hard (Chen & Freedman, 2011), so no method
+is fast on every input; the program is the bounded-width route of
+Blaser & Vagset (2020).
 
 Every solver reads one table (`_Problem`), built once per public call:
 the cells in id order, the faces of each (k+1)-cell as rows of the
@@ -76,11 +80,10 @@ A float volume counts at its exact binary value, and a non-finite one is
 refused.  Scaling by a positive constant keeps every comparison, so the
 witness is the one exact rational arithmetic on those values would pick;
 costs are divided back at the end, while a reported value is the mass of
-the witness, computed from the complex's own volumes.  The flow's
-certificate is checked against those volumes in exact arithmetic, so it
-answers only int and Fraction volumes.  The search, the program and the
-flow keep their state on explicit stacks, heaps and tables, so their
-depth is not bounded by the interpreter's recursion limit.
+the witness, computed from the complex's own volumes.  The search, the
+program and the flow keep their state on explicit stacks, heaps and
+tables, so their depth is not bounded by the interpreter's recursion
+limit.
 
 All infima are relative to the chain's own complex: competitors range
 over the cells the complex actually has, not over an ambient space.
@@ -103,6 +106,7 @@ from .core import (
     ModPChain,
     PreconditionError,
     _check_modulus,
+    as_fraction,
 )
 
 
@@ -130,10 +134,10 @@ class _Problem:
     of every boundary, sorted, and target holds T on them.  faces[i]
     lists (row in taus, coefficient) for sigmas[i].  vol_s and vol_t are
     the volumes of sigmas and taus times scale, the LCM of their
-    denominators; exact is True when every volume is an int or a Fraction.
+    denominators.
     """
 
-    __slots__ = ("sigmas", "taus", "faces", "target", "vol_s", "vol_t", "scale", "exact")
+    __slots__ = ("sigmas", "taus", "faces", "target", "vol_s", "vol_t", "scale")
 
     def __init__(self, T: IntChain):
         cx, k = T.complex, T.dim
@@ -144,7 +148,6 @@ class _Problem:
         self.faces = [[(row[tid], c) for tid, c in b.items()] for b in bounds]
         self.target = [T.coeffs.get(tid, 0) for tid in self.taus]
         vols = [cx.volume(cid) for cid in self.sigmas] + [cx.volume(cid) for cid in self.taus]
-        self.exact = all(isinstance(v, (int, Fraction)) for v in vols)
         try:
             ratios = [v.as_integer_ratio() for v in vols]
         except (OverflowError, ValueError):
@@ -158,6 +161,11 @@ class _Problem:
         values of the (k+1)-cells in id order."""
         return Fraction(cost, self.scale), {sid: v for sid, v in zip(self.sigmas, assign) if v}
 
+    def zero_cost(self, p: Optional[int] = None) -> int:
+        """The scaled cost of S = 0: mass(T), or mass_p(T) for a modulus p."""
+        return sum((abs(g) if p is None else min(g % p, -g % p)) * v
+                   for g, v in zip(self.target, self.vol_t))
+
 
 def _residue_order(p: int) -> list[int]:
     vals = [0]
@@ -168,22 +176,16 @@ def _residue_order(p: int) -> list[int]:
     return vals
 
 
-def _int_order(bound: int) -> list[int]:
-    vals = [0]
-    for t in range(1, bound + 1):
-        vals.extend((t, -t))
-    return vals
-
-
 def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[int] = None,
-                  fill: bool = False):
-    """Minimize the flat objective (or the filling mass under congruence
-    constraints when fill=True) over coefficient assignments to the
-    (k+1)-cells.  Returns (cost, assignment) as `_Problem.answer` does,
-    or None when infeasible."""
+                  limit: Optional[int] = None):
+    """Minimize the flat objective over coefficient assignments to the
+    (k+1)-cells, below the scaled cost `limit` (by default the cost of
+    S = 0 plus one).  Returns (cost, assignment) as `_Problem.answer`
+    does, or None when nothing costs less than the limit."""
     level = sorted(range(len(prob.sigmas)), key=lambda i: (-prob.vol_s[i], i))
     m = len(level)
-    vals = _residue_order(p) if p is not None else _int_order(bound)
+    # [-B, B] in the order (0, 1, -1, ...) is the residues mod 2B + 1
+    vals = _residue_order(p if p is not None else 2 * bound + 1)
 
     last_touch: dict[int, int] = {}
     for i, sigma in enumerate(level):
@@ -201,18 +203,10 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
     vol_s = [prob.vol_s[sigma] for sigma in level]
     vol_t = prob.vol_t
     acc = list(prob.target)
-
-    base = 0
-    for t in loose:
-        g = acc[t]
-        if fill:
-            if g % p:
-                return None
-        elif p is not None:
-            r = g % p
-            base += min(r, p - r) * vol_t[t]
-        else:
-            base += abs(g) * vol_t[t]
+    if limit is None:
+        limit = prob.zero_cost(p) + 1
+    base = sum((abs(acc[t]) if p is None else min(acc[t] % p, -acc[t] % p)) * vol_t[t]
+               for t in loose)
 
     # Depth-first over levels 0..m on an explicit stack: nxt[i] indexes
     # the next value of vals to try at level i, and cost_at[i] is the cost
@@ -222,15 +216,14 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
     nxt = [0] * (m + 1)
     cost_at = [base] * (m + 1)
     id_order = sorted(range(m), key=level.__getitem__)
-    best_cost = None
-    best_key = None
+    top = (len(vals) + 1,)  # a key above every key
+    best_cost, best_key = limit - 1, top
     i = 0
     while i >= 0:
         if i == m:
             cost = cost_at[m]
             key = tuple(nxt[j] for j in id_order)
-            if best_cost is None or cost < best_cost or (cost == best_cost
-                                                         and key < best_key):
+            if cost < best_cost or (cost == best_cost and key < best_key):
                 best_cost, best_key = cost, key
             i -= 1
             continue
@@ -246,7 +239,7 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
                 continue
         v = vals[j]
         stepped = cost_at[i] + abs(v) * vol_s[i] if v else cost_at[i]
-        if best_cost is not None and stepped > best_cost:
+        if stepped > best_cost:
             i -= 1  # candidate magnitudes only grow from here
             continue
         nxt[i] = j + 1
@@ -254,29 +247,24 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
             for t, coeff in faces:
                 acc[t] -= coeff * v
         feasible = True
-        if fill:
-            for t in det_at[i]:
-                if acc[t] % p:
-                    feasible = False
-                    break
-        elif p is not None:
+        if p is not None:
             for t in det_at[i]:
                 r = acc[t] % p
                 stepped += min(r, p - r) * vol_t[t]
-                if best_cost is not None and stepped > best_cost:
+                if stepped > best_cost:
                     feasible = False
                     break
         else:
             for t in det_at[i]:
                 stepped += abs(acc[t]) * vol_t[t]
-                if best_cost is not None and stepped > best_cost:
+                if stepped > best_cost:
                     feasible = False
                     break
         if feasible:
             cost_at[i + 1] = stepped
             nxt[i + 1] = 0
             i += 1
-    if best_cost is None:
+    if best_key == top:
         return None
     return prob.answer(best_cost, [vals[r - 1] for r in best_key])
 
@@ -287,14 +275,15 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
 _FRONTIER_STATES = 2 ** 17
 
 
-def _solve_mod_p(prob: _Problem, p: int, fill: bool = False):
-    """(cost, assignment) as `_Problem.answer` gives it, or None when a
-    fill is infeasible: from the frontier program when the frontier is
-    narrow, else from the search."""
+def _solve_mod_p(prob: _Problem, p: int, limit: int):
+    """(cost, assignment) as `_Problem.answer` gives it for the optimum
+    below the scaled cost `limit`, or None when nothing costs less: from
+    the frontier program when the frontier is narrow, else from the
+    search."""
     order, width = _sweep_order(prob.faces, len(prob.taus))
     if p ** width <= _FRONTIER_STATES:
-        return _frontier(prob, order, p, fill)
-    return _exact_search(prob, p=p, fill=fill)
+        return _frontier(prob, order, p, limit)
+    return _exact_search(prob, p=p, limit=limit)
 
 
 def _sweep_order(faces: list, n_taus: int) -> tuple[list[int], int]:
@@ -338,9 +327,10 @@ def _sweep_order(faces: list, n_taus: int) -> tuple[list[int], int]:
     return order, width
 
 
-def _frontier(prob: _Problem, order: list[int], p: int, fill: bool):
-    """The search's optimum, as `_Problem.answer` gives it, or None when
-    a fill is infeasible: dynamic programming over the sweep `order`.
+def _frontier(prob: _Problem, order: list[int], p: int, limit: int):
+    """The search's optimum below the scaled cost `limit`, as
+    `_Problem.answer` gives it, or None when nothing costs less: dynamic
+    programming over the sweep `order`.
 
     A state is the residues mod p of the open k-cells, in the order of
     `layout`; a k-cell's cost is charged when its last coface is placed.
@@ -357,18 +347,10 @@ def _frontier(prob: _Problem, order: list[int], p: int, fill: bool):
     for i in order:
         for t, _ in faces[i]:
             last[t] = i
-    base = 0
-    for t, g in enumerate(target):
-        if t not in last:
-            if fill and g % p:
-                return None
-            base += min(g % p, -g % p) * vol_t[t]
-    # A state above the limit is dropped: S = 0 costs mass_p(T), and no
-    # fill costs more than every cell at its largest residue.
-    if fill:
-        limit = (sum(vol_s) * (p // 2) + 1) * W
-    else:
-        limit = (sum(min(g % p, -g % p) * v for g, v in zip(target, vol_t)) + 1) * W
+    base = sum(min(g % p, -g % p) * vol_t[t] for t, g in enumerate(target) if t not in last)
+    if base >= limit:
+        return None
+    limit *= W  # a state or a move at the limit is dropped
     weight = [p ** (m - 1 - i) for i in range(m)]  # of cell i's key digit
     layout: list[int] = []
     states = {(): base * W}
@@ -398,10 +380,8 @@ def _frontier(prob: _Problem, order: list[int], p: int, fill: bool):
                 res = [(r - c * v) % p for r, (_, c) in zip(start, here)]
                 for j, vw in shut:
                     r = res[j]
-                    if fill and r:
-                        break
                     add += min(r, p - r) * vw
-                else:
+                if add < limit:
                     out.append((tuple(res[j] for j in stay), add))
             return out
 
@@ -474,7 +454,8 @@ def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
     _check_modulus(p)
     if isinstance(T, ModPChain) and T.p != p:
         raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
-    cost, s_coeffs = _solve_mod_p(_Problem(T), p)
+    prob = _Problem(T)
+    cost, s_coeffs = _solve_mod_p(prob, p, prob.zero_cost(p) + 1)
     filling, remainder, value = _decompose(T, s_coeffs, p)
     _check_engine_value(value, cost)
     return FlatWitness(value, remainder, filling, exact=True, modulus=p)
@@ -483,9 +464,9 @@ def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
 def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
     """The integral flat norm of a chain, relative to its complex.
 
-    With exact volumes on a network complex (see the module docstring)
-    the flat norm is a min-cost flow, proved by a matching dual: the
-    result has exact=True and bound=None.  Otherwise one search runs over
+    With positive volumes on a network complex (see the module
+    docstring) the flat norm is a min-cost flow, proved by a matching
+    dual: the result has exact=True and bound=None.  Otherwise one search runs over
     fillings with coefficients in [-B, B], where B is the given bound or
     twice (max coefficient + 1), and reports bound=B.  Its value is
     proved when every cell outside the box would on its own already cost
@@ -507,7 +488,7 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
     cost, s_coeffs = _exact_search(prob, bound=b)
     filling, remainder, value = _decompose(T, s_coeffs)
     _check_engine_value(value, cost)
-    proved = ((flow is not None and value == flow.value)
+    proved = ((flow is not None and cost == _exact_mass(flow.remainder, flow.filling))
               or all((b + 1) * T.complex.volume(sid) > value for sid in prob.sigmas))
     return FlatWitness(value, remainder, filling, exact=proved, bound=b)
 
@@ -515,19 +496,26 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
 # -- the integral flat norm as a min-cost flow ------------------------------
 
 def _flow_flat_norm(T: IntChain, prob: _Problem) -> Optional[FlatWitness]:
-    """The certified min-cost-flow solution, or None when some volume is
-    a float or not positive, or the complex is no network in the
-    dimensions k and k+1."""
-    if not prob.exact or not all(v > 0 for v in prob.vol_s + prob.vol_t):
+    """The certified min-cost-flow solution, or None when a volume is not
+    positive or the complex is no network in dimensions k and k+1."""
+    if not all(v > 0 for v in prob.vol_s + prob.vol_t):
         return None
     solved = _dual_circulation(prob) or _primal_flow(prob)
     if solved is None:
         return None
     s_coeffs, y = solved
     filling, remainder, value = _decompose(T, s_coeffs)
-    if _dual_value(T, prob.sigmas, y, prob.scale) != value:
+    optimum = _dual_value(T, prob.sigmas, y, prob.scale)
+    if optimum != _exact_mass(remainder, filling):
         raise InternalDefectError("flow optimum differs from its dual value")
+    _check_engine_value(value, optimum)
     return FlatWitness(value, remainder, filling, exact=True)
+
+
+def _exact_mass(*chains) -> Fraction:
+    """The total mass of the chains, a float volume at its binary value."""
+    return sum((abs(g) * as_fraction(c.complex.volume(cid)) for c in chains
+                for cid, g in c.items()), Fraction(0))
 
 
 def _dual_value(T: IntChain, sigmas, y: dict, scale: int) -> Fraction:
@@ -536,11 +524,11 @@ def _dual_value(T: IntChain, sigmas, y: dict, scale: int) -> Fraction:
     the (k+1)-cells."""
     cx = T.complex
     for tid, v in y.items():
-        if abs(v) > cx.volume(tid) * scale:
+        if abs(v) > as_fraction(cx.volume(tid)) * scale:
             raise InternalDefectError(f"flow dual exceeds the volume of cell {tid!r}")
     for sid in sigmas:
         if abs(sum(b * y.get(tid, 0) for tid, b in cx.boundary_of(sid).items())) \
-                > cx.volume(sid) * scale:
+                > as_fraction(cx.volume(sid)) * scale:
             raise InternalDefectError(f"flow dual exceeds the volume of cell {sid!r}")
     return Fraction(sum(g * y.get(tid, 0) for tid, g in T.coeffs.items()), scale)
 
@@ -832,13 +820,19 @@ def fill_mod_p(L: IntChain, p: int) -> IntChain:
             raise PreconditionError(f"not a cycle mod p: boundary residue at cell {cid!r}")
     elif not _component_sums_vanish(L, p):
         raise FillInfeasibleError("infeasible in this complex")
-    found = _solve_mod_p(_Problem(L), p, fill=True)
+    # the flat norm mod p where a k-cell outweighs every filling: an
+    # optimum below that weight leaves no remainder
+    prob = _Problem(L)
+    heavy = sum(prob.vol_s) * (p // 2) + 1
+    prob.vol_t = [heavy] * len(prob.taus)
+    found = _solve_mod_p(prob, p, heavy)
     if found is None:
         raise FillInfeasibleError("infeasible in this complex")
-    _, s_coeffs = found
+    cost, s_coeffs = found
     filling = IntChain(cx, k + 1, s_coeffs)
     if not (filling.boundary() - L).reduce_mod_p(p).is_zero():
         raise InternalDefectError("filling does not bound the requested chain mod p")
+    _check_engine_value(filling.mass_p(p), cost)
     return filling
 
 

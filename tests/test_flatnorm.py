@@ -13,6 +13,7 @@ from flatchains import (
     Complex,
     FillInfeasibleError,
     IntChain,
+    InternalDefectError,
     PreconditionError,
     arrangement_complex,
     compile_chain,
@@ -400,19 +401,49 @@ def test_codimension_2_takes_the_search():
     assert (w.value, w.bound, w.exact) == (1, 4, False)
 
 
-def test_float_volumes_take_the_search(rng):
+def test_float_volumes_take_the_flow(rng):
     cx = path_complex([0.01] * 4)
     w = flat_norm_int(cx.chain(0, {"q4": 3, "q0": -3}))
-    assert w.bound == 8 and not w.exact  # 9 * 0.01 does not exceed 0.12
+    assert w.exact and w.bound is None
     assert abs(w.value - 0.12) < 1e-12
     for _ in range(5):
         fcx = random_grid_complex(rng, float_volumes=True, small=True)
         t = random_chain_on(rng, fcx, fcx.top_dim - 1, max_cells=3, coeff=2)
         w = flat_norm_int(t)
-        assert w.bound == 2 * (max(abs(g) for _, g in t.items()) + 1)
-        if w.exact:
-            cost, _ = _exact_search(_Problem(t), bound=3 * w.bound)
+        assert w.exact and w.bound is None
+        old_bound = 2 * (max(abs(g) for _, g in t.items()) + 1)
+        cost, _ = _exact_search(_Problem(t), bound=3 * old_bound)
+        assert abs(w.value - cost) <= 1e-12 * max(1.0, abs(cost))
+
+
+def float_edge_grid(rng, shape):
+    """The unit box grid of this shape with edge lengths drawn from 0.1,
+    0.2 and 0.3; every other cell keeps its volume."""
+    n = len(shape)
+    cx, _ = arrangement_complex(grid_chain(n, n, [(0, s) for s in shape], 1))
+    return Complex({d: [(cid, rng.choice([0.1, 0.2, 0.3]) if d == 1 else cx.volume(cid),
+                         sorted(cx.boundary_of(cid).items())) for cid in cx.cells(d)]
+                    for d in cx.dims()})
+
+
+def test_float_zero_chains_on_grids_are_proved_quickly(rng):
+    # a 0-chain is a network problem whatever its volumes: the flow proves
+    # it, where an unbounded search over the edges could run for minutes
+    shapes = [(1, 2), (2, 2), (3, 3), (4, 4), (1, 1, 1), (1, 1, 2), (2, 2, 2), (3, 3, 3)]
+    elapsed = 0.0
+    for shape in shapes * 2:
+        cx = float_edge_grid(rng, shape)
+        t = random_chain_on(rng, cx, 0, max_cells=3, coeff=2)
+        started = time.perf_counter()
+        w = flat_norm_int(t)
+        elapsed += time.perf_counter() - started
+        assert w.exact and w.bound is None
+        assert t == w.remainder + w.filling.boundary()
+        if len(cx.cells(1)) <= 12:
+            # an acyclic optimal flow carries at most sum |T| on any edge
+            cost, _ = _exact_search(_Problem(t), bound=sum(abs(g) for _, g in t.items()))
             assert abs(w.value - cost) <= 1e-12 * max(1.0, abs(cost))
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("n,limit", [(5, 0.1), (20, 1.0)])
@@ -493,11 +524,34 @@ def test_fill_rejects_non_cycles():
         fill_mod_p(edge, 2)
 
 
-def test_fill_infeasible_without_top_cells():
+def test_fill_infeasible_without_top_cells(monkeypatch):
+    # each solver's exit when nothing costs less than the limit
+    def no_search(*args, **kwargs):
+        raise AssertionError("took the search")
+
     sq = grid_chain(2, 2, [(0, 1), (0, 1)], 1)
     cx, rim = compile_chain(sq.boundary())  # 1-skeleton only
+    with monkeypatch.context() as patch:
+        patch.setattr(flatnorm, "_exact_search", no_search)
+        with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
+            fill_mod_p(rim, 2)
+    monkeypatch.setattr(flatnorm, "_FRONTIER_STATES", 0)
     with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
         fill_mod_p(rim, 2)
+
+
+def test_fill_checks_the_solver_cost(monkeypatch):
+    solve = flatnorm._solve_mod_p
+
+    def off_by_one(prob, p, limit):
+        cost, s_coeffs = solve(prob, p, limit)
+        return cost + 1, s_coeffs
+
+    _, sq = square_setup()
+    assert fill_mod_p(sq.boundary(), 3).mass_p(3) == 1
+    monkeypatch.setattr(flatnorm, "_solve_mod_p", off_by_one)
+    with pytest.raises(InternalDefectError, match="solver cost disagrees"):
+        fill_mod_p(sq.boundary(), 3)
 
 
 def test_fill_zero_dimensional_chain():

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -436,6 +438,30 @@ def test_text_output_without_json_flag(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == "command: mass\nmass: \"1\"\n"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["flatnormp", "square_rim.chain", "--p", "3", "--json"], 0),
+    (["mass", "square.chain", "--p", "3", "--json"], 2),  # a usage error
+    (["mass", "square.chain"], 0),
+], ids=["json", "usage-error", "text"])
+def test_a_closed_pipe_is_no_defect(argv, code):
+    # the reader of stdout is gone before the CLI writes: the output goes
+    # nowhere, and the exit code is still the command's own
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "flatchains.cli", argv[0],
+                               str(FIXTURES / argv[1]), *argv[2:]],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr and (code or not done.stderr)
 
 
 # ---- robustness: tiny random abstract files ----
