@@ -67,20 +67,6 @@ class _Package(_ModuleType):
 _sys.modules[__name__].__class__ = _Package
 
 
-__all__ = [
-    "BoxCell", "BoxChain", "CellularMap", "ChainFile", "Complex",
-    "ConeMassReport", "CurveItem", "CurvePath", "CurveSystem",
-    "DeformationResult", "FillInfeasibleError", "FlatWitness", "IntChain",
-    "InternalDefectError", "ModPChain", "ParseError", "PreconditionError",
-    "PreprocessTrace", "Simplex", "SimplicialChain", "ValidationReport",
-    "arrangement_complex", "as_fraction", "boundary_simplicial",
-    "canonical_residue", "compile_chain", "cone", "cone_mass_report",
-    "cycle_representative", "decompose_paths_loops", "deform",
-    "extract_cycle_indices", "fill_mod_p", "flat_norm_int",
-    "flat_norm_mod_p", "flat_norm_under_refinement",
-    "format_number", "grid_chain", "isoperimetric_ratio",
-    "load_chainfile", "mass_p", "norm_mod_p", "parse_chainfile",
-    "preprocess", "push_forward", "save_chainfile",
-    "serialize_chainfile", "slice_mass_integral", "slice_mass_star",
-    "system_boundary", "validate_complex",
-]
+# the public names: those imported from core above, and the lazy ones
+__all__ = sorted({*_LAZY, *(name for name, value in globals().items()
+                            if getattr(value, "__module__", None) == f"{__name__}.core")})

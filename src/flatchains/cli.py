@@ -28,30 +28,22 @@ import time
 from fractions import Fraction
 from importlib import import_module
 
+from . import _LAZY
 from .core import (FillInfeasibleError, InternalDefectError, IntChain,
                    ModPChain, PreconditionError, canonical_residue)
 from .fileio import ChainFile, ParseError, format_number, load_chainfile
 
+
 # Each handler imports the library functions it uses when it runs, from
 # their defining module, so a call loads only the modules its subcommand
-# needs.  The names stay readable as attributes of this module, for code
-# that reads or patches `flatchains.cli.<name>` (perfbench's tracer does).
-_LIBRARY = {
-    "boxes": ("BoxChain", "arrangement_complex", "compile_chain", "deform",
-              "slice_mass_integral", "slice_mass_star"),
-    "cone": ("SimplicialChain", "boundary_simplicial", "cone", "cone_mass_report"),
-    "curves": ("cycle_representative", "decompose_paths_loops",
-               "extract_cycle_indices", "preprocess", "system_boundary"),
-    "flatnorm": ("fill_mod_p", "flat_norm_int", "flat_norm_mod_p",
-                 "flat_norm_under_refinement", "isoperimetric_filling"),
-}
-
-
+# needs.  The package's public names stay readable as attributes of this
+# module, for code that reads or patches `flatchains.cli.<name>`
+# (perfbench's tracer does).
 def __getattr__(name: str):
-    for module, names in _LIBRARY.items():
-        if name in names:
-            return getattr(import_module(f".{module}", __package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)
 
 
 def _simplex_token(simplex) -> str:

@@ -20,6 +20,7 @@ byte.  Coefficients must be plain integers.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -117,8 +118,17 @@ def parse_chainfile(text: str) -> ChainFile:
 
 
 def load_chainfile(path) -> ChainFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_chainfile(fh.read())
+    """Parse the chain file at path; a file that cannot be read as UTF-8
+    text is a PreconditionError naming the file and the reason."""
+    name = os.path.basename(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise PreconditionError(f"cannot read {name}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise PreconditionError(f"cannot read {name}: not UTF-8 text") from None
+    return parse_chainfile(text)
 
 
 def _parse_shape(tokens, no, shape):

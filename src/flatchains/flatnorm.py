@@ -73,17 +73,18 @@ general mod-2 problem is NP-hard (Chen & Freedman, 2011), so no method
 is fast on every input; the program is the bounded-width route of
 Blaser & Vagset (2020).
 
-Every solver reads one table (`_Problem`), built once per public call:
-the cells in id order, the faces of each (k+1)-cell as rows of the
-k-cells, and the volumes as integers over the LCM of their denominators.
-A float volume counts at its exact binary value, and a non-finite one is
-refused.  Scaling by a positive constant keeps every comparison, so the
-witness is the one exact rational arithmetic on those values would pick;
-costs are divided back at the end, while a reported value is the mass of
-the witness, computed from the complex's own volumes.  The search, the
-program and the flow keep their state on explicit stacks, heaps and
-tables, so their depth is not bounded by the interpreter's recursion
-limit.
+Every solver takes its structure from one table (`_Problem`), built
+once per public call: the cells, faces and cofaces as rows, the volumes
+as integers over the LCM of their denominators, the cost of T where S is
+0, and the k-cells each step of an order closes.  It is the one gate on
+volumes: a float counts at its exact binary value, and a volume that is
+not a positive finite number is refused.  Scaling keeps every
+comparison, so the witness is the one exact rational arithmetic would
+pick.  Every witness is assembled in `_decompose`, whose value, the
+witness's mass in the complex's own volumes, must match the solver's
+cost.  The search, the program and the flow keep their state on explicit
+stacks, heaps and tables, so their depth is not bounded by the
+interpreter's recursion limit.
 
 All infima are relative to the chain's own complex: competitors range
 over the cells the complex actually has, not over an ambient space.
@@ -132,12 +133,14 @@ class _Problem:
 
     sigmas are the (k+1)-cells in id order; taus are the k-cells of T and
     of every boundary, sorted, and target holds T on them.  faces[i]
-    lists (row in taus, coefficient) for sigmas[i].  vol_s and vol_t are
-    the volumes of sigmas and taus times scale, the LCM of their
-    denominators.
+    lists (row in taus, coefficient) for sigmas[i], and cofaces[t] lists
+    (row in sigmas, coefficient) for taus[t].  vol_s and vol_t are the
+    volumes of sigmas and taus times scale, the LCM of their
+    denominators.  A volume that is not a positive finite int, Fraction
+    or float is refused.
     """
 
-    __slots__ = ("sigmas", "taus", "faces", "target", "vol_s", "vol_t", "scale")
+    __slots__ = ("sigmas", "taus", "faces", "cofaces", "target", "vol_s", "vol_t", "scale")
 
     def __init__(self, T: IntChain):
         cx, k = T.complex, T.dim
@@ -146,12 +149,18 @@ class _Problem:
         self.taus = sorted(set(T.coeffs).union(*bounds))
         row = {tid: t for t, tid in enumerate(self.taus)}
         self.faces = [[(row[tid], c) for tid, c in b.items()] for b in bounds]
+        self.cofaces: list[list[tuple]] = [[] for _ in self.taus]
+        for i, faces in enumerate(self.faces):
+            for t, c in faces:
+                self.cofaces[t].append((i, c))
         self.target = [T.coeffs.get(tid, 0) for tid in self.taus]
         vols = [cx.volume(cid) for cid in self.sigmas] + [cx.volume(cid) for cid in self.taus]
         try:
-            ratios = [v.as_integer_ratio() for v in vols]
+            ratios = [v.as_integer_ratio() for v in vols if isinstance(v, (int, Fraction, float))]
         except (OverflowError, ValueError):
             raise PreconditionError("cell volumes must be finite") from None
+        if len(ratios) < len(vols) or any(n <= 0 for n, _ in ratios):
+            raise PreconditionError("cell volumes must be positive numbers")
         self.scale = lcm(*(d for _, d in ratios))
         scaled = [n * (self.scale // d) for n, d in ratios]
         self.vol_s, self.vol_t = scaled[:len(self.sigmas)], scaled[len(self.sigmas):]
@@ -161,10 +170,32 @@ class _Problem:
         values of the (k+1)-cells in id order."""
         return Fraction(cost, self.scale), {sid: v for sid, v in zip(self.sigmas, assign) if v}
 
-    def zero_cost(self, p: Optional[int] = None) -> int:
-        """The scaled cost of S = 0: mass(T), or mass_p(T) for a modulus p."""
-        return sum((abs(g) if p is None else min(g % p, -g % p)) * v
-                   for g, v in zip(self.target, self.vol_t))
+    def charge(self, rows, p: Optional[int] = None) -> int:
+        """The scaled cost of T on these rows of taus, as S = 0 leaves it:
+        its mass there, or its mass_p for a modulus p."""
+        target, vol_t = self.target, self.vol_t
+        return sum((abs(target[t]) if p is None else min(target[t] % p, -target[t] % p))
+                   * vol_t[t] for t in rows)
+
+    def closing(self, order: list[int]) -> tuple[list[list[int]], list[int]]:
+        """For the (k+1)-cells placed in `order`: the rows of the k-cells
+        whose last coface each step places, and the rows no cell touches."""
+        step = {i: s for s, i in enumerate(order)}
+        shut: list[list[int]] = [[] for _ in order]
+        loose: list[int] = []
+        for t, cof in enumerate(self.cofaces):
+            (shut[max(step[i] for i, _ in cof)] if cof else loose).append(t)
+        return shut, loose
+
+    def mass(self, s_coeffs: dict) -> Fraction:
+        """mass(T - dS) + mass(S) in exact arithmetic, for S by cell id."""
+        rest, cost = list(self.target), 0
+        for sid, faces, vol in zip(self.sigmas, self.faces, self.vol_s):
+            g = s_coeffs.get(sid, 0)
+            cost += abs(g) * vol
+            for t, c in faces:
+                rest[t] -= c * g
+        return Fraction(cost + sum(abs(r) * v for r, v in zip(rest, self.vol_t)), self.scale)
 
 
 def _residue_order(p: int) -> list[int]:
@@ -186,27 +217,14 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
     m = len(level)
     # [-B, B] in the order (0, 1, -1, ...) is the residues mod 2B + 1
     vals = _residue_order(p if p is not None else 2 * bound + 1)
-
-    last_touch: dict[int, int] = {}
-    for i, sigma in enumerate(level):
-        for t, _ in prob.faces[sigma]:
-            last_touch[t] = i
+    det_at, loose = prob.closing(level)
     cob = [prob.faces[sigma] for sigma in level]
-    det_at: list[list[int]] = [[] for _ in range(m)]
-    loose = []
-    for t in range(len(prob.taus)):
-        if t in last_touch:
-            det_at[last_touch[t]].append(t)
-        else:
-            loose.append(t)
-
     vol_s = [prob.vol_s[sigma] for sigma in level]
     vol_t = prob.vol_t
     acc = list(prob.target)
     if limit is None:
-        limit = prob.zero_cost(p) + 1
-    base = sum((abs(acc[t]) if p is None else min(acc[t] % p, -acc[t] % p)) * vol_t[t]
-               for t in loose)
+        limit = prob.charge(range(len(prob.taus)), p) + 1
+    base = prob.charge(loose, p)
 
     # Depth-first over levels 0..m on an explicit stack: nxt[i] indexes
     # the next value of vals to try at level i, and cost_at[i] is the cost
@@ -280,13 +298,13 @@ def _solve_mod_p(prob: _Problem, p: int, limit: int):
     below the scaled cost `limit`, or None when nothing costs less: from
     the frontier program when the frontier is narrow, else from the
     search."""
-    order, width = _sweep_order(prob.faces, len(prob.taus))
+    order, width = _sweep_order(prob)
     if p ** width <= _FRONTIER_STATES:
         return _frontier(prob, order, p, limit)
     return _exact_search(prob, p=p, limit=limit)
 
 
-def _sweep_order(faces: list, n_taus: int) -> tuple[list[int], int]:
+def _sweep_order(prob: _Problem) -> tuple[list[int], int]:
     """A greedy sweep order of the (k+1)-cells and its width, the largest
     number of k-cells left open after a step (touched, with a coface
     still to come).
@@ -295,10 +313,7 @@ def _sweep_order(faces: list, n_taus: int) -> tuple[list[int], int]:
     would leave newly open, then the smallest id."""
     from heapq import heapify, heappop, heappush
 
-    cofaces: list[list[int]] = [[] for _ in range(n_taus)]
-    for i, fs in enumerate(faces):
-        for t, _ in fs:
-            cofaces[t].append(i)
+    faces, cofaces = prob.faces, prob.cofaces
     n_open = [0] * len(faces)
     n_new = [sum(len(cofaces[t]) > 1 for t, _ in fs) for fs in faces]
     heap = [(0, n_new[i], i) for i in range(len(faces))]
@@ -315,7 +330,7 @@ def _sweep_order(faces: list, n_taus: int) -> tuple[list[int], int]:
         for t, _ in faces[i]:
             if left[t] == len(cofaces[t]):
                 size += 1
-                for j in cofaces[t]:
+                for j, _ in cofaces[t]:
                     if not placed[j]:
                         n_open[j] += 1
                         n_new[j] -= 1
@@ -343,18 +358,15 @@ def _frontier(prob: _Problem, order: list[int], p: int, limit: int):
     m = len(faces)
     vals = _residue_order(p)
     W = p ** m
-    last = {}
-    for i in order:
-        for t, _ in faces[i]:
-            last[t] = i
-    base = sum(min(g % p, -g % p) * vol_t[t] for t, g in enumerate(target) if t not in last)
+    shut_at, loose = prob.closing(order)
+    base = prob.charge(loose, p)
     if base >= limit:
         return None
     limit *= W  # a state or a move at the limit is dropped
     weight = [p ** (m - 1 - i) for i in range(m)]  # of cell i's key digit
     layout: list[int] = []
     states = {(): base * W}
-    for i in order:
+    for i, closes in zip(order, shut_at):
         here = faces[i]
         at = {t: j for j, (t, _) in enumerate(here)}
         old, old_pos, rest = [], [], []
@@ -365,8 +377,8 @@ def _frontier(prob: _Problem, order: list[int], p: int, limit: int):
             else:
                 rest.append(j)
         fresh = [target[t] % p for t, _ in here]
-        stay = [j for j, (t, _) in enumerate(here) if last[t] != i]
-        shut = [(j, vol_t[t] * W) for j, (t, _) in enumerate(here) if last[t] == i]
+        stay = [j for j, (t, _) in enumerate(here) if t not in closes]
+        shut = [(j, vol_t[t] * W) for j, (t, _) in enumerate(here) if t in closes]
         steps = [(v, abs(v) * vol_s[i] * W + rank * weight[i]) for rank, v in enumerate(vals)]
 
         def moves(residues):
@@ -434,14 +446,18 @@ def _check_engine_value(reported, searched) -> None:
         raise InternalDefectError("solver cost disagrees with the witness mass")
 
 
-def _decompose(T: IntChain, s_coeffs: dict, p: Optional[int] = None) -> tuple:
+def _decompose(T: IntChain, s_coeffs: dict, cost, p: Optional[int] = None) -> tuple:
     """(filling, remainder, value) for the filling S = s_coeffs: the
-    remainder is T - dS and the value mass(R) + mass(S), or their mass_p."""
+    remainder is T - dS and the value mass(R) + mass(S), or their mass_p,
+    checked against the cost the solver reported."""
     filling = IntChain(T.complex, T.dim + 1, s_coeffs)
     remainder = T - filling.boundary()
     if p is None:
-        return filling, remainder, remainder.mass() + filling.mass()
-    return filling, remainder, remainder.mass_p(p) + filling.mass_p(p)
+        value = remainder.mass() + filling.mass()
+    else:
+        value = remainder.mass_p(p) + filling.mass_p(p)
+    _check_engine_value(value, cost)
+    return filling, remainder, value
 
 
 def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
@@ -455,9 +471,8 @@ def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
     if isinstance(T, ModPChain) and T.p != p:
         raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
     prob = _Problem(T)
-    cost, s_coeffs = _solve_mod_p(prob, p, prob.zero_cost(p) + 1)
-    filling, remainder, value = _decompose(T, s_coeffs, p)
-    _check_engine_value(value, cost)
+    cost, s_coeffs = _solve_mod_p(prob, p, prob.charge(range(len(prob.taus)), p) + 1)
+    filling, remainder, value = _decompose(T, s_coeffs, cost, p)
     return FlatWitness(value, remainder, filling, exact=True, modulus=p)
 
 
@@ -486,36 +501,26 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
         return flow
     b = bound if bound is not None else 2 * (max((abs(g) for _, g in T.items()), default=0) + 1)
     cost, s_coeffs = _exact_search(prob, bound=b)
-    filling, remainder, value = _decompose(T, s_coeffs)
-    _check_engine_value(value, cost)
-    proved = ((flow is not None and cost == _exact_mass(flow.remainder, flow.filling))
-              or all((b + 1) * T.complex.volume(sid) > value for sid in prob.sigmas))
+    filling, remainder, value = _decompose(T, s_coeffs, cost)
+    proved = ((flow is not None and cost == prob.mass(flow.filling.coeffs))
+              or all((b + 1) * v > cost * prob.scale for v in prob.vol_s))
     return FlatWitness(value, remainder, filling, exact=proved, bound=b)
 
 
 # -- the integral flat norm as a min-cost flow ------------------------------
 
 def _flow_flat_norm(T: IntChain, prob: _Problem) -> Optional[FlatWitness]:
-    """The certified min-cost-flow solution, or None when a volume is not
-    positive or the complex is no network in dimensions k and k+1."""
-    if not all(v > 0 for v in prob.vol_s + prob.vol_t):
-        return None
+    """The certified min-cost-flow solution, or None when the complex is no
+    network in dimensions k and k+1."""
     solved = _dual_circulation(prob) or _primal_flow(prob)
     if solved is None:
         return None
     s_coeffs, y = solved
-    filling, remainder, value = _decompose(T, s_coeffs)
     optimum = _dual_value(T, prob.sigmas, y, prob.scale)
-    if optimum != _exact_mass(remainder, filling):
+    if optimum != prob.mass(s_coeffs):
         raise InternalDefectError("flow optimum differs from its dual value")
-    _check_engine_value(value, optimum)
+    filling, remainder, value = _decompose(T, s_coeffs, optimum)
     return FlatWitness(value, remainder, filling, exact=True)
-
-
-def _exact_mass(*chains) -> Fraction:
-    """The total mass of the chains, a float volume at its binary value."""
-    return sum((abs(g) * as_fraction(c.complex.volume(cid)) for c in chains
-                for cid, g in c.items()), Fraction(0))
 
 
 def _dual_value(T: IntChain, sigmas, y: dict, scale: int) -> Fraction:
@@ -545,12 +550,9 @@ def _dual_circulation(prob: _Problem):
     least optimal filling S = -potential.
     """
     ground = len(prob.sigmas)
-    cofaces: list[list] = [[] for _ in prob.taus]
-    for i, faces in enumerate(prob.faces):
-        for t, b in faces:
-            if b not in (1, -1) or len(cofaces[t]) == 2:
-                return None
-            cofaces[t].append((i, b))
+    cofaces = prob.cofaces
+    if any(len(cof) > 2 or any(b not in (1, -1) for _, b in cof) for cof in cofaces):
+        return None
     # sign[i] = -1 flips cell i; cells sharing a face must then disagree on it
     sign = [0] * ground
     for start in range(ground):
@@ -773,17 +775,16 @@ def _blocking_flow(n, adj, head, cap, cost, pot, excess) -> bool:
     return True
 
 
-def _component_sums_vanish(L: IntChain, p: int) -> bool:
-    """False when the 0-chain L provably bounds nothing mod p.
+def _component_sums_vanish(prob: _Problem, p: int) -> bool:
+    """False when the table's 0-chain T provably bounds nothing mod p.
 
     If every edge's boundary sums to zero mod p, so does the boundary of
-    any 1-chain on each connected component of the 1-skeleton; L then
+    any 1-chain on each connected component of the 1-skeleton; T then
     needs a zero sum mod p on every component.  Edges of the usual form
     v - u make that condition exact.  An edge whose boundary does not sum
     to zero mod p voids the test, and the answer is True.
     """
-    cx = L.complex
-    parent = {v: v for v in cx.cells(0)}
+    parent = list(range(len(prob.taus)))
 
     def find(v):
         while parent[v] != v:
@@ -791,16 +792,15 @@ def _component_sums_vanish(L: IntChain, p: int) -> bool:
             v = parent[v]
         return v
 
-    for eid in cx.cells(1):
-        faces = cx.boundary_of(eid)
-        if sum(faces.values()) % p:
+    for faces in prob.faces:
+        if sum(c for _, c in faces) % p:
             return True
-        roots = [find(v) for v in faces]
+        roots = [find(t) for t, _ in faces]
         for root in roots[1:]:
             parent[root] = roots[0]
-    sums: dict[str, int] = {}
-    for v, g in L.items():
-        root = find(v)
+    sums: dict[int, int] = {}
+    for t, g in enumerate(prob.target):
+        root = find(t)
         sums[root] = sums.get(root, 0) + g
     return all(s % p == 0 for s in sums.values())
 
@@ -812,27 +812,25 @@ def fill_mod_p(L: IntChain, p: int) -> IntChain:
     the complex has boundary L mod p.
     """
     _check_modulus(p)
-    cx, k = L.complex, L.dim
-    if k >= 1:
+    if L.dim >= 1:
         rim = L.boundary().reduce_mod_p(p)
         if not rim.is_zero():
             cid = rim.items()[0][0]
             raise PreconditionError(f"not a cycle mod p: boundary residue at cell {cid!r}")
-    elif not _component_sums_vanish(L, p):
+    prob = _Problem(L)
+    if L.dim == 0 and not _component_sums_vanish(prob, p):
         raise FillInfeasibleError("infeasible in this complex")
     # the flat norm mod p where a k-cell outweighs every filling: an
     # optimum below that weight leaves no remainder
-    prob = _Problem(L)
     heavy = sum(prob.vol_s) * (p // 2) + 1
     prob.vol_t = [heavy] * len(prob.taus)
     found = _solve_mod_p(prob, p, heavy)
     if found is None:
         raise FillInfeasibleError("infeasible in this complex")
     cost, s_coeffs = found
-    filling = IntChain(cx, k + 1, s_coeffs)
-    if not (filling.boundary() - L).reduce_mod_p(p).is_zero():
+    filling, remainder, _ = _decompose(L, s_coeffs, cost, p)
+    if not remainder.reduce_mod_p(p).is_zero():
         raise InternalDefectError("filling does not bound the requested chain mod p")
-    _check_engine_value(filling.mass_p(p), cost)
     return filling
 
 

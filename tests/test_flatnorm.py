@@ -23,6 +23,7 @@ from flatchains import (
     flat_norm_under_refinement,
     grid_chain,
     isoperimetric_ratio,
+    validate_complex,
 )
 import flatchains.flatnorm as flatnorm
 from flatchains.flatnorm import _exact_search, _Problem
@@ -386,6 +387,46 @@ def test_flow_witness_does_not_depend_on_listing_order(rng):
         assert dict(w.filling.coeffs) == dict(v.filling.coeffs)
 
 
+def test_k_cell_without_coface_in_a_network_complex():
+    # a dangling edge has no square: its dual arc is fixed at +-vol
+    grid = unit_grid_complex(2)
+    layout = {d: [(cid, grid.volume(cid), list(grid.boundary_of(cid).items()))
+                  for cid in grid.cells(d)] for d in grid.dims()}
+    layout[0].append(("w", 1, []))
+    layout[1].append(("tail", 2, [("v2_2", -1), ("w", 1)]))
+    check_against_search(Complex(layout).chain(1, {"tail": 2, "h0_0": 1, "u1_0": -1}))
+
+
+def mobius_strip(n):
+    """n unit squares f0..f{n-1} in a ring whose last square joins the
+    first with a half twist: rails a_i -> a_{i+1}, b_i -> b_{i+1} and
+    rungs c_i = a_i -> b_i, closed by a_{n-1} -> b_0 and b_{n-1} -> a_0."""
+    verts = [(f"{r}{i}", 1, []) for r in "ab" for i in range(n)]
+    rails = [(f"r{i}", 1, [(f"a{i}", -1), (f"a{i + 1}", 1)]) for i in range(n - 1)]
+    rails += [(f"s{i}", 1, [(f"b{i}", -1), (f"b{i + 1}", 1)]) for i in range(n - 1)]
+    rails += [(f"r{n - 1}", 1, [(f"a{n - 1}", -1), ("b0", 1)]),
+              (f"s{n - 1}", 1, [(f"b{n - 1}", -1), ("a0", 1)])]
+    rungs = [(f"c{i}", 1, [(f"a{i}", -1), (f"b{i}", 1)]) for i in range(n)]
+    squares = [(f"f{i}", 1, [(f"r{i}", 1), (f"c{i + 1}", 1), (f"s{i}", -1), (f"c{i}", -1)])
+               for i in range(n - 1)]
+    squares.append((f"f{n - 1}", 1, [(f"r{n - 1}", 1), ("c0", -1), (f"s{n - 1}", -1),
+                                     (f"c{n - 1}", -1)]))
+    return Complex({0: verts, 1: rails + rungs, 2: squares})
+
+
+def test_mobius_strip_takes_the_search():
+    # no orientation of the squares gives each rung opposite signs, so the
+    # 2-colouring conflicts and neither flow applies
+    cx = mobius_strip(3)
+    assert validate_complex(cx).ok
+    for coeffs in ({"c1": 1}, {"r0": 1, "s0": -1}, {"r2": 2, "c0": 1, "s1": 1}):
+        t = cx.chain(1, coeffs)
+        w = flat_norm_int(t)
+        assert w.bound is not None
+        assert t == w.remainder + w.filling.boundary()
+        assert w.value == brute_flat_norm_int(t, w.bound)
+
+
 def test_codimension_2_takes_the_search():
     # in a 2x1x1 block of cubes an edge of the shared square has three
     # square cofaces and every square four edges: no network structure
@@ -540,6 +581,26 @@ def test_fill_infeasible_without_top_cells(monkeypatch):
         fill_mod_p(rim, 2)
 
 
+def test_fill_of_the_rim_of_a_missing_square_is_infeasible(monkeypatch):
+    # the squares around the hole cannot bound it: every rim edge has a
+    # coface, the frontier empties a layer, and the search finds nothing
+    # below the limit
+    def no_search(*args, **kwargs):
+        raise AssertionError("took the search")
+
+    grid = unit_grid_complex(3)
+    holed = Complex({d: [(cid, grid.volume(cid), list(grid.boundary_of(cid).items()))
+                         for cid in grid.cells(d) if cid != "f1_1"] for d in grid.dims()})
+    rim = holed.chain(1, dict(grid.chain(2, {"f1_1": 1}).boundary().coeffs))
+    with monkeypatch.context() as patch:
+        patch.setattr(flatnorm, "_exact_search", no_search)
+        with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
+            fill_mod_p(rim, 3)
+    monkeypatch.setattr(flatnorm, "_FRONTIER_STATES", 0)
+    with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
+        fill_mod_p(rim, 3)
+
+
 def test_fill_checks_the_solver_cost(monkeypatch):
     solve = flatnorm._solve_mod_p
 
@@ -587,6 +648,14 @@ def test_isoperimetric_pinned_values():
     rect = grid_chain(2, 2, [(0, 2), (0, 1)], 1)
     _, tr = arrangement_complex(rect)
     assert isoperimetric_ratio(tr.boundary(), 2) == Fraction(1, 18)
+
+
+def test_isoperimetric_ratio_of_the_unit_cube_boundary_is_a_float():
+    # k = 2: the exponent 3/2 is no integer
+    _, cube = arrangement_complex(grid_chain(3, 3, [(0, 1), (0, 1), (0, 1)], 1))
+    ratio = isoperimetric_ratio(cube.boundary(), 2)
+    assert isinstance(ratio, float)
+    assert abs(ratio - 6 ** -1.5) < 1e-15
 
 
 def test_isoperimetric_preconditions():

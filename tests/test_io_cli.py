@@ -254,6 +254,24 @@ def test_parse_error_exit_code(capsys):
     assert "result" not in doc
 
 
+@pytest.mark.parametrize("kind,reason", [("missing", "No such file or directory"),
+                                         ("directory", "Is a directory"),
+                                         ("latin-1", "not UTF-8 text")])
+def test_unreadable_file_exit_code(kind, reason, tmp_path, capsys):
+    path = tmp_path / f"{kind}.chain"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes("chainfile 1 box\n# caf\xe9\n".encode("latin-1"))
+    message = f"cannot read {kind}.chain: {reason}"
+    rc, out = run_cli(["mass", str(path), "--json"], capsys)
+    assert rc == 2
+    assert json.loads(out)["error"] == {"kind": "precondition", "message": message}
+    rc, out = run_cli(["mass", str(path)], capsys)
+    assert rc == 2
+    assert out.splitlines()[1:] == ['kind: "precondition"', f"message: {json.dumps(message)}"]
+
+
 def test_missing_modulus_exit_code(capsys):
     rc, out = run_cli(fixture_argv(["flatnormp", "square_rim.chain"]), capsys)
     assert rc == 2

@@ -97,6 +97,18 @@ def test_non_finite_volumes_are_refused(bad):
             solve()
 
 
+@pytest.mark.parametrize("bad", [0, -1, "x"])
+def test_invalid_volumes_are_refused(bad):
+    # on a (k+1)-cell and on a k-cell of the problem alike
+    cx = path_complex([1, bad, 1])
+    ends, edge = cx.chain(0, {"q0": 1, "q3": -1}), cx.chain(1, {"e2": 1})
+    for solve in (lambda: flat_norm_mod_p(ends, 3), lambda: fill_mod_p(ends, 3),
+                  lambda: flat_norm_int(ends), lambda: flat_norm_mod_p(edge, 3),
+                  lambda: flat_norm_int(edge)):
+        with pytest.raises(PreconditionError, match="cell volumes must be positive numbers"):
+            solve()
+
+
 def test_one_table_per_call(monkeypatch):
     built, searched = [], []
 
