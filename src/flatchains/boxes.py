@@ -13,8 +13,14 @@ equal when their difference canonicalizes to nothing, which makes
 equality a statement about the underlying current rather than about one
 particular list of boxes.
 
-All endpoints are Fractions, so restriction levels, slice integrals,
-and the deformation identity are computed without rounding error.
+A chain keeps its coordinates as integer numerators over one positive
+denominator, `den`, shared by all its cells: a cell is keyed by the
+tuple of its (lo, hi) numerator pairs, one per axis.  Splitting, faces,
+restriction, slicing and rounding then compare and copy plain ints.
+Chains of different denominators, or a level or coarse grid off the
+lattice, are first rescaled once to the least common multiple, so every
+result stays exact.  Fractions appear only at the public surface:
+BoxCell and its intervals, axis_values, volumes and masses.
 """
 
 from __future__ import annotations
@@ -38,35 +44,50 @@ from .core import (
 )
 
 Interval = tuple[Fraction, Fraction]
+Key = tuple[tuple[int, int], ...]  # a cell's (lo, hi) numerators over its chain's den
+
+
+def _directions(intervals) -> tuple[int, ...]:
+    # no interval is reversed, and == is cheaper than < on Fractions
+    return tuple(j for j, (lo, hi) in enumerate(intervals) if lo != hi)
+
+
+def _token(intervals, text: Callable) -> str:
+    parts = [text(lo) if lo == hi else f"{text(lo)}..{text(hi)}" for lo, hi in intervals]
+    return f"b{len(_directions(intervals))}[" + ";".join(parts) + "]"
+
+
+def _values(keys: Iterable[Key]) -> set[int]:
+    return {v for key in keys for iv in key for v in iv}
 
 
 @total_ordering
 class BoxCell(Frozen):
     """A closed axis-aligned box, possibly degenerate in some axes.
 
-    directions and the hash are computed once from the intervals; they
-    take no part in equality, ordering or repr.
+    directions is computed once from the intervals; it takes no part in
+    equality, ordering, hash or repr.
     """
 
     def __init__(self, intervals: tuple[Interval, ...]):
-        fixed = []
-        for pair in intervals:
-            lo, hi = pair
-            lo, hi = as_fraction(lo), as_fraction(hi)
+        fixed = tuple((as_fraction(lo), as_fraction(hi)) for lo, hi in intervals)
+        for lo, hi in fixed:
             if lo > hi:
                 raise PreconditionError(f"interval [{lo}, {hi}] is reversed")
-            fixed.append((lo, hi))
-        self._fill(tuple(fixed))
+        vars(self).update(intervals=fixed, directions=_directions(fixed))
 
-    def _fill(self, intervals: tuple[Interval, ...]) -> None:
-        vars(self).update(intervals=intervals, _hash=hash(intervals),
-                          directions=tuple(j for j, (lo, hi) in enumerate(intervals) if lo < hi))
+    @classmethod
+    def _from_key(cls, key: Key, coords: Mapping[int, Fraction]) -> "BoxCell":
+        cell = object.__new__(cls)
+        vars(cell).update(intervals=tuple((coords[lo], coords[hi]) for lo, hi in key),
+                          directions=_directions(key))
+        return cell
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.intervals)
 
-    # written out, not inherited: dict lookups and sorts of cells run these;
-    # total_ordering derives <=, > and >= from them
+    # written out, not inherited: sorts of cells run these; total_ordering
+    # derives <=, > and >= from them
     def __eq__(self, other):
         return self.intervals == other.intervals if other.__class__ is BoxCell else NotImplemented
 
@@ -83,45 +104,34 @@ class BoxCell(Frozen):
 
     @property
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for j in self.directions:
-            lo, hi = self.intervals[j]
-            v *= hi - lo
-        return v
+        return math.prod((hi - lo for lo, hi in self.intervals if lo < hi), start=Fraction(1))
 
     def replace(self, axis: int, lo, hi) -> "BoxCell":
-        ivs = list(self.intervals)
-        ivs[axis] = (lo, hi)
-        return BoxCell(tuple(ivs))
-
-    def _replaced(self, axis: int, lo: Fraction, hi: Fraction) -> "BoxCell":
-        # replace() for Fraction endpoints lo <= hi, without __init__'s
-        # conversions and checks
-        ivs = self.intervals
-        cell = object.__new__(BoxCell)
-        cell._fill(ivs[:axis] + ((lo, hi),) + ivs[axis + 1:])
-        return cell
+        return BoxCell(_replaced(self.intervals, axis, lo, hi))
 
     def face(self, axis: int, side: str) -> "BoxCell":
         lo, hi = self.intervals[axis]
         v = lo if side == "lo" else hi
-        return self._replaced(axis, v, v)
+        return self.replace(axis, v, v)
 
     def id_token(self) -> str:
-        parts = []
-        for lo, hi in self.intervals:
-            parts.append(str(lo) if lo == hi else f"{lo}..{hi}")
-        return f"b{self.dim}[" + ";".join(parts) + "]"
+        return _token(self.intervals, str)
 
     def __repr__(self) -> str:
-        parts = []
-        for lo, hi in self.intervals:
-            parts.append(f"{{{lo}}}" if lo == hi else f"[{lo},{hi}]")
-        return "x".join(parts)
+        return "x".join(f"{{{lo}}}" if lo == hi else f"[{lo},{hi}]" for lo, hi in self.intervals)
 
 
-def _split_intervals(lo: Fraction, hi: Fraction, cuts: Sequence[Fraction],
-                     index: Mapping[Fraction, int]):
+def _numerators(cell: BoxCell, den: int) -> Key:
+    # the cell's key over den, a multiple of every endpoint's denominator
+    return tuple((lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
+                 for lo, hi in cell.intervals)
+
+
+def _replaced(key: Key, axis: int, lo: int, hi: int) -> Key:
+    return key[:axis] + ((lo, hi),) + key[axis + 1:]
+
+
+def _split_intervals(lo, hi, cuts: Sequence, index: Mapping):
     """The pieces of [lo, hi] between consecutive cuts.
 
     cuts is sorted and contains lo and hi; index maps each cut to its
@@ -135,56 +145,66 @@ def _split_intervals(lo: Fraction, hi: Fraction, cuts: Sequence[Fraction],
 class BoxChain:
     """An integer-coefficient chain of k-dimensional box cells in R^n."""
 
-    __slots__ = ("ambient_dim", "dim", "_items")
+    __slots__ = ("ambient_dim", "dim", "den", "_items")
 
     def __init__(self, ambient_dim: int, dim: int,
-                 items: Union[Mapping[BoxCell, int], Iterable[tuple[BoxCell, int]]]):
+                 items: Union[Mapping[BoxCell, int], Iterable[tuple[BoxCell, int]]],
+                 den: Optional[int] = None):
         # dim may formally exceed the ambient dimension by one: the sweep of a
         # top-dimensional chain lives there and is necessarily empty, since no
-        # cell can extend in more axes than the space has.
+        # cell can extend in more axes than the space has.  With den given,
+        # items are (key, coefficient) pairs over den built by this module.
         if dim < 0 or dim > ambient_dim + 1:
             raise PreconditionError(f"chain dimension {dim} not in [0, {ambient_dim + 1}]")
         if isinstance(items, Mapping):
             items = items.items()
-        merged: dict[BoxCell, int] = {}
-        for cell, g in items:
-            if not isinstance(g, int):
-                raise PreconditionError(f"integer coefficient expected, got {g!r}")
-            if g == 0:
-                continue
-            if cell.ambient_dim != ambient_dim:
-                raise PreconditionError(
-                    f"cell {cell!r} lives in R^{cell.ambient_dim}, chain in R^{ambient_dim}")
-            if cell.dim != dim:
-                raise PreconditionError(
-                    f"cell {cell!r} has dimension {cell.dim}, chain has dimension {dim}")
-            merged[cell] = merged.get(cell, 0) + g
-        merged = {c: g for c, g in merged.items() if g != 0}
+        if den is None:
+            items = list(items)
+            for cell, g in items:
+                if not isinstance(g, int):
+                    raise PreconditionError(f"integer coefficient expected, got {g!r}")
+                if g and cell.ambient_dim != ambient_dim:
+                    raise PreconditionError(
+                        f"cell {cell!r} lives in R^{cell.ambient_dim}, chain in R^{ambient_dim}")
+                if g and cell.dim != dim:
+                    raise PreconditionError(
+                        f"cell {cell!r} has dimension {cell.dim}, chain has dimension {dim}")
+            items = [(cell, g) for cell, g in items if g]
+            den = math.lcm(*{v.denominator for cell, _ in items for iv in cell.intervals
+                             for v in iv})
+            items = [(_numerators(cell, den), g) for cell, g in items]
+        merged: dict[Key, int] = {}
+        for key, g in items:
+            merged[key] = merged.get(key, 0) + g
+        merged = {key: g for key, g in merged.items() if g}
         self.ambient_dim = ambient_dim
         self.dim = dim
+        self.den = den
         self._items = self._canonicalize(merged) if merged else {}
 
-    def _canonicalize(self, merged: dict[BoxCell, int]) -> dict[BoxCell, int]:
-        cuts = [sorted({v for cell in merged for v in cell.intervals[j]})
-                for j in range(self.ambient_dim)]
+    def _canonicalize(self, merged: dict[Key, int]) -> dict[Key, int]:
+        cuts = [sorted({v for key in merged for v in key[j]}) for j in range(self.ambient_dim)]
         index = [{v: i for i, v in enumerate(c)} for c in cuts]
-        out: dict[BoxCell, int] = {}
-        for cell, g in merged.items():
-            per_axis = [_split_intervals(lo, hi, cuts[j], index[j])
-                        for j, (lo, hi) in enumerate(cell.intervals)]
-            if all(len(pieces) == 1 for pieces in per_axis):
-                out[cell] = out.get(cell, 0) + g
+        out: dict[Key, int] = {}
+        for key, g in merged.items():
+            if all(lo == hi or at[hi] - at[lo] == 1 for (lo, hi), at in zip(key, index)):
+                out[key] = out.get(key, 0) + g
                 continue
-            for combo in itertools.product(*per_axis):
-                piece = BoxCell(combo)
+            per_axis = [_split_intervals(lo, hi, cuts[j], index[j])
+                        for j, (lo, hi) in enumerate(key)]
+            for piece in itertools.product(*per_axis):
                 out[piece] = out.get(piece, 0) + g
-        return {c: g for c, g in out.items() if g != 0}
+        return {key: g for key, g in out.items() if g}
 
     def items(self) -> list[tuple[BoxCell, int]]:
-        return sorted(self._items.items())
+        # numerators over one positive den sort as the Fractions they stand for
+        coords = {v: Fraction(v, self.den) for v in _values(self._items)}
+        return [(BoxCell._from_key(key, coords), g) for key, g in sorted(self._items.items())]
 
     def coefficient(self, cell: BoxCell) -> int:
-        return self._items.get(cell, 0)
+        if any((v * self.den).denominator != 1 for iv in cell.intervals for v in iv):
+            return 0
+        return self._items.get(_numerators(cell, self.den), 0)
 
     def is_zero(self) -> bool:
         return not self._items
@@ -208,20 +228,28 @@ class BoxChain:
             raise PreconditionError("box chains live in different spaces or dimensions")
 
     def __add__(self, other: "BoxChain") -> "BoxChain":
-        self._same_space(other)
-        items = list(self._items.items()) + list(other._items.items())
-        return BoxChain(self.ambient_dim, self.dim, items)
+        return _combine((1, self), (1, other))
 
     def __sub__(self, other: "BoxChain") -> "BoxChain":
-        return self + (-other)
+        return _combine((1, self), (-1, other))
 
-    def _with_items(self, items: dict[BoxCell, int]) -> "BoxChain":
+    def _with_items(self, items: dict[Key, int], den: Optional[int] = None) -> "BoxChain":
         # a chain in this chain's space from an item map already canonical
         chain = BoxChain.__new__(BoxChain)
         chain.ambient_dim = self.ambient_dim
         chain.dim = self.dim
+        chain.den = self.den if den is None else den
         chain._items = items
         return chain
+
+    def _rescaled(self, den: int) -> "BoxChain":
+        # the same chain over den, a multiple of self.den; scaling every
+        # coordinate alike keeps the item map canonical
+        if den == self.den:
+            return self
+        f = den // self.den
+        return self._with_items({tuple((lo * f, hi * f) for lo, hi in key): g
+                                 for key, g in self._items.items()}, den)
 
     def _scaled(self, n: int) -> "BoxChain":
         # n * self for a nonzero integer n: the cells, and so the cut sets,
@@ -240,16 +268,15 @@ class BoxChain:
     def boundary(self) -> "BoxChain":
         if self.dim == 0:
             raise PreconditionError("0-dimensional chains have no boundary")
-        items = [(face, sign * g) for cell, g in self._items.items()
-                 for face, sign in _boundary_items(cell)]
-        return BoxChain(self.ambient_dim, self.dim - 1, items)
+        items = [(face, sign * g) for key, g in self._items.items()
+                 for face, sign in _faces(key)]
+        return BoxChain(self.ambient_dim, self.dim - 1, items, self.den)
 
     def mass(self) -> Fraction:
-        return sum((abs(g) * cell.volume for cell, g in self._items.items()), Fraction(0))
+        return _measure(self, abs)
 
     def mass_p(self, p: int) -> Fraction:
-        return sum((norm_mod_p(g, p) * cell.volume for cell, g in self._items.items()),
-                   Fraction(0))
+        return _measure(self, lambda g: norm_mod_p(g, p))
 
     def reduce_mod_p(self, p: int) -> "BoxChain":
         # dropping the cells whose residue is 0 only removes cuts, so the
@@ -261,7 +288,8 @@ class BoxChain:
         """All interval endpoints of the chain's cells on one axis, sorted."""
         if not 0 <= axis < self.ambient_dim:
             raise PreconditionError(f"axis {axis} out of range for R^{self.ambient_dim}")
-        return tuple(sorted({v for cell in self._items for v in cell.intervals[axis]}))
+        return tuple(Fraction(v, self.den)
+                     for v in sorted({v for key in self._items for v in key[axis]}))
 
     def restrict(self, axis: int, r, side: str = "below") -> "BoxChain":
         """Restriction to the half-space x_axis < r (or > r with side="above").
@@ -277,20 +305,16 @@ class BoxChain:
             raise PreconditionError(
                 f"level {r} hits a face on axis {axis}; perturb r"
                 f" (e.g. to {_suggest_level(vals, r)})")
-        items = []
-        for cell, g in self._items.items():
-            lo, hi = cell.intervals[axis]
-            if side == "below":
-                if hi < r:
-                    items.append((cell, g))
-                elif lo < r < hi:
-                    items.append((cell._replaced(axis, lo, r), g))
-            else:
-                if lo > r:
-                    items.append((cell, g))
-                elif lo < r < hi:
-                    items.append((cell._replaced(axis, r, hi), g))
-        return BoxChain(self.ambient_dim, self.dim, items)
+        chain = self._rescaled(math.lcm(self.den, r.denominator))
+        level = r.numerator * (chain.den // r.denominator)
+        below, items = side == "below", []
+        for key, g in chain._items.items():
+            lo, hi = key[axis]
+            if hi < level if below else lo > level:
+                items.append((key, g))
+            elif lo < level < hi:
+                items.append((_replaced(key, axis, *((lo, level) if below else (level, hi))), g))
+        return BoxChain(self.ambient_dim, self.dim, items, chain.den)
 
     def slice(self, axis: int, r) -> "BoxChain":
         """The codimension-1 slice at level r on one axis.
@@ -320,6 +344,25 @@ class BoxChain:
 
     def __repr__(self) -> str:
         return f"BoxChain(n={self.ambient_dim}, dim={self.dim}, cells={len(self._items)})"
+
+
+def _combine(*terms: tuple[int, BoxChain]) -> BoxChain:
+    """The sum of n * chain over the terms, canonicalized once over the LCM."""
+    first = terms[0][1]
+    for _, chain in terms:
+        first._same_space(chain)
+    den = math.lcm(*(chain.den for _, chain in terms))
+    items = [(key, n * g) for n, chain in terms for key, g in chain._rescaled(den)._items.items()]
+    return BoxChain(first.ambient_dim, first.dim, items, den)
+
+
+def _measure(chain: BoxChain, weight: Callable[[int], int], axes: Sequence[int] = ()) -> Fraction:
+    """The sum of weight(g) * volume over the cells extended in every axis of axes."""
+    total = 0
+    for key, g in chain._items.items():
+        if all(key[a][0] < key[a][1] for a in axes):
+            total += weight(g) * math.prod(hi - lo for lo, hi in key if lo < hi)
+    return Fraction(total, chain.den ** chain.dim)
 
 
 def _suggest_level(vals: Sequence[Fraction], r: Fraction) -> Fraction:
@@ -356,17 +399,9 @@ def grid_chain(n: int, k: int, region: Sequence, scale,
         steps.append((lo, int((hi - lo) / scale)))
     items = []
     for dirs in itertools.combinations(range(n), k):
-        per_axis = []
-        for j, (lo, count) in enumerate(steps):
-            if j in dirs:
-                if count == 0:
-                    per_axis.append([])
-                else:
-                    per_axis.append([(lo + t * scale, lo + (t + 1) * scale)
-                                     for t in range(count)])
-            else:
-                per_axis.append([(lo + t * scale, lo + t * scale)
-                                 for t in range(count + 1)])
+        per_axis = [[(lo + t * scale, lo + (t + 1) * scale) for t in range(count)] if j in dirs
+                    else [(lo + t * scale, lo + t * scale) for t in range(count + 1)]
+                    for j, (lo, count) in enumerate(steps)]
         for combo in itertools.product(*per_axis):
             cell = BoxCell(tuple(combo))
             g = coefficient(cell) if callable(coefficient) else coefficient
@@ -399,9 +434,7 @@ def slice_mass_integral(chain: BoxChain, axes: Sequence[int], p: int) -> Fractio
     for axis in axes:
         if not 0 <= axis < chain.ambient_dim:
             raise PreconditionError(f"axis {axis} out of range for R^{chain.ambient_dim}")
-    wanted = set(axes)
-    return sum((norm_mod_p(g, p) * cell.volume for cell, g in chain._items.items()
-                if wanted.issubset(cell.directions)), Fraction(0))
+    return _measure(chain, lambda g: norm_mod_p(g, p), axes)
 
 
 def slice_mass_star(chain: BoxChain, p: int) -> Fraction:
@@ -420,24 +453,27 @@ def slice_mass_star(chain: BoxChain, p: int) -> Fraction:
 
 # -- compilation to abstract complexes ------------------------------------
 
-def _boundary_items(cell: BoxCell) -> list[tuple[BoxCell, int]]:
+def _faces(key: Key) -> list[tuple[Key, int]]:
     items = []
-    for i, axis in enumerate(cell.directions, start=1):
-        sign = 1 if i % 2 == 1 else -1
-        items.append((cell.face(axis, "hi"), sign))
-        items.append((cell.face(axis, "lo"), -sign))
+    sign = 1
+    for axis, (lo, hi) in enumerate(key):
+        if lo < hi:
+            items.append((_replaced(key, axis, hi, hi), sign))
+            items.append((_replaced(key, axis, lo, lo), -sign))
+            sign = -sign
     return items
 
 
-def _build_complex(cells: Iterable[BoxCell]) -> Complex:
+def _build_complex(keys: Iterable[Key], den: int, text: Callable[[int], str]) -> Complex:
     by_dim: dict[int, dict[str, tuple]] = {}
-    for cell in cells:
-        token = cell.id_token()
-        layer = by_dim.setdefault(cell.dim, {})
+    for key in keys:
+        token = _token(key, text)
+        dim = len(_directions(key))
+        layer = by_dim.setdefault(dim, {})
         if token in layer:
             continue
-        bdry = [(f.id_token(), s) for f, s in _boundary_items(cell)] if cell.dim else []
-        vol = cell.volume if cell.dim else 1
+        bdry = [(_token(f, text), s) for f, s in _faces(key)]
+        vol = Fraction(math.prod(hi - lo for lo, hi in key if lo < hi), den ** dim) if dim else 1
         layer[token] = (token, vol, bdry)
     data = {d: sorted(layer.values()) for d, layer in by_dim.items()}
     return Complex(data)
@@ -445,17 +481,17 @@ def _build_complex(cells: Iterable[BoxCell]) -> Complex:
 
 def compile_chain(chain: BoxChain) -> tuple[Complex, IntChain]:
     """The chain's cells plus all iterated faces, as an abstract complex."""
-    seen: set[BoxCell] = set()
-    frontier = [cell for cell, _ in chain.items()]
+    seen: set[Key] = set()
+    frontier = list(chain._items)
     while frontier:
-        cell = frontier.pop()
-        if cell in seen:
+        key = frontier.pop()
+        if key in seen:
             continue
-        seen.add(cell)
-        if cell.dim:
-            frontier.extend(f for f, _ in _boundary_items(cell))
-    cx = _build_complex(seen)
-    coeffs = {cell.id_token(): g for cell, g in chain.items()}
+        seen.add(key)
+        frontier.extend(f for f, _ in _faces(key))
+    text = {v: str(Fraction(v, chain.den)) for v in _values(chain._items)}.__getitem__
+    cx = _build_complex(seen, chain.den, text)
+    coeffs = {_token(key, text): g for key, g in sorted(chain._items.items())}
     return cx, IntChain(cx, chain.dim, coeffs)
 
 
@@ -471,29 +507,25 @@ def arrangement_complex(chain: BoxChain, subdivide: int = 1) -> tuple[Complex, I
         raise PreconditionError(f"subdivision factor must be an integer >= 1, got {subdivide!r}")
     if chain.is_zero():
         return compile_chain(chain)
-    n = chain.ambient_dim
+    chain = chain._rescaled(chain.den * subdivide)
     lattices = []
-    for j in range(n):
-        vals = list(chain.axis_values(j))
+    for j in range(chain.ambient_dim):
+        vals = sorted({v for key in chain._items for v in key[j]})
         fine = []
         for lo, hi in itertools.pairwise(vals):
-            fine.extend(lo + t * (hi - lo) / subdivide for t in range(subdivide))
+            fine.extend(range(lo, hi, (hi - lo) // subdivide))
         fine.append(vals[-1])
         lattices.append(fine)
-    per_axis_cells = []
-    for vals in lattices:
-        cells = [(v, v) for v in vals]
-        cells += [(lo, hi) for lo, hi in itertools.pairwise(vals)]
-        per_axis_cells.append(sorted(cells))
-    all_cells = [BoxCell(combo) for combo in itertools.product(*per_axis_cells)]
-    cx = _build_complex(all_cells)
+    per_axis_cells = [[(v, v) for v in vals] + list(itertools.pairwise(vals)) for vals in lattices]
+    text = {v: str(Fraction(v, chain.den)) for fine in lattices for v in fine}.__getitem__
+    cx = _build_complex(itertools.product(*per_axis_cells), chain.den, text)
     coeffs: dict[str, int] = {}
     index = [{v: i for i, v in enumerate(c)} for c in lattices]
-    for cell, g in chain.items():
+    for key, g in sorted(chain._items.items()):
         per_axis = [_split_intervals(lo, hi, lattices[j], index[j])
-                    for j, (lo, hi) in enumerate(cell.intervals)]
+                    for j, (lo, hi) in enumerate(key)]
         for combo in itertools.product(*per_axis):
-            token = BoxCell(combo).id_token()
+            token = _token(combo, text)
             coeffs[token] = coeffs.get(token, 0) + g
     out = IntChain(cx, chain.dim, coeffs)
     return cx, out
@@ -551,57 +583,57 @@ class DeformationResult(Frozen):
                            self.eta * self._relaxed_mass(self.original))
 
 
-def _round_value(v: Fraction, eta: Fraction, rho: Fraction) -> Fraction:
-    q = v / eta
-    fl = math.floor(q)
-    frac = q - fl
-    if frac == rho:
-        raise InternalDefectError(f"threshold collision at {v} escaped the precheck")
-    return eta * (fl if frac < rho else fl + 1)
+def _round_value(v: int, grid: int, cut: int) -> int:
+    # the grid point v rounds to: up when its offset in its grid cell passes cut
+    q, offset = divmod(v, grid)
+    if offset == cut:
+        raise InternalDefectError(f"threshold collision at numerator {v} escaped the precheck")
+    return grid * (q if offset < cut else q + 1)
 
 
-def _push_round(chain: BoxChain, axis: int, eta: Fraction, rho: Fraction) -> BoxChain:
+def _on_grid(chain: BoxChain, eta: Fraction, rhos: Sequence[Fraction]) -> tuple[BoxChain, int]:
+    # chain over the coarsest lattice where eta and each rho * eta are integers, and eta there
+    den = math.lcm(chain.den, eta.denominator, *((r * eta).denominator for r in rhos))
+    return chain._rescaled(den), eta.numerator * (den // eta.denominator)
+
+
+def _push_round(chain: BoxChain, axis: int, grid: int, cut: int) -> BoxChain:
     items = []
-    for cell, g in chain._items.items():
-        lo, hi = cell.intervals[axis]
-        rlo, rhi = _round_value(lo, eta, rho), _round_value(hi, eta, rho)
+    for key, g in chain._items.items():
+        lo, hi = key[axis]
+        rlo, rhi = _round_value(lo, grid, cut), _round_value(hi, grid, cut)
         if lo < hi and rlo == rhi:
             continue
-        items.append((cell._replaced(axis, rlo, rhi), g))
-    return BoxChain(chain.ambient_dim, chain.dim, items)
+        items.append((_replaced(key, axis, rlo, rhi), g))
+    return BoxChain(chain.ambient_dim, chain.dim, items, chain.den)
 
 
-def _sweep(chain: BoxChain, axis: int, eta: Fraction, rho: Fraction) -> BoxChain:
+def _sweep(chain: BoxChain, axis: int, grid: int, cut: int) -> BoxChain:
     """The chain-homotopy prisms of the rounding map on one axis.
 
     Only cells degenerate in the axis sweep out anything; a cell already
     extended there traces a region of its own dimension, a zero chain.
     """
     items = []
-    for cell, g in chain._items.items():
-        lo, hi = cell.intervals[axis]
+    for key, g in chain._items.items():
+        lo, hi = key[axis]
         if lo < hi:
             continue
-        target = _round_value(lo, eta, rho)
+        target = _round_value(lo, grid, cut)
         if target == lo:
             continue
-        pos = sorted(set(cell.directions) | {axis}).index(axis) + 1
-        if target > lo:
-            sign = 1 if pos % 2 == 1 else -1
-            swept = cell._replaced(axis, lo, target)
-        else:
-            sign = -1 if pos % 2 == 1 else 1
-            swept = cell._replaced(axis, target, lo)
-        items.append((swept, sign * g))
-    return BoxChain(chain.ambient_dim, chain.dim + 1, items)
+        # the swept axis comes after the directions below it in the wedge
+        sign = -1 if sum(a < b for a, b in key[:axis]) % 2 else 1
+        items.append((_replaced(key, axis, min(lo, target), max(lo, target)),
+                      sign * g if target > lo else -sign * g))
+    return BoxChain(chain.ambient_dim, chain.dim + 1, items, chain.den)
 
 
 def _axis_denominators(chain: BoxChain, eta: Fraction) -> list[int]:
-    denoms = []
-    for j in range(chain.ambient_dim):
-        vals = chain.axis_values(j)
-        denoms.append(math.lcm(*((v / eta).denominator for v in vals)) if vals else 1)
-    return denoms
+    # per axis, the lcm of the denominators of v / eta over its coordinates v
+    top = (eta * chain.den).numerator
+    return [top // math.gcd(top, *{v for key in chain._items for v in key[j]})
+            for j in range(chain.ambient_dim)]
 
 
 def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
@@ -640,27 +672,35 @@ def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
                 if (v / eta) % 1 == r:
                     raise PreconditionError(
                         f"threshold {r} on axis {j} collides with coordinate {v}")
-
-    current = chain
+    # every candidate (2t + 1) / (2m) of the search has the lattice of t = 0
+    current, grid = _on_grid(chain, eta, [Fraction(1, 2 * m) for m in denoms]
+                             if optimize_thresholds else thresholds)
     original_bd = chain.boundary() if chain.dim >= 1 else None
     sweep_total = BoxChain(n, chain.dim + 1, {})
     boundary_sweep_total = BoxChain(n, chain.dim, {})
     chosen = []
     for j in range(n):
         if optimize_thresholds:
-            candidates = [Fraction(2 * t + 1, 2 * denoms[j]) for t in range(denoms[j])]
-            r_j = min(candidates, key=lambda r: (_push_round(current, j, eta, r).mass(), r))
+            # thresholds between the same two fractional parts round alike,
+            # so the least midpoint above each part (and t = 0) stand for all
+            m = denoms[j]
+            starts = {0} | {v % grid * m // grid for key in current._items for v in key[j]}
+            r_j = min((Fraction(2 * t + 1, 2 * m) for t in starts),
+                      key=lambda r: (_push_round(current, j, grid, int(r * grid)).mass(), r))
         else:
             r_j = thresholds[j]
         chosen.append(r_j)
-        prism = _sweep(current, j, eta, r_j)
-        rounded = _push_round(current, j, eta, r_j)
+        cut = int(r_j * grid)
+        prism = _sweep(current, j, grid, cut)
+        rounded = _push_round(current, j, grid, cut)
         if original_bd is None:
             edge = BoxChain(n, chain.dim, {})
         else:
-            edge = _sweep(original_bd if j == 0 else current.boundary(), j, eta, r_j)
-        if rounded - current != prism.boundary() + edge:
+            bd = original_bd._rescaled(current.den) if j == 0 else current.boundary()
+            edge = _sweep(bd, j, grid, cut)
+        if not _combine((1, rounded), (-1, current), (-1, prism.boundary()), (-1, edge)).is_zero():
             raise InternalDefectError(f"homotopy identity failed on axis {j}")
+        # summed step by step: canonical item maps depend on the order
         sweep_total = sweep_total + prism
         boundary_sweep_total = boundary_sweep_total + edge
         current = rounded
@@ -681,21 +721,21 @@ def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
 
 def _check_deformation(res: DeformationResult) -> None:
     t, p_chain = res.original, res.rounded
-    recomposed = p_chain + res.boundary_sweep + res.chain_sweep.boundary()
-    if recomposed != t:
+    if not _combine((1, p_chain), (1, res.boundary_sweep), (1, res.chain_sweep.boundary()),
+                    (-1, t)).is_zero():
         raise InternalDefectError("deformation identity T = P + U + dQ failed")
-    for cell, _ in p_chain.items():
-        for lo, hi in cell.intervals:
-            if (lo / res.eta).denominator != 1 or (hi / res.eta).denominator != 1:
-                raise InternalDefectError("rounded chain left the coarse grid")
+    step = res.eta * p_chain.den  # the coarse grid's step in p_chain's numerators
+    if any(v * step.denominator % step.numerator for key in p_chain._items for iv in key
+           for v in iv):
+        raise InternalDefectError("rounded chain left the coarse grid")
     if t.dim >= 1:
         t_bd, p_bd = res.original_boundary, p_chain.boundary()
-        rounded_boundary = t_bd
+        rounded_boundary, grid = _on_grid(t_bd, res.eta, res.rho)
         for j, r_j in enumerate(res.rho):
-            rounded_boundary = _push_round(rounded_boundary, j, res.eta, r_j)
+            rounded_boundary = _push_round(rounded_boundary, j, grid, int(r_j * grid))
         if p_bd != rounded_boundary:
             raise InternalDefectError("boundary of the rounded chain is not the rounded boundary")
-        if res.boundary_sweep.boundary() != t_bd - p_bd:
+        if not _combine((1, res.boundary_sweep.boundary()), (-1, t_bd), (1, p_bd)).is_zero():
             raise InternalDefectError("boundary sweep does not account for the boundary defect")
         if t_bd.is_zero() and not res.boundary_sweep.is_zero():
             raise InternalDefectError("cycle input produced a nonzero boundary sweep")

@@ -159,6 +159,7 @@ def _parse_box(body) -> BoxChain:
 
     shape = {"ambient": None, "dim": None}
     items = []
+    numbers: dict[str, Fraction] = {}  # cells share coordinates: parse each text once
     for no, line in body:
         tokens = line.split()
         if tokens[0] in shape:
@@ -167,7 +168,8 @@ def _parse_box(body) -> BoxChain:
             if len(tokens) < 4 or len(tokens) % 2 != 0:
                 raise ParseError(no, "expected `cell lo1 hi1 ... coeff`")
             coeff = _integer(tokens[-1], no)
-            bounds = [_number(t, no) for t in tokens[1:-1]]
+            bounds = [numbers[t] if t in numbers else numbers.setdefault(t, _number(t, no))
+                      for t in tokens[1:-1]]
             cell = BoxCell(tuple((bounds[i], bounds[i + 1])
                                  for i in range(0, len(bounds), 2)))
             if shape["ambient"] is not None and cell.ambient_dim != shape["ambient"]:

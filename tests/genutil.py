@@ -6,7 +6,7 @@ seed; nothing here touches the global RNG state.
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -111,6 +111,158 @@ def cross_section(chain, axis, r):
         sign = 1 if below % 2 == 0 else -1
         items.append((cell.replace(axis, r, r), sign * g))
     return BoxChain(chain.ambient_dim, chain.dim - 1, items)
+
+
+# ---------------------------------------------------------------------------
+# literal Fraction reference of the box calculus
+#
+# A reference chain is a dict from interval tuples of Fractions to nonzero
+# coefficients, built by the definitions alone: split every cell at every
+# endpoint of the chain on each axis, merge, drop zeros.  BoxChain keeps
+# integer numerators over one denominator instead; these functions pin it
+# to the Fraction arithmetic it stands for.
+
+
+def ref_chain(items):
+    """Canonical reference chain of (intervals, coefficient) pairs."""
+    merged = {}
+    for ivs, g in items:
+        ivs = tuple((Fraction(lo), Fraction(hi)) for lo, hi in ivs)
+        merged[ivs] = merged.get(ivs, 0) + g
+    merged = {c: g for c, g in merged.items() if g}
+    if not merged:
+        return {}
+    n = len(next(iter(merged)))
+    cuts = [sorted({v for c in merged for v in c[j]}) for j in range(n)]
+    out = {}
+    for c, g in merged.items():
+        per_axis = [[(lo, hi)] if lo == hi
+                    else list(itertools.pairwise([v for v in cuts[j] if lo <= v <= hi]))
+                    for j, (lo, hi) in enumerate(c)]
+        for piece in itertools.product(*per_axis):
+            out[piece] = out.get(piece, 0) + g
+    return {c: g for c, g in out.items() if g}
+
+
+def mixed_coord(rng):
+    """A coordinate of denominator 1, 2, 3 or 7, a decimal text or a float."""
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice([0.1, 0.3, 1.7])  # counted at its binary value
+    if kind < 0.2:
+        return rng.choice(["0.1", "1.25", "0.7"])
+    d = rng.choice([1, 2, 3, 7])
+    return Fraction(rng.randint(0, 2 * d), d)
+
+
+def mixed_box_items(rng, n, k, max_cells=4, coord=mixed_coord):
+    """(intervals, coefficient) pairs of k-cells whose coordinates mix types."""
+    items = []
+    for _ in range(rng.randint(1, max_cells)):
+        dirs = set(rng.sample(range(n), k))
+        intervals = []
+        for j in range(n):
+            a = coord(rng)
+            if j not in dirs:
+                intervals.append((a, a))
+                continue
+            b = coord(rng)
+            while Fraction(b) == Fraction(a):
+                b = coord(rng)
+            intervals.append((a, b) if Fraction(a) < Fraction(b) else (b, a))
+        items.append((tuple(intervals), rng.choice([-2, -1, 1, 2, 3])))
+    return items
+
+
+def ref_of(chain):
+    return ref_chain((c.intervals, g) for c, g in chain.items())
+
+
+def ref_sum(*chains):
+    """Reference sum, canonicalized once over all the summands' cuts."""
+    return ref_chain(item for ref in chains for item in ref.items())
+
+
+def ref_neg(ref):
+    return {c: -g for c, g in ref.items()}
+
+
+def ref_boundary(ref):
+    items = []
+    for c, g in ref.items():
+        sign = 1
+        for j, (lo, hi) in enumerate(c):
+            if lo < hi:
+                items.append((c[:j] + ((hi, hi),) + c[j + 1:], sign * g))
+                items.append((c[:j] + ((lo, lo),) + c[j + 1:], -sign * g))
+                sign = -sign
+    return ref_chain(items)
+
+
+def ref_restrict(ref, axis, r, side="below"):
+    r = Fraction(r)
+    items = []
+    for c, g in ref.items():
+        lo, hi = c[axis]
+        if (hi < r) if side == "below" else (lo > r):
+            items.append((c, g))
+        elif lo < r < hi:
+            piece = (lo, r) if side == "below" else (r, hi)
+            items.append((c[:axis] + (piece,) + c[axis + 1:], g))
+    return ref_chain(items)
+
+
+def ref_slice(ref, axis, r):
+    return ref_sum(ref_boundary(ref_restrict(ref, axis, r)),
+                   ref_neg(ref_restrict(ref_boundary(ref), axis, r)))
+
+
+def ref_round(v, eta, rho):
+    q = v / eta
+    fl = q.numerator // q.denominator
+    return eta * (fl if q - fl < rho else fl + 1)
+
+
+def ref_push_round(ref, axis, eta, rho):
+    items = []
+    for c, g in ref.items():
+        lo, hi = c[axis]
+        rlo, rhi = ref_round(lo, eta, rho), ref_round(hi, eta, rho)
+        if not (lo < hi and rlo == rhi):
+            items.append((c[:axis] + ((rlo, rhi),) + c[axis + 1:], g))
+    return ref_chain(items)
+
+
+def ref_volume(c):
+    return prod((hi - lo for lo, hi in c if lo < hi), start=Fraction(1))
+
+
+def ref_mass(ref):
+    return sum((abs(g) * ref_volume(c) for c, g in ref.items()), Fraction(0))
+
+
+def ref_mass_p(ref, p):
+    return sum((min(g % p, -g % p) * ref_volume(c) for c, g in ref.items()), Fraction(0))
+
+
+def ref_token(c):
+    parts = [str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in c]
+    return f"b{sum(lo < hi for lo, hi in c)}[" + ";".join(parts) + "]"
+
+
+def ref_optimized_thresholds(ref, n, eta):
+    """The --optimize thresholds by brute force: per axis, every midpoint
+    (2t + 1) / (2m) of the fine lattice, m the lcm of the denominators of
+    v / eta, is tried on the chain rounded so far; least (mass, rho) wins."""
+    eta = Fraction(eta)
+    denoms = [lcm(*((v / eta).denominator for c in ref for v in c[j])) for j in range(n)]
+    chosen = []
+    for j, m in enumerate(denoms):
+        rho = min((Fraction(2 * t + 1, 2 * m) for t in range(m)),
+                  key=lambda r: (ref_mass(ref_push_round(ref, j, eta, r)), r))
+        chosen.append(rho)
+        ref = ref_push_round(ref, j, eta, rho)
+    return tuple(chosen), ref
 
 
 # ---------------------------------------------------------------------------

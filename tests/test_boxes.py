@@ -1,6 +1,7 @@
 """Box chains: construction, restriction, slicing, slice-mass integrals."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,18 @@ from flatchains import (
 from genutil import (
     cross_section,
     generic_level,
+    mixed_box_items,
     random_box_chain,
+    ref_boundary,
+    ref_chain,
+    ref_mass,
+    ref_mass_p,
+    ref_neg,
+    ref_push_round,
+    ref_restrict,
+    ref_slice,
+    ref_sum,
+    ref_token,
     slice_mass_integral_oracle,
 )
 
@@ -472,3 +484,87 @@ def test_arrangement_complex_has_fillings(rng):
     assert cx.validate().ok
     with pytest.raises(PreconditionError):
         arrangement_complex(t, subdivide=0)
+
+
+# ---------------------------------------------------------------------------
+# the integer lattice against the literal Fraction reference
+
+def box_chain(n, k, items):
+    return BoxChain(n, k, [(BoxCell(ivs), g) for ivs, g in items])
+
+
+def assert_matches(chain, ref):
+    cells = sorted(ref)
+    assert chain.items() == [(BoxCell(c), ref[c]) for c in cells]
+    assert [c.id_token() for c, _ in chain.items()] == [ref_token(c) for c in cells]
+    assert chain.mass() == ref_mass(ref)
+    for p in (2, 3):
+        assert chain.mass_p(p) == ref_mass_p(ref, p)
+
+
+def new_level(rng, chain, axis):
+    # a level off the chain's lattice: its denominator occurs in no coordinate
+    while True:
+        r = Fraction(rng.randint(-2, 30), rng.choice([11, 13]))
+        if r not in chain.axis_values(axis):
+            return r
+
+
+def test_integer_lattice_matches_the_fraction_reference(rng):
+    for _ in range(60):
+        n = rng.choice([1, 2, 3])
+        k = rng.randint(0, n)
+        a_items, b_items = mixed_box_items(rng, n, k), mixed_box_items(rng, n, k)
+        a, ref_a = box_chain(n, k, a_items), ref_chain(a_items)
+        b, ref_b = box_chain(n, k, b_items), ref_chain(b_items)
+        assert_matches(a, ref_a)
+        # sums of chains whose denominators differ rescale to one lattice
+        assert_matches(a + b, ref_sum(ref_a, ref_b))
+        assert_matches(a - b, ref_sum(ref_a, ref_neg(ref_b)))
+        _, compiled = compile_chain(a)
+        assert dict(compiled.items()) == {ref_token(c): g for c, g in ref_a.items()}
+        if k:
+            assert_matches(a.boundary(), ref_boundary(ref_a))
+        for axis in range(n):
+            r = new_level(rng, a, axis)
+            for side in ("below", "above"):
+                assert_matches(a.restrict(axis, r, side), ref_restrict(ref_a, axis, r, side))
+            if k:
+                assert_matches(a.slice(axis, r), ref_slice(ref_a, axis, r))
+        # a coarse scale and thresholds of new denominators push-round exactly
+        eta = rng.choice([1, Fraction(1, 2), Fraction(2, 5), Fraction(3, 11)])
+        rho = [Fraction(rng.randint(1, 12), 13) for _ in range(n)]
+        ref_rounded = ref_a
+        for axis, r in enumerate(rho):
+            ref_rounded = ref_push_round(ref_rounded, axis, Fraction(eta), r)
+        assert_matches(deform(a, eta, rho=rho).rounded, ref_rounded)
+
+
+def primes(count):
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if all(candidate % q for q in found):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+def test_distinct_prime_denominators_stay_exact():
+    # 40 squares along the diagonal, each overlapping the next, every
+    # coordinate with a prime denominator of its own
+    pool = iter(primes(160))
+    items = [(tuple((i + Fraction(1, next(pool)), i + 1 + Fraction(1, next(pool)))
+                    for _ in range(2)), (-1) ** i * (1 + i % 3)) for i in range(40)]
+    t, ref = box_chain(2, 2, items), ref_chain(items)
+    lattice = math.lcm(*(v.denominator for axis in (0, 1) for v in t.axis_values(axis)))
+    assert lattice > 2 ** 300
+    assert_matches(t, ref)
+    assert_matches(t.boundary(), ref_boundary(ref))
+    for axis, r in ((0, Fraction(7, 3)), (1, Fraction(9, 4))):
+        assert_matches(t.restrict(axis, r), ref_restrict(ref, axis, r))
+        assert_matches(t.slice(axis, r), ref_slice(ref, axis, r))
+    assert_matches(t - t, {})
+    rho = Fraction(5, 12)  # no coordinate has a composite denominator
+    res = deform(t, 1, rho=rho)
+    assert_matches(res.rounded, ref_push_round(ref_push_round(ref, 0, 1, rho), 1, 1, rho))

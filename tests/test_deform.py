@@ -1,11 +1,19 @@
 """Coordinate-rounding deformation onto a coarse grid."""
 
+import contextlib
+import io
+import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from flatchains import BoxCell, BoxChain, PreconditionError, deform, grid_chain
-from genutil import random_box_chain
+from flatchains.cli import main
+from genutil import random_box_chain, ref_of, ref_optimized_thresholds
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -62,6 +70,35 @@ def test_threshold_search_can_cancel_a_small_cycle():
     assert res.boundary_sweep.is_zero()
     assert res.chain_sweep == square
     assert res.chain_sweep.boundary() == t
+
+
+def test_threshold_search_matches_a_full_scan(rng):
+    # the search tries one midpoint per fractional part; scanning every
+    # midpoint of the fine lattice must choose the same thresholds
+    for _ in range(60):
+        n = rng.choice([1, 2, 3])
+        k = rng.randint(0, n)
+        t = random_box_chain(rng, n, k, max_cells=4, denom=rng.choice([2, 3, 4, 6, 10]))
+        eta = rng.choice([1, Fraction(1, 2), 2])
+        res = deform(t, eta, optimize_thresholds=True)
+        rho, rounded = ref_optimized_thresholds(ref_of(t), n, eta)
+        assert res.rho == rho
+        assert ref_of(res.rounded) == rounded
+
+
+def test_threshold_search_is_bounded_by_the_fractional_parts():
+    # coordinates over the prime 999983: a scan of every fine midpoint
+    # would try 999983 thresholds on axis 1
+    argv = ["deform", str(FIXTURES / "prime_denominator.chain"), "--eta", "1",
+            "--optimize", "--json"]
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(argv)
+    assert time.perf_counter() - start < 2
+    assert rc == 0
+    doc = json.loads(out.getvalue())["result"]
+    assert doc["rho"] == ["1/2", "3/1999966"]
+    assert doc["rounded"]["items"] == [["b1[0..1;0]", 1]]
 
 
 def test_zero_chain_deforms_to_zero():

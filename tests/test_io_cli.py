@@ -522,3 +522,47 @@ def test_random_abstract_files_never_hit_a_defect(fuzz_file, text, command):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         rc = main([command[0], str(fuzz_file), *command[1:], "--json"])
     assert rc in (0, 2), out.getvalue()
+
+
+@st.composite
+def box_chain_files(draw):
+    """Text of a small box chain file, valid or not: up to three cells with
+    reversed or degenerate intervals, mixed denominators and zero
+    coefficients, and ambient and dim lines that may be missing or wrong."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n))
+    coord = st.sampled_from(["0", "1", "2", "-1", "1/2", "2/3", "3/7", "0.1", "5/4"])
+    lines = ["chainfile 1 box"]
+    if draw(st.booleans()):
+        lines.append(f"ambient {draw(st.sampled_from([n, n, n - 1, n + 1]))}")
+    if draw(st.booleans()):
+        lines.append(f"dim {draw(st.sampled_from([k, k, k, n - k]))}")
+    for _ in range(draw(st.integers(0, 3))):
+        dirs = draw(st.permutations(range(n)))[:k]
+        bounds = []
+        for j in range(n):
+            lo, hi = draw(coord), draw(coord)
+            if j not in dirs:
+                hi = lo
+            elif draw(st.integers(0, 5)):  # mostly in order, sometimes reversed
+                lo, hi = sorted((lo, hi), key=Fraction)
+            bounds += [lo, hi]
+        lines.append(f"cell {' '.join(bounds)} {draw(st.integers(-2, 2))}")
+    return "\n".join(lines) + "\n"
+
+
+@given(text=box_chain_files(), axis=st.sampled_from([0, 0, 1, 2, 3]),
+       level=st.sampled_from(["0", "1/2", "2/3", "1/3", "3/11", "0.1", "-1"]),
+       command=st.sampled_from([["validate"], ["mass"], ["boundary"], ["slicestar", "--p", "2"],
+                                ["slicestar", "--p", "3"], ["restrict"], ["slice"],
+                                ["deform", "--eta", "1"], ["deform", "--eta", "1/2"],
+                                ["deform", "--eta", "1", "--optimize"],
+                                ["deform", "--eta", "2/3", "--optimize"]]))
+def test_random_box_files_never_hit_a_defect(fuzz_file, text, axis, level, command):
+    # rejected input exits 2; exit 1 would be an internal defect
+    fuzz_file.write_text(text)
+    if command[0] in ("restrict", "slice"):
+        command = [*command, "--axis", str(axis), "--r", level]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main([command[0], str(fuzz_file), *command[1:], "--json"])
+    assert rc in (0, 2), out.getvalue()
