@@ -57,6 +57,17 @@ def _token(intervals, text: Callable) -> str:
     return f"b{len(_directions(intervals))}[" + ";".join(parts) + "]"
 
 
+def _show(intervals) -> str:
+    return "x".join(f"{{{lo}}}" if lo == hi else f"[{lo},{hi}]" for lo, hi in intervals)
+
+
+def _ordered(intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
+    for lo, hi in intervals:
+        if lo > hi:
+            raise PreconditionError(f"interval [{lo}, {hi}] is reversed")
+    return intervals
+
+
 def _values(keys: Iterable[Key]) -> set[int]:
     return {v for key in keys for iv in key for v in iv}
 
@@ -70,10 +81,7 @@ class BoxCell(Frozen):
     """
 
     def __init__(self, intervals: tuple[Interval, ...]):
-        fixed = tuple((as_fraction(lo), as_fraction(hi)) for lo, hi in intervals)
-        for lo, hi in fixed:
-            if lo > hi:
-                raise PreconditionError(f"interval [{lo}, {hi}] is reversed")
+        fixed = _ordered(tuple((as_fraction(lo), as_fraction(hi)) for lo, hi in intervals))
         vars(self).update(intervals=fixed, directions=_directions(fixed))
 
     @classmethod
@@ -118,13 +126,44 @@ class BoxCell(Frozen):
         return _token(self.intervals, str)
 
     def __repr__(self) -> str:
-        return "x".join(f"{{{lo}}}" if lo == hi else f"[{lo},{hi}]" for lo, hi in self.intervals)
+        return _show(self.intervals)
 
 
-def _numerators(cell: BoxCell, den: int) -> Key:
-    # the cell's key over den, a multiple of every endpoint's denominator
+def _numerators(intervals: tuple[Interval, ...], den: int) -> Key:
+    # the key over den, a multiple of every endpoint's denominator
     return tuple((lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
-                 for lo, hi in cell.intervals)
+                 for lo, hi in intervals)
+
+
+def _check_dim(ambient_dim: int, dim: int) -> None:
+    # dim may formally exceed the ambient dimension by one: the sweep of a
+    # top-dimensional chain lives there and is necessarily empty, since no
+    # cell can extend in more axes than the space has
+    if dim < 0 or dim > ambient_dim + 1:
+        raise PreconditionError(f"chain dimension {dim} not in [0, {ambient_dim + 1}]")
+
+
+def _keyed(ambient_dim: int, dim: int,
+           items: Iterable[tuple[tuple[Interval, ...], int]]) -> tuple[list[tuple[Key, int]], int]:
+    """(key, coefficient) pairs of the nonzero items and their den, the
+    lcm of the endpoints' denominators, from (intervals, coefficient)
+    pairs of Fraction endpoints; checks the chain and every cell."""
+    _check_dim(ambient_dim, dim)
+    kept = []
+    for intervals, g in items:
+        if not isinstance(g, int):
+            raise PreconditionError(f"integer coefficient expected, got {g!r}")
+        if not g:
+            continue
+        if len(intervals) != ambient_dim:
+            raise PreconditionError(
+                f"cell {_show(intervals)} lives in R^{len(intervals)}, chain in R^{ambient_dim}")
+        if (k := len(_directions(intervals))) != dim:
+            raise PreconditionError(
+                f"cell {_show(intervals)} has dimension {k}, chain has dimension {dim}")
+        kept.append((intervals, g))
+    den = math.lcm(*{v.denominator for intervals, _ in kept for iv in intervals for v in iv})
+    return [(_numerators(intervals, den), g) for intervals, g in kept], den
 
 
 def _replaced(key: Key, axis: int, lo: int, hi: int) -> Key:
@@ -150,29 +189,14 @@ class BoxChain:
     def __init__(self, ambient_dim: int, dim: int,
                  items: Union[Mapping[BoxCell, int], Iterable[tuple[BoxCell, int]]],
                  den: Optional[int] = None):
-        # dim may formally exceed the ambient dimension by one: the sweep of a
-        # top-dimensional chain lives there and is necessarily empty, since no
-        # cell can extend in more axes than the space has.  With den given,
-        # items are (key, coefficient) pairs over den built by this module.
-        if dim < 0 or dim > ambient_dim + 1:
-            raise PreconditionError(f"chain dimension {dim} not in [0, {ambient_dim + 1}]")
+        # With den given, items are (key, coefficient) pairs over den built
+        # by this module or by the box file parser from _keyed.
         if isinstance(items, Mapping):
             items = items.items()
         if den is None:
-            items = list(items)
-            for cell, g in items:
-                if not isinstance(g, int):
-                    raise PreconditionError(f"integer coefficient expected, got {g!r}")
-                if g and cell.ambient_dim != ambient_dim:
-                    raise PreconditionError(
-                        f"cell {cell!r} lives in R^{cell.ambient_dim}, chain in R^{ambient_dim}")
-                if g and cell.dim != dim:
-                    raise PreconditionError(
-                        f"cell {cell!r} has dimension {cell.dim}, chain has dimension {dim}")
-            items = [(cell, g) for cell, g in items if g]
-            den = math.lcm(*{v.denominator for cell, _ in items for iv in cell.intervals
-                             for v in iv})
-            items = [(_numerators(cell, den), g) for cell, g in items]
+            items, den = _keyed(ambient_dim, dim, ((cell.intervals, g) for cell, g in items))
+        else:
+            _check_dim(ambient_dim, dim)
         merged: dict[Key, int] = {}
         for key, g in items:
             merged[key] = merged.get(key, 0) + g
@@ -204,7 +228,7 @@ class BoxChain:
     def coefficient(self, cell: BoxCell) -> int:
         if any((v * self.den).denominator != 1 for iv in cell.intervals for v in iv):
             return 0
-        return self._items.get(_numerators(cell, self.den), 0)
+        return self._items.get(_numerators(cell.intervals, self.den), 0)
 
     def is_zero(self) -> bool:
         return not self._items
@@ -575,7 +599,8 @@ class DeformationResult(Frozen):
 
     @property
     def ratio_boundary_sweep(self) -> Fraction:
-        return self._ratio(self.boundary_sweep.mass(), self.eta * self._boundary_mass())
+        return self._ratio(self._relaxed_mass(self.boundary_sweep),
+                           self.eta * self._boundary_mass())
 
     @property
     def ratio_chain_sweep(self) -> Fraction:

@@ -9,6 +9,15 @@ outright: a piece supported on a lower-dimensional set contributes
 nothing, and this is also why coning twice from the same apex gives
 zero.
 
+A chain keeps its vertices as integer numerators over one positive
+denominator, `den`, shared by all its simplices: a simplex is keyed by
+the tuple of its vertices' numerator tuples, and numerators over a
+positive den sort as the Fractions they stand for.  Each canonical
+simplex's Gram determinant is computed once, when the chain is built,
+by fraction-free (Bareiss) elimination on the integer Gram matrix; the
+degeneracy test, mass, mass_p and the cone report all reuse it.
+Fractions appear only at the public surface: Simplex and its vertices.
+
 The boundary-of-cone identity holds as formal sums whenever the apex is
 generic, meaning no cone cell degenerates.  An apex inside the affine
 span of some cell still produces a correct chain, but the dropped
@@ -20,37 +29,108 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (Frozen, PreconditionError, InternalDefectError, as_fraction, norm_mod_p,
                    _check_modulus)
 
 Point = tuple[Fraction, ...]
+Key = tuple[tuple[int, ...], ...]  # a simplex's vertex numerators over its chain's den
+Cell = tuple[Key, int, int]  # canonical key, coefficient, Gram determinant over den
 
 
 def _as_point(v) -> Point:
     return tuple(as_fraction(c) for c in v)
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    # exact Gaussian elimination; matrices here are tiny
-    m = [row[:] for row in rows]
-    size = len(m)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, size):
-            factor = m[r][col] / inv
-            for c in range(col, size):
-                m[r][c] -= factor * m[col][c]
-    return det
+def _check_vertices(pts: tuple[Point, ...]) -> None:
+    if not pts:
+        raise PreconditionError("a simplex needs at least one vertex")
+    n = len(pts[0])
+    if any(len(v) != n for v in pts):
+        raise PreconditionError("simplex vertices live in different dimensions")
+    if len(pts) - 1 > n:
+        raise PreconditionError(f"a {len(pts) - 1}-simplex does not fit in dimension {n}")
+
+
+def _numerators(pts: Iterable[Point], den: int) -> Key:
+    # the points over den, a multiple of every coordinate's denominator
+    return tuple(tuple(c.numerator * (den // c.denominator) for c in v) for v in pts)
+
+
+def _keyed(pairs: list[tuple[tuple[Point, ...], int]]) -> tuple[list[tuple[Key, int]], int]:
+    """(key, coefficient) pairs from (points, coefficient) pairs of
+    Fractions, over den, the lcm of every coordinate's denominator; and den."""
+    den = math.lcm(*{c.denominator for pts, _ in pairs for v in pts for c in v})
+    return [(_numerators(pts, den), g) for pts, g in pairs], den
+
+
+def _coords(keys: Iterable[Key], den: int) -> dict[int, Fraction]:
+    # every numerator of the keys, mapped to its Fraction over den
+    return {c: Fraction(c, den) for c in {c for key in keys for v in key for c in v}}
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Each division is exact (Sylvester's identity), so every entry stays
+    an integer; rows is overwritten.  The empty matrix has determinant 1.
+    """
+    size = len(rows)
+    sign, prev = 1, 1
+    for col in range(size - 1):
+        if rows[col][col] == 0:
+            pivot = next((r for r in range(col + 1, size) if rows[r][col]), None)
+            if pivot is None:
+                return 0
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        top, piv = rows[col], rows[col][col]
+        for row in rows[col + 1:]:
+            f = row[col]
+            for c in range(col + 1, size):
+                row[c] = (row[c] * piv - f * top[c]) // prev
+        prev = piv
+    return sign * rows[-1][-1] if size else 1
+
+
+def _gram_det(key: Key) -> int:
+    """det of the Gram matrix of the edge vectors from the first vertex.
+
+    Over den the squared volume of a k-simplex is this over
+    den^(2k) (k!)^2; it is 0 exactly when the simplex is degenerate.
+    """
+    v0 = key[0]
+    edges = [[a - b for a, b in zip(v, v0)] for v in key[1:]]
+    return _det([[sum(a * b for a, b in zip(u, w)) for w in edges] for u in edges])
+
+
+def _scale(den: int, dim: int) -> int:
+    # squared volume = Gram determinant over den / _scale(den, dim)
+    return den ** (2 * dim) * math.factorial(dim) ** 2
+
+
+def _canonical(key: Key) -> tuple[Key, int]:
+    """Vertex-sorted key and the sign of the sorting permutation."""
+    order = sorted(range(len(key)), key=key.__getitem__)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return tuple(key[i] for i in order), -1 if inversions % 2 else 1
+
+
+def _cells(pairs: Iterable[tuple[Key, int]]) -> tuple[Cell, ...]:
+    """Canonical cells of (key, coefficient) pairs: vertices sorted with
+    the sign folded into the coefficient, equal keys merged, and zero
+    coefficients and degenerate simplices dropped."""
+    merged: dict[Key, int] = {}
+    for key, g in pairs:
+        key, sign = _canonical(key)
+        merged[key] = merged.get(key, 0) + sign * g
+    cells = []
+    for key in sorted(merged):
+        g = merged[key]
+        if g and (det := _gram_det(key)):
+            cells.append((key, g, det))
+    return tuple(cells)
 
 
 class Simplex(Frozen):
@@ -60,15 +140,14 @@ class Simplex(Frozen):
 
     def __init__(self, vertices: tuple[Point, ...]):
         pts = tuple(_as_point(v) for v in vertices)
+        _check_vertices(pts)
         vars(self).update(vertices=pts)
-        if not pts:
-            raise PreconditionError("a simplex needs at least one vertex")
-        n = len(pts[0])
-        if any(len(v) != n for v in pts):
-            raise PreconditionError("simplex vertices live in different dimensions")
-        if self.dim > n:
-            raise PreconditionError(
-                f"a {self.dim}-simplex does not fit in dimension {n}")
+
+    @classmethod
+    def _from_key(cls, key: Key, coords: Mapping[int, Fraction]) -> "Simplex":
+        simplex = object.__new__(cls)
+        vars(simplex).update(vertices=tuple(tuple(coords[c] for c in v) for v in key))
+        return simplex
 
     @property
     def ambient_dim(self) -> int:
@@ -81,12 +160,8 @@ class Simplex(Frozen):
     @property
     def volume_squared(self) -> Fraction:
         """Exact squared volume: det(Gram)/(k!)^2 with edge vectors from v0."""
-        v0 = self.vertices[0]
-        edges = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-        if not edges:
-            return Fraction(1)
-        gram = [[sum(a * b for a, b in zip(u, w)) for w in edges] for u in edges]
-        return _det(gram) / (math.factorial(self.dim) ** 2)
+        den = math.lcm(*(c.denominator for v in self.vertices for c in v))
+        return Fraction(_gram_det(_numerators(self.vertices, den)), _scale(den, self.dim))
 
     @property
     def volume(self) -> float:
@@ -99,15 +174,8 @@ class Simplex(Frozen):
 
     def canonical(self) -> tuple["Simplex", int]:
         """Vertex-sorted copy and the sign of the sorting permutation."""
-        order = sorted(range(len(self.vertices)), key=lambda i: self.vertices[i])
-        sign = 1
-        perm = list(order)
-        for i in range(len(perm)):
-            while perm[i] != i:
-                j = perm[i]
-                perm[i], perm[j] = perm[j], perm[i]
-                sign = -sign
-        return Simplex(tuple(self.vertices[i] for i in order)), sign
+        vertices, sign = _canonical(self.vertices)
+        return Simplex(vertices), sign
 
     def face(self, drop: int) -> "Simplex":
         return Simplex(self.vertices[:drop] + self.vertices[drop + 1:])
@@ -120,42 +188,47 @@ class Simplex(Frozen):
 class SimplicialChain:
     """Formal integer combination of same-dimension simplices."""
 
-    __slots__ = ("ambient_dim", "dim", "_items")
+    __slots__ = ("ambient_dim", "dim", "den", "_cells")
 
-    def __init__(self, ambient_dim: int, dim: int, items: Sequence = ()):
+    def __init__(self, ambient_dim: int, dim: int, items: Sequence = (),
+                 den: Optional[int] = None):
+        # With den given, items are (key, coefficient) pairs: vertex
+        # numerators over den, in any vertex order.
         if dim < 0 or dim > ambient_dim:
             raise PreconditionError(f"dimension {dim} invalid in ambient {ambient_dim}")
-        merged: dict[tuple, tuple[Simplex, int]] = {}
-        for simplex, g in items:
-            if not isinstance(simplex, Simplex):
-                simplex = Simplex(tuple(simplex))
-            if not isinstance(g, int) or isinstance(g, bool):
-                raise PreconditionError(f"coefficient {g!r} is not an integer")
-            if simplex.dim != dim or simplex.ambient_dim != ambient_dim:
-                raise PreconditionError(
-                    f"simplex {simplex!r} does not match a {dim}-chain in dimension {ambient_dim}")
-            if simplex.degenerate:
-                continue
-            canon, sign = simplex.canonical()
-            key = canon.vertices
-            old = merged.get(key)
-            merged[key] = (canon, (old[1] if old else 0) + sign * g)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_items", tuple(
-            (s, g) for _, (s, g) in sorted(merged.items()) if g != 0))
+        if den is None:
+            pairs = []
+            for simplex, g in items:
+                if not isinstance(simplex, Simplex):
+                    simplex = Simplex(tuple(simplex))
+                _check_item(simplex.vertices, g, ambient_dim, dim, None)
+                pairs.append((simplex.vertices, g))
+            items, den = _keyed(pairs)
+        else:
+            items = list(items)
+            for key, g in items:
+                _check_item(key, g, ambient_dim, dim, den)
+        _init(self, ambient_dim, dim, den, _cells(items))
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialChain is immutable")
 
     def items(self) -> tuple[tuple[Simplex, int], ...]:
-        return self._items
+        coords = _coords((key for key, _, _ in self._cells), self.den)
+        return tuple((Simplex._from_key(key, coords), g) for key, g, _ in self._cells)
 
     def is_zero(self) -> bool:
-        return not self._items
+        return not self._cells
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._cells)
+
+    def _terms(self, den: int) -> list[tuple[Key, int]]:
+        # (key, coefficient) pairs over den, a multiple of self.den
+        f = den // self.den
+        if f == 1:
+            return [(key, g) for key, g, _ in self._cells]
+        return [(tuple(tuple(c * f for c in v) for v in key), g) for key, g, _ in self._cells]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialChain):
@@ -164,7 +237,8 @@ class SimplicialChain:
             return False
         if self.is_zero() and other.is_zero():
             return True
-        return self.dim == other.dim and self._items == other._items
+        den = math.lcm(self.den, other.den)
+        return self.dim == other.dim and self._terms(den) == other._terms(den)
 
     __hash__ = None
 
@@ -175,7 +249,9 @@ class SimplicialChain:
                 not self.is_zero() and not other.is_zero() and self.dim != other.dim):
             raise PreconditionError("cannot add chains of different shape")
         dim = other.dim if self.is_zero() else self.dim
-        return SimplicialChain(self.ambient_dim, dim, self._items + other._items)
+        den = math.lcm(self.den, other.den)
+        return _chain(self.ambient_dim, dim, den,
+                      _cells(self._terms(den) + other._terms(den)))
 
     def __sub__(self, other: "SimplicialChain") -> "SimplicialChain":
         return self + (-1) * other
@@ -186,32 +262,73 @@ class SimplicialChain:
     def __rmul__(self, g: int) -> "SimplicialChain":
         if not isinstance(g, int) or isinstance(g, bool):
             return NotImplemented
-        return SimplicialChain(self.ambient_dim, self.dim,
-                               [(s, g * c) for s, c in self._items])
+        # the keys and their determinants stay; g = 0 drops every cell
+        return _chain(self.ambient_dim, self.dim, self.den,
+                      tuple((key, g * c, det) for key, c, det in self._cells if g))
+
+    def _volumes(self) -> list[float]:
+        # sqrt of an int ratio: int true division rounds correctly, so this
+        # is the float of the exact squared volume's square root
+        scale = _scale(self.den, self.dim)
+        return [math.sqrt(det / scale) for _, _, det in self._cells]
 
     def mass(self) -> float:
-        return float(sum(abs(g) * s.volume for s, g in self._items))
+        return float(sum(abs(g) * vol for (_, g, _), vol in zip(self._cells, self._volumes())))
 
     def mass_p(self, p: int) -> float:
         _check_modulus(p)
-        return float(sum(norm_mod_p(g, p) * s.volume for s, g in self._items))
+        return float(sum(norm_mod_p(g, p) * vol
+                         for (_, g, _), vol in zip(self._cells, self._volumes())))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return f"SimplicialChain(0; dim {self.dim} in R^{self.ambient_dim})"
-        body = " + ".join(f"{g}*{s!r}" for s, g in self._items)
+        body = " + ".join(f"{g}*{s!r}" for s, g in self.items())
         return f"SimplicialChain({body})"
+
+
+def _check_item(vertices, g, ambient_dim: int, dim: int, den: Optional[int]) -> None:
+    # vertices are Fractions, or numerators over den when den is given
+    if not isinstance(g, int) or isinstance(g, bool):
+        raise PreconditionError(f"coefficient {g!r} is not an integer")
+    if len(vertices) != dim + 1 or len(vertices[0]) != ambient_dim:
+        simplex = Simplex(vertices) if den is None else Simplex._from_key(
+            vertices, _coords((vertices,), den))
+        raise PreconditionError(
+            f"simplex {simplex!r} does not match a {dim}-chain in dimension {ambient_dim}")
+
+
+def _init(chain: SimplicialChain, ambient_dim: int, dim: int, den: int,
+          cells: tuple[Cell, ...]) -> None:
+    for name, value in (("ambient_dim", ambient_dim), ("dim", dim), ("den", den),
+                        ("_cells", cells)):
+        object.__setattr__(chain, name, value)
+
+
+def _chain(ambient_dim: int, dim: int, den: int, cells: tuple[Cell, ...]) -> SimplicialChain:
+    # a chain from cells already canonical over den
+    chain = SimplicialChain.__new__(SimplicialChain)
+    _init(chain, ambient_dim, dim, den, cells)
+    return chain
 
 
 def boundary_simplicial(T: SimplicialChain) -> SimplicialChain:
     """Alternating sum of vertex-dropped faces; squares to zero."""
     if T.dim < 1:
         raise PreconditionError("0-dimensional chains have no boundary")
-    items = []
-    for simplex, g in T.items():
-        for i in range(len(simplex.vertices)):
-            items.append((simplex.face(i), g if i % 2 == 0 else -g))
-    return SimplicialChain(T.ambient_dim, T.dim - 1, items)
+    faces = [(key[:i] + key[i + 1:], g if i % 2 == 0 else -g)
+             for key, g, _ in T._cells for i in range(len(key))]
+    return _chain(T.ambient_dim, T.dim - 1, T.den, _cells(faces))
+
+
+def _apex(x, T: SimplicialChain) -> tuple[tuple[int, ...], int]:
+    """The apex's numerators over the lcm of its and T's denominators, and that lcm."""
+    apex = _as_point(x)
+    if len(apex) != T.ambient_dim:
+        raise PreconditionError(
+            f"apex lives in dimension {len(apex)}, chain in {T.ambient_dim}")
+    den = math.lcm(T.den, *(c.denominator for c in apex))
+    return _numerators((apex,), den)[0], den
 
 
 def cone(x, T: SimplicialChain) -> SimplicialChain:
@@ -221,15 +338,12 @@ def cone(x, T: SimplicialChain) -> SimplicialChain:
     formal sums (for 0-chains the subtrahend is (Σ coefficients)·[x]).
     An apex in the affine span of a cell degenerates that cell away.
     """
-    apex = _as_point(x)
-    if len(apex) != T.ambient_dim:
-        raise PreconditionError(
-            f"apex lives in dimension {len(apex)}, chain in {T.ambient_dim}")
+    apex, den = _apex(x, T)
     if T.dim + 1 > T.ambient_dim:
         raise PreconditionError(
             f"no room for a {T.dim + 1}-chain in dimension {T.ambient_dim}")
-    return SimplicialChain(T.ambient_dim, T.dim + 1,
-                           [(Simplex((apex,) + s.vertices), g) for s, g in T.items()])
+    return _chain(T.ambient_dim, T.dim + 1, den,
+                  _cells(((apex,) + key, g) for key, g in T._terms(den)))
 
 
 class ConeMassReport(NamedTuple):
@@ -245,11 +359,11 @@ def cone_mass_report(x, T: SimplicialChain, p: Optional[int] = None) -> ConeMass
     lies in that ball by convexity, so the cone of each cell has mass at
     most radius times the cell's mass, integrally and mod p alike.
     """
-    apex = _as_point(x)
     coned = cone(x, T)
+    apex, den = _apex(x, T)
     r_sq = max((sum((a - b) ** 2 for a, b in zip(v, apex))
-                for s, _ in T.items() for v in s.vertices), default=Fraction(0))
-    r = math.sqrt(r_sq.numerator / r_sq.denominator)
+                for key, _ in T._terms(den) for v in key), default=0)
+    r = math.sqrt(r_sq / den ** 2)
     base, cone_mass = T.mass(), coned.mass()
     tol = 1e-9 * (1 + r * base)
     if cone_mass > r * base + tol:

@@ -31,6 +31,7 @@ whenever no merge doubles an index.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from typing import Sequence
 
@@ -104,44 +105,50 @@ def preprocess(system: CurveSystem) -> tuple[CurveSystem, PreprocessTrace]:
     Pairs are merged lowest current position first, repeatedly, until no
     item's end equals any item's start; the trace lifts every result on
     the reduced system back to the original items.
+
+    A merge keeps the first item's start, replaces its end by the
+    second's and removes the second, so no start value is ever added and
+    an item with no partner never gains one.  The scan therefore moves
+    forward once over the positions, finding partners through a map from
+    start point to the live items that start there, in position order.
     """
-    work = [(it.start, it.end, it.mass, (it.index,)) for it in system.items]
     loops: list[tuple[int, ...]] = []
     events: list[tuple] = []
-    while True:
-        kept = []
-        for start, end, mass, src in work:
-            if start == end:
-                loops.append(src)
-                events.append(("loop", src))
-            else:
-                kept.append((start, end, mass, src))
-        work = kept
-        pair = None
-        for i in range(len(work)):
-            for j in range(len(work)):
-                if i != j and work[i][1] == work[j][0]:
-                    pair = (i, j)
-                    break
-            if pair:
+    work = []  # [start, end, mass, sources]; None once merged away or looped
+    for it in system.items:
+        if it.start == it.end:
+            loops.append((it.index,))
+            events.append(("loop", (it.index,)))
+        else:
+            work.append([it.start, it.end, it.mass, (it.index,)])
+    starting: dict[str, deque[int]] = {}
+    for pos, (start, _, _, _) in enumerate(work):
+        starting.setdefault(start, deque()).append(pos)
+    for i, item in enumerate(work):
+        while item is not None:
+            queue = starting.get(item[1])
+            while queue and work[queue[0]] is None:
+                queue.popleft()
+            if not queue:
                 break
-        if pair is None:
-            break
-        i, j = pair
-        si, ei, mi, srci = work[i]
-        sj, ej, mj, srcj = work[j]
-        events.append(("concat", srci, srcj))
-        work[i] = (si, ej, mi + mj, srci + srcj)
-        del work[j]
+            j = queue.popleft()  # never i: a live item's start differs from its end
+            _, end, mass, src = work[j]
+            work[j] = None
+            events.append(("concat", item[3], src))
+            item[1:] = end, item[2] + mass, item[3] + src
+            if item[0] == item[1]:
+                loops.append(item[3])
+                events.append(("loop", item[3]))
+                work[i] = item = None
+    work = [item for item in work if item is not None]
     items = tuple(CurveItem(pos, s, e, m)
                   for pos, (s, e, m, _) in enumerate(work, start=1))
     trace = PreprocessTrace(tuple(src for _, _, _, src in work),
                             tuple(loops), tuple(events))
     reduced = CurveSystem(items)
-    for a in items:
-        for b in items:
-            if a.end == b.start:
-                raise InternalDefectError("preprocessing left an end equal to a start")
+    starts = {item.start for item in items}
+    if any(item.end in starts for item in items):
+        raise InternalDefectError("preprocessing left an end equal to a start")
     return reduced, trace
 
 

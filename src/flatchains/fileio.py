@@ -85,11 +85,8 @@ class ChainFile(Frozen):
 
 
 def parse_chainfile(text: str) -> ChainFile:
-    lines = []
-    for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((no, stripped))
+    lines = [(no, line) for no, line in enumerate(map(str.strip, text.splitlines()), start=1)
+             if line and not line.startswith("#")]
     if not lines:
         raise ParseError(1, "empty file")
     no, header = lines[0]
@@ -142,20 +139,19 @@ def _parse_shape(tokens, no, shape):
     shape[tokens[0]] = value
 
 
-def _resolve_shape(shape, items, body, carrier) -> tuple[int, int]:
-    """Ambient and chain dimension: the file's lines, else the first item's."""
-    if items:
-        ambient = shape["ambient"] if shape["ambient"] is not None else items[0][0].ambient_dim
-        dim = shape["dim"] if shape["dim"] is not None else items[0][0].dim
-        return ambient, dim
-    if shape["ambient"] is None or shape["dim"] is None:
+def _resolve_shape(shape, first, body, carrier) -> tuple[int, int]:
+    """Ambient and chain dimension: the file's lines, else first, the first item's."""
+    ambient, dim = shape["ambient"], shape["dim"]
+    if first:
+        return first[0] if ambient is None else ambient, first[1] if dim is None else dim
+    if ambient is None or dim is None:
         raise ParseError(body[-1][0] if body else 1,
                          f"an empty {carrier} chain needs ambient and dim lines")
-    return shape["ambient"], shape["dim"]
+    return ambient, dim
 
 
 def _parse_box(body) -> BoxChain:
-    from .boxes import BoxCell, BoxChain
+    from .boxes import BoxChain, _keyed, _ordered
 
     shape = {"ambient": None, "dim": None}
     items = []
@@ -170,14 +166,15 @@ def _parse_box(body) -> BoxChain:
             coeff = _integer(tokens[-1], no)
             bounds = [numbers[t] if t in numbers else numbers.setdefault(t, _number(t, no))
                       for t in tokens[1:-1]]
-            cell = BoxCell(tuple((bounds[i], bounds[i + 1])
-                                 for i in range(0, len(bounds), 2)))
-            if shape["ambient"] is not None and cell.ambient_dim != shape["ambient"]:
-                raise ParseError(no, f"cell has {cell.ambient_dim} axes, ambient is {shape['ambient']}")
-            items.append((cell, coeff))
+            intervals = _ordered(tuple(zip(bounds[::2], bounds[1::2])))
+            if shape["ambient"] is not None and len(intervals) != shape["ambient"]:
+                raise ParseError(no, f"cell has {len(intervals)} axes, ambient is {shape['ambient']}")
+            items.append((intervals, coeff))
         else:
             raise ParseError(no, f"unexpected {tokens[0]!r} in a box file")
-    return BoxChain(*_resolve_shape(shape, items, body, "box"), items)
+    first = items and (len(items[0][0]), sum(lo != hi for lo, hi in items[0][0]))
+    ambient, dim = _resolve_shape(shape, first, body, "box")
+    return BoxChain(ambient, dim, *_keyed(ambient, dim, items))
 
 
 def _parse_curves(body) -> CurveSystem:
@@ -201,10 +198,11 @@ def _parse_curves(body) -> CurveSystem:
 
 
 def _parse_simplicial(body) -> SimplicialChain:
-    from .cone import Simplex, SimplicialChain
+    from .cone import SimplicialChain, _check_vertices, _keyed
 
     shape = {"ambient": None, "dim": None}
     items = []
+    numbers: dict[str, Fraction] = {}  # simplices share vertices: parse each text once
     for no, line in body:
         tokens = line.split()
         if tokens[0] in shape:
@@ -214,14 +212,16 @@ def _parse_simplicial(body) -> SimplicialChain:
             if len(fields) < 2 or not all(fields):
                 raise ParseError(no, "expected `simplex v0 ; v1 ; ... ; coeff`")
             coeff = _integer(fields[-1], no)
-            vertices = tuple(tuple(_number(c.strip(), no) for c in f.split(","))
-                             for f in fields[:-1])
+            vertices = tuple(tuple(numbers[t] if t in numbers else numbers.setdefault(
+                t, _number(t, no)) for t in map(str.strip, f.split(","))) for f in fields[:-1])
             if len({len(v) for v in vertices}) > 1:
                 raise ParseError(no, "vertices have mixed coordinate counts")
-            items.append((Simplex(vertices), coeff))
+            _check_vertices(vertices)
+            items.append((vertices, coeff))
         else:
             raise ParseError(no, f"unexpected {tokens[0]!r} in a simplicial file")
-    return SimplicialChain(*_resolve_shape(shape, items, body, "simplicial"), items)
+    first = items and (len(items[0][0][0]), len(items[0][0]) - 1)
+    return SimplicialChain(*_resolve_shape(shape, first, body, "simplicial"), *_keyed(items))
 
 
 def _parse_abstract(body) -> tuple[Complex, IntChain]:

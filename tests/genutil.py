@@ -5,6 +5,7 @@ seed; nothing here touches the global RNG state.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import lcm, prod
 
@@ -14,9 +15,11 @@ from flatchains import (
     BoxCell,
     BoxChain,
     Complex,
+    CurveItem,
     CurveSystem,
     ModPChain,
     PreconditionError,
+    PreprocessTrace,
     Simplex,
     SimplicialChain,
     arrangement_complex,
@@ -506,6 +509,36 @@ def random_curve_system(rng, p, max_groups=4, point_pool=6):
     return CurveSystem.from_triples(triples)
 
 
+def ref_preprocess(system):
+    """Curve preprocessing by the definition: after dropping the loops,
+    rescan every ordered pair for the lowest position i whose end is the
+    start of some other item, then the lowest such j; merge, repeat."""
+    work = [(it.start, it.end, it.mass, (it.index,)) for it in system.items]
+    loops, events = [], []
+    while True:
+        kept = []
+        for start, end, mass, src in work:
+            if start == end:
+                loops.append(src)
+                events.append(("loop", src))
+            else:
+                kept.append((start, end, mass, src))
+        work = kept
+        pair = next(((i, j) for i in range(len(work)) for j in range(len(work))
+                     if i != j and work[i][1] == work[j][0]), None)
+        if pair is None:
+            break
+        i, j = pair
+        si, ei, mi, srci = work[i]
+        sj, ej, mj, srcj = work[j]
+        events.append(("concat", srci, srcj))
+        work[i] = (si, ej, mi + mj, srci + srcj)
+        del work[j]
+    items = tuple(CurveItem(pos, s, e, m) for pos, (s, e, m, _) in enumerate(work, start=1))
+    trace = PreprocessTrace(tuple(src for _, _, _, src in work), tuple(loops), tuple(events))
+    return CurveSystem(items), trace
+
+
 # ---------------------------------------------------------------------------
 # simplicial chains
 
@@ -537,3 +570,135 @@ def generic_apex(rng, T):
                for s, _ in T.items()):
             return x
     raise AssertionError("no generic apex found in 64 draws")
+
+
+# ---------------------------------------------------------------------------
+# literal Fraction reference of simplicial chains
+#
+# Vertices as Fraction tuples, squared volumes as Fraction Gram
+# determinants by plain Gaussian elimination, canonical order by sorting
+# the Fraction tuples.  SimplicialChain keeps integer numerators over one
+# denominator and Bareiss determinants instead; these pin it to the
+# arithmetic it stands for.  A reference chain is a list of
+# (vertices, coefficient) pairs in canonical order.
+
+
+def ref_det(rows):
+    """Exact determinant of a square Fraction matrix by Gaussian elimination."""
+    m = [row[:] for row in rows]
+    size = len(m)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, size):
+            factor = m[r][col] / m[col][col]
+            for c in range(col, size):
+                m[r][c] -= factor * m[col][c]
+    return det
+
+
+def ref_volume_squared(vertices):
+    """det(Gram)/(k!)^2 with edge vectors from the first vertex."""
+    v0 = vertices[0]
+    edges = [tuple(a - b for a, b in zip(v, v0)) for v in vertices[1:]]
+    if not edges:
+        return Fraction(1)
+    gram = [[sum(a * b for a, b in zip(u, w)) for w in edges] for u in edges]
+    return ref_det(gram) / (math.factorial(len(edges)) ** 2)
+
+
+def ref_simplex_volume(vertices):
+    sq = ref_volume_squared(vertices)
+    return math.sqrt(sq.numerator / sq.denominator)
+
+
+def ref_simplicial(items):
+    """Canonical reference chain of (vertices, coefficient) pairs: drop
+    degenerate simplices, sort vertices folding the permutation sign into
+    the coefficient, merge, drop zeros, sort."""
+    merged = {}
+    for vertices, g in items:
+        vertices = tuple(tuple(Fraction(c) for c in v) for v in vertices)
+        if len(vertices) > 1 and ref_volume_squared(vertices) == 0:
+            continue
+        order = sorted(range(len(vertices)), key=lambda i: vertices[i])
+        sign, perm = 1, list(order)
+        for i in range(len(perm)):
+            while perm[i] != i:
+                j = perm[i]
+                perm[i], perm[j] = perm[j], perm[i]
+                sign = -sign
+        key = tuple(vertices[i] for i in order)
+        merged[key] = merged.get(key, 0) + sign * g
+    return [(key, g) for key, g in sorted(merged.items()) if g]
+
+
+def ref_simplicial_mass(ref, weight=abs):
+    return float(sum(weight(g) * ref_simplex_volume(v) for v, g in ref))
+
+
+def ref_simplicial_boundary(ref):
+    return ref_simplicial((v[:i] + v[i + 1:], g if i % 2 == 0 else -g)
+                          for v, g in ref for i in range(len(v)))
+
+
+def ref_cone(x, ref):
+    apex = tuple(Fraction(c) for c in x)
+    return ref_simplicial(((apex,) + v, g) for v, g in ref)
+
+
+def ref_cone_report(x, ref, p):
+    """(cone mass, cone mass mod p, radius) as cone_mass_report computes them."""
+    apex = tuple(Fraction(c) for c in x)
+    coned = ref_cone(x, ref)
+    r_sq = max((sum((a - b) ** 2 for a, b in zip(v, apex)) for s, _ in ref for v in s),
+               default=Fraction(0))
+    radius = math.sqrt(r_sq.numerator / r_sq.denominator)
+    return (ref_simplicial_mass(coned),
+            ref_simplicial_mass(coned, lambda g: min(g % p, -g % p)), radius)
+
+
+def mixed_point(rng, n):
+    """A point whose coordinates have denominator 1, 2, 3 or 7, or are floats."""
+    coords = []
+    for _ in range(n):
+        if rng.random() < 0.08:
+            coords.append(rng.choice([0.1, 0.3, 1.7, -0.5]))  # counted at its binary value
+        else:
+            d = rng.choice([1, 2, 3, 7])
+            coords.append(Fraction(rng.randint(-3 * d, 3 * d), d))
+    return tuple(coords)
+
+
+def mixed_simplicial_items(rng, n, k, max_cells=5):
+    """(vertices, coefficient) pairs of k-simplices in R^n: mixed
+    coordinates, some degenerate cells (a repeated vertex or a vertex on
+    the span of the others), some cells repeated with permuted vertices."""
+    items = []
+    for _ in range(rng.randint(1, max_cells)):
+        vertices = [mixed_point(rng, n) for _ in range(k + 1)]
+        if k >= 1 and rng.random() < 0.15:
+            a, b = rng.sample(vertices[:-1], 2) if k >= 2 else (vertices[0], vertices[0])
+            t = Fraction(rng.randint(-2, 3), 2)
+            vertices[-1] = tuple(Fraction(x) + t * (Fraction(y) - Fraction(x))
+                                 for x, y in zip(a, b))
+        g = rng.choice([-2, -1, 1, 2, 3])
+        items.append((tuple(vertices), g))
+        if rng.random() < 0.2:
+            rng.shuffle(vertices)
+            items.append((tuple(vertices), rng.choice([-g, g, 1])))
+    return items
+
+
+def span_point(rng, vertices):
+    """A point in the affine span of the given vertices."""
+    weights = [Fraction(rng.randint(-2, 4), 3) for _ in vertices[1:]]
+    v0 = [Fraction(c) for c in vertices[0]]
+    return tuple(c + sum(w * (Fraction(v[j]) - c) for w, v in zip(weights, vertices[1:]))
+                 for j, c in enumerate(v0))

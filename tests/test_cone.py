@@ -1,19 +1,40 @@
 """Simplicial chains and coning over an apex."""
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from flatchains import (
+    ChainFile,
     PreconditionError,
     Simplex,
     SimplicialChain,
     boundary_simplicial,
     cone,
     cone_mass_report,
+    format_number,
+    parse_chainfile,
+    serialize_chainfile,
 )
-from genutil import generic_apex, random_simplicial_chain
+from flatchains.cli import _chain_doc
+from genutil import (
+    generic_apex,
+    mixed_point,
+    mixed_simplicial_items,
+    random_simplicial_chain,
+    ref_cone,
+    ref_cone_report,
+    ref_simplicial,
+    ref_simplicial_boundary,
+    ref_simplicial_mass,
+    ref_volume_squared,
+    span_point,
+)
+
+cone_module = sys.modules["flatchains.cone"]  # flatchains.cone is the function
 
 
 def seg(a, b):
@@ -145,3 +166,70 @@ def test_cone_mass_bounds_random(rng):
         tol = 1e-9 * (1 + report.radius * t.mass())
         assert report.cone_mass <= report.radius * t.mass() + tol
         assert report.cone_mass_p <= report.radius * t.mass_p(p) + tol
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the Fraction reference
+
+
+def tokens(ref):
+    return [[" ; ".join(",".join(format_number(c) for c in v) for v in vertices), g]
+            for vertices, g in ref]
+
+
+def assert_matches(chain, ref):
+    assert [(s.vertices, g) for s, g in chain.items()] == ref
+    assert _chain_doc(chain)["items"] == tokens(ref)
+    assert len(chain) == len(ref)
+    assert chain.mass() == ref_simplicial_mass(ref)
+    for p in (2, 3, 5):
+        assert chain.mass_p(p) == ref_simplicial_mass(ref, lambda g: min(g % p, -g % p))
+
+
+def test_chains_match_the_fraction_reference():
+    rng = random.Random(20141)
+    cases = cones = 0
+    while cases < 80:
+        n = rng.randint(1, 4)
+        k = rng.randint(0, n)
+        items = mixed_simplicial_items(rng, n, k)
+        for vertices, _ in items:
+            assert Simplex(vertices).volume_squared == ref_volume_squared(
+                [tuple(Fraction(c) for c in v) for v in vertices])
+        t = SimplicialChain(n, k, items)
+        ref = ref_simplicial(items)
+        assert_matches(t, ref)
+        cases += 1
+        # the parser's path: numerators straight from the file's text
+        cf = parse_chainfile(serialize_chainfile(ChainFile("simplicial", t)))
+        assert cf.payload == t
+        assert_matches(cf.payload, ref)
+        if k >= 1:
+            assert_matches(boundary_simplicial(t), ref_simplicial_boundary(ref))
+        if k < n and ref:
+            cell = rng.choice(ref)[0]
+            x = span_point(rng, cell) if rng.random() < 0.3 else mixed_point(rng, n)
+            assert_matches(cone(x, t), ref_cone(x, ref))
+            p = rng.choice([2, 3])
+            assert tuple(cone_mass_report(x, t, p)) == ref_cone_report(x, ref, p)
+            cones += 1
+    assert cones >= 30
+
+
+def test_a_determinant_per_simplex(monkeypatch):
+    # the Gram determinant of each simplex is computed once, when its
+    # chain is built: the report's masses reuse them
+    rng = random.Random(200)
+    tris = []
+    while len(tris) < 200:
+        s = Simplex(tuple(tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(3)))
+        if not s.degenerate:
+            tris.append((s, rng.choice((1, -1, 2))))
+    t = SimplicialChain(3, 2, tris)
+    apex = (Fraction(1, 3), Fraction(2, 7), Fraction(31, 5))
+    calls = []
+    det = cone_module._det
+    monkeypatch.setattr(cone_module, "_det", lambda rows: calls.append(1) or det(rows))
+    cone_mass_report(apex, t, p=3)
+    monkeypatch.undo()
+    assert len(calls) <= len(t) + len(cone(apex, t))

@@ -1,5 +1,8 @@
 """Curve systems: preprocessing, cycle extraction, path decomposition."""
 
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,7 @@ from flatchains import (
     preprocess,
     system_boundary,
 )
-from genutil import random_chain_on, random_curve_system, random_grid_complex
+from genutil import random_chain_on, random_curve_system, random_grid_complex, ref_preprocess
 
 
 def triples(*rows):
@@ -77,6 +80,47 @@ def test_preprocess_keeps_disconnected_items():
     ends = {it.end for it in reduced.items}
     starts = {it.start for it in reduced.items}
     assert not ends & starts
+
+
+def random_walks(rng, items, points):
+    """Shuffled items of random walks over a point pool: long concatenation
+    chains that close into loops or stay open."""
+    pts = [f"q{i}" for i in range(points)]
+    triples = []
+    while len(triples) < items:
+        walk = [rng.choice(pts) for _ in range(rng.randint(2, 12))]
+        triples += [(a, b, Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+                    for a, b in itertools.pairwise(walk)]
+    rng.shuffle(triples)
+    return CurveSystem.from_triples(triples[:items])
+
+
+def test_preprocess_matches_the_rescan_reference():
+    rng = random.Random(5)
+    concat_loops = 0
+    for draw in range(240):
+        if draw % 3:
+            system = random_curve_system(rng, rng.choice([2, 3, 5]), max_groups=8)
+        else:
+            system = random_walks(rng, rng.randint(1, 40), rng.randint(2, 12))
+        reduced, trace = preprocess(system)
+        ref_reduced, ref_trace = ref_preprocess(system)
+        assert reduced == ref_reduced
+        assert (trace.sources, trace.loops, trace.events) == (
+            ref_trace.sources, ref_trace.loops, ref_trace.events)
+        concat_loops += sum(len(src) > 1 for src in trace.loops)
+    assert concat_loops >= 50
+
+
+def test_preprocess_scales_to_thousands_of_items():
+    # over 2,000 merges: one forward scan takes milliseconds, a rescan of
+    # every pair after each merge tens of seconds
+    system = random_walks(random.Random(9), 4000, 1500)
+    start = time.perf_counter()
+    reduced, trace = preprocess(system)
+    assert time.perf_counter() - start < 2
+    assert len(trace.events) > 2000
+    assert sorted(i for src in trace.sources + trace.loops for i in src) == list(range(1, 4001))
 
 
 # ---------------------------------------------------------------------------

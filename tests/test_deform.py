@@ -135,6 +135,23 @@ def test_modulus_only_affects_reported_ratios():
     assert relaxed.ratio_rounded == Fraction(2, 5)
 
 
+def test_boundary_sweep_ratio_is_taken_mod_p():
+    # 3 times an edge: its boundary and the boundary's sweep vanish mod 3
+    # but not over Z, so the ratio is 0/0, not an integral mass over 0
+    argv = ["deform", str(FIXTURES / "vanishing_boundary.chain"), "--eta", "1", "--p", "3",
+            "--json"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(argv)
+    assert rc == 0, out.getvalue()
+    doc = json.loads(out.getvalue())["result"]
+    assert doc["ratios"] == {"boundary_sweep": "0", "chain_sweep": "0", "rounded": "0"}
+    assert doc["boundary_sweep"]["items"]
+    res = deform(BoxChain(2, 1, [(cell((QUARTER, 3 * QUARTER), (QUARTER, QUARTER)), 3)]), 1,
+                 p=3)
+    assert res.ratio_boundary_sweep == 0
+    assert res.boundary_sweep.mass() == 3
+
+
 def test_random_deformations(rng):
     for _ in range(15):
         k = rng.choice([1, 2])

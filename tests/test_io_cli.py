@@ -557,7 +557,9 @@ def box_chain_files(draw):
                                 ["slicestar", "--p", "3"], ["restrict"], ["slice"],
                                 ["deform", "--eta", "1"], ["deform", "--eta", "1/2"],
                                 ["deform", "--eta", "1", "--optimize"],
-                                ["deform", "--eta", "2/3", "--optimize"]]))
+                                ["deform", "--eta", "2/3", "--optimize"],
+                                ["deform", "--eta", "1", "--p", "3"],
+                                ["deform", "--eta", "1/2", "--p", "2"]]))
 def test_random_box_files_never_hit_a_defect(fuzz_file, text, axis, level, command):
     # rejected input exits 2; exit 1 would be an internal defect
     fuzz_file.write_text(text)
