@@ -1,7 +1,6 @@
 """Simplicial chains and coning over an apex."""
 
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -186,8 +185,7 @@ def assert_matches(chain, ref):
         assert chain.mass_p(p) == ref_simplicial_mass(ref, lambda g: min(g % p, -g % p))
 
 
-def test_chains_match_the_fraction_reference():
-    rng = random.Random(20141)
+def test_chains_match_the_fraction_reference(rng):
     cases = cones = 0
     while cases < 80:
         n = rng.randint(1, 4)
@@ -216,10 +214,9 @@ def test_chains_match_the_fraction_reference():
     assert cones >= 30
 
 
-def test_a_determinant_per_simplex(monkeypatch):
+def test_a_determinant_per_simplex(monkeypatch, rng):
     # the Gram determinant of each simplex is computed once, when its
     # chain is built: the report's masses reuse them
-    rng = random.Random(200)
     tris = []
     while len(tris) < 200:
         s = Simplex(tuple(tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(3)))

@@ -1,7 +1,6 @@
 """Curve systems: preprocessing, cycle extraction, path decomposition."""
 
 import itertools
-import random
 import time
 from fractions import Fraction
 
@@ -95,8 +94,7 @@ def random_walks(rng, items, points):
     return CurveSystem.from_triples(triples[:items])
 
 
-def test_preprocess_matches_the_rescan_reference():
-    rng = random.Random(5)
+def test_preprocess_matches_the_rescan_reference(rng):
     concat_loops = 0
     for draw in range(240):
         if draw % 3:
@@ -112,10 +110,10 @@ def test_preprocess_matches_the_rescan_reference():
     assert concat_loops >= 50
 
 
-def test_preprocess_scales_to_thousands_of_items():
+def test_preprocess_scales_to_thousands_of_items(rng):
     # over 2,000 merges: one forward scan takes milliseconds, a rescan of
     # every pair after each merge tens of seconds
-    system = random_walks(random.Random(9), 4000, 1500)
+    system = random_walks(rng, 4000, 1500)
     start = time.perf_counter()
     reduced, trace = preprocess(system)
     assert time.perf_counter() - start < 2
