@@ -184,6 +184,7 @@ def _split_intervals(lo, hi, cuts: Sequence, index: Mapping):
 class BoxChain:
     """An integer-coefficient chain of k-dimensional box cells in R^n."""
 
+    carrier = "box"
     __slots__ = ("ambient_dim", "dim", "den", "_items")
 
     def __init__(self, ambient_dim: int, dim: int,

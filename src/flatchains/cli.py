@@ -30,7 +30,7 @@ from importlib import import_module
 
 from . import _LAZY
 from .core import (FillInfeasibleError, InternalDefectError, IntChain,
-                   ModPChain, PreconditionError, canonical_residue)
+                   ModPChain, PreconditionError)
 from .fileio import ChainFile, ParseError, format_number, load_chainfile
 
 
@@ -46,38 +46,18 @@ def __getattr__(name: str):
     return getattr(import_module(f".{module}", __package__), name)
 
 
-def _simplex_token(simplex) -> str:
-    return " ; ".join(",".join(format_number(c) for c in v)
-                      for v in simplex.vertices)
-
-
-def _loaded_class(module: str, name: str):
-    """A class of a flatchains module, or None while the module is not loaded.
-
-    No instance of the class can exist before its module is, so a type
-    dispatch need not import it.
-    """
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return None if loaded is None else getattr(loaded, name)
-
-
 def _chain_doc(chain) -> dict:
-    box_chain = _loaded_class("boxes", "BoxChain")
-    simplicial_chain = _loaded_class("cone", "SimplicialChain")
-    if box_chain is not None and isinstance(chain, box_chain):
-        return {"carrier": "box", "ambient": chain.ambient_dim, "dim": chain.dim,
-                "items": [[cell.id_token(), g] for cell, g in chain.items()]}
-    if simplicial_chain is not None and isinstance(chain, simplicial_chain):
-        return {"carrier": "simplicial", "ambient": chain.ambient_dim,
-                "dim": chain.dim,
-                "items": [[_simplex_token(s), g] for s, g in chain.items()]}
-    if isinstance(chain, IntChain):
-        doc = {"carrier": "abstract", "dim": chain.dim,
-               "items": [[cid, g] for cid, g in chain.items()]}
+    """A chain of any carrier as a document: abstract cells are named by
+    their ids, geometric cells by their id tokens."""
+    doc = {"carrier": chain.carrier, "dim": chain.dim}
+    if chain.carrier == "abstract":
+        doc["items"] = [[cid, g] for cid, g in chain.items()]
         if isinstance(chain, ModPChain):
             doc["p"] = chain.p
-        return doc
-    raise InternalDefectError(f"cannot serialize {type(chain).__name__}")
+    else:
+        doc["ambient"] = chain.ambient_dim
+        doc["items"] = [[cell.id_token(), g] for cell, g in chain.items()]
+    return doc
 
 
 def _points_doc(coeffs: dict[str, int]) -> dict:
@@ -91,6 +71,11 @@ def _need_p(args, cf: ChainFile) -> int:
     if cf.p is not None:
         return cf.p
     raise PreconditionError("a modulus is required: pass --p or put a `p` line in the file")
+
+
+def _chain(cf: ChainFile):
+    """The file's chain: an abstract file's chain, else the payload."""
+    return cf.payload[1] if cf.carrier == "abstract" else cf.payload
 
 
 def _payload(cf: ChainFile, carrier: str):
@@ -136,29 +121,23 @@ def _cmd_validate(args, cf):
                   "message": report.message, "cell": report.cell_id,
                   "detail": detail, "chain_cells": len(chain.items())}
         return result, 0 if report.ok else 2
-    if cf.carrier == "box":
-        from .boxes import compile_chain
-        chain = cf.payload
-        cx, _ = compile_chain(chain)
-        report = cx.validate()
-        if not report.ok:
-            raise InternalDefectError(f"compiled box complex invalid: {report.message}")
-        result = {"ok": True, "carrier": cf.carrier, "cells": len(chain.items()),
-                  "ambient": chain.ambient_dim, "dim": chain.dim}
-        return result, 0
     if cf.carrier == "curves":
         return {"ok": True, "carrier": cf.carrier, "curves": len(cf.payload)}, 0
-    return {"ok": True, "carrier": cf.carrier, "cells": len(cf.payload.items()),
-            "ambient": cf.payload.ambient_dim, "dim": cf.payload.dim}, 0
+    chain = cf.payload
+    if cf.carrier == "box":
+        from .boxes import compile_chain
+        report = compile_chain(chain)[0].validate()
+        if not report.ok:
+            raise InternalDefectError(f"compiled box complex invalid: {report.message}")
+    return {"ok": True, "carrier": cf.carrier, "cells": len(chain),
+            "ambient": chain.ambient_dim, "dim": chain.dim}, 0
 
 
 def _cmd_mass(args, cf):
     if cf.carrier == "curves":
         total = sum((item.mass for item in cf.payload.items), Fraction(0))
-    elif cf.carrier == "abstract":
-        total = cf.payload[1].mass()
     else:
-        total = cf.payload.mass()
+        total = _chain(cf).mass()
     return {"mass": format_number(total)}, 0
 
 
@@ -166,55 +145,40 @@ def _cmd_massp(args, cf):
     p = _need_p(args, cf)
     if cf.carrier == "curves":
         raise PreconditionError("mass mod p does not apply to curve systems")
-    chain = cf.payload[1] if cf.carrier == "abstract" else cf.payload
-    return {"mass_p": format_number(chain.mass_p(p)), "p": p}, 0
+    return {"mass_p": format_number(_chain(cf).mass_p(p)), "p": p}, 0
 
 
 def _cmd_reduce(args, cf):
     p = _need_p(args, cf)
-    if cf.carrier == "box":
-        return {"chain": _chain_doc(cf.payload.reduce_mod_p(p))}, 0
-    if cf.carrier == "abstract":
-        return {"chain": _chain_doc(cf.payload[1].reduce_mod_p(p))}, 0
-    if cf.carrier == "simplicial":
-        from .cone import SimplicialChain
-        chain = cf.payload
-        reduced = SimplicialChain(chain.ambient_dim, chain.dim,
-                                  [(s, canonical_residue(g, p)) for s, g in chain.items()])
-        return {"chain": _chain_doc(reduced)}, 0
-    raise PreconditionError("reduce does not apply to curve systems")
+    if cf.carrier == "curves":
+        raise PreconditionError("reduce does not apply to curve systems")
+    return {"chain": _chain_doc(_chain(cf).reduce_mod_p(p))}, 0
 
 
 def _cmd_boundary(args, cf):
     if cf.carrier == "curves":
         from .curves import system_boundary
         return {"chain": _points_doc(system_boundary(cf.payload))}, 0
-    if cf.carrier == "simplicial":
-        from .cone import boundary_simplicial
-        return {"chain": _chain_doc(boundary_simplicial(cf.payload))}, 0
-    chain = cf.payload[1] if cf.carrier == "abstract" else cf.payload
-    return {"chain": _chain_doc(chain.boundary())}, 0
+    return {"chain": _chain_doc(_chain(cf).boundary())}, 0
+
+
+def _witness_doc(witness) -> dict:
+    return {"value": format_number(witness.value),
+            "remainder": _chain_doc(witness.remainder),
+            "filling": _chain_doc(witness.filling), "exact": witness.exact}
 
 
 def _cmd_flatnorm(args, cf):
     from .flatnorm import flat_norm_int
-    chain = _as_cellular(cf, ambient=True)
-    witness = flat_norm_int(chain, args.bound)
-    return {"value": format_number(witness.value),
-            "remainder": _chain_doc(witness.remainder),
-            "filling": _chain_doc(witness.filling),
-            "exact": witness.exact, "bound": witness.bound}, 0
+    witness = flat_norm_int(_as_cellular(cf, ambient=True), args.bound)
+    return {**_witness_doc(witness), "bound": witness.bound}, 0
 
 
 def _cmd_flatnormp(args, cf):
     from .flatnorm import flat_norm_mod_p
     p = _need_p(args, cf)
-    chain = _as_cellular(cf, ambient=True)
-    witness = flat_norm_mod_p(chain, p)
-    return {"value": format_number(witness.value),
-            "remainder": _chain_doc(witness.remainder),
-            "filling": _chain_doc(witness.filling),
-            "exact": witness.exact, "p": p}, 0
+    witness = flat_norm_mod_p(_as_cellular(cf, ambient=True), p)
+    return {**_witness_doc(witness), "p": p}, 0
 
 
 def _cmd_fill(args, cf):

@@ -31,8 +31,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .core import (Frozen, PreconditionError, InternalDefectError, as_fraction, norm_mod_p,
-                   _check_modulus)
+from .core import (Frozen, PreconditionError, InternalDefectError, as_fraction,
+                   canonical_residue, norm_mod_p, _check_modulus)
 
 Point = tuple[Fraction, ...]
 Key = tuple[tuple[int, ...], ...]  # a simplex's vertex numerators over its chain's den
@@ -180,6 +180,9 @@ class Simplex(Frozen):
     def face(self, drop: int) -> "Simplex":
         return Simplex(self.vertices[:drop] + self.vertices[drop + 1:])
 
+    def id_token(self) -> str:
+        return " ; ".join(",".join(map(str, v)) for v in self.vertices)
+
     def __repr__(self) -> str:
         pts = ", ".join("(" + ",".join(str(c) for c in v) + ")" for v in self.vertices)
         return f"Simplex[{pts}]"
@@ -188,6 +191,7 @@ class Simplex(Frozen):
 class SimplicialChain:
     """Formal integer combination of same-dimension simplices."""
 
+    carrier = "simplicial"
     __slots__ = ("ambient_dim", "dim", "den", "_cells")
 
     def __init__(self, ambient_dim: int, dim: int, items: Sequence = (),
@@ -280,6 +284,20 @@ class SimplicialChain:
         return float(sum(norm_mod_p(g, p) * vol
                          for (_, g, _), vol in zip(self._cells, self._volumes())))
 
+    def boundary(self) -> "SimplicialChain":
+        """Alternating sum of vertex-dropped faces; squares to zero."""
+        if self.dim < 1:
+            raise PreconditionError("0-dimensional chains have no boundary")
+        faces = [(key[:i] + key[i + 1:], g if i % 2 == 0 else -g)
+                 for key, g, _ in self._cells for i in range(len(key))]
+        return _chain(self.ambient_dim, self.dim - 1, self.den, _cells(faces))
+
+    def reduce_mod_p(self, p: int) -> "SimplicialChain":
+        # the keys and their determinants stay; zero residues drop
+        residues = ((key, canonical_residue(g, p), det) for key, g, det in self._cells)
+        return _chain(self.ambient_dim, self.dim, self.den,
+                      tuple(cell for cell in residues if cell[1]))
+
     def __repr__(self) -> str:
         if self.is_zero():
             return f"SimplicialChain(0; dim {self.dim} in R^{self.ambient_dim})"
@@ -312,13 +330,7 @@ def _chain(ambient_dim: int, dim: int, den: int, cells: tuple[Cell, ...]) -> Sim
     return chain
 
 
-def boundary_simplicial(T: SimplicialChain) -> SimplicialChain:
-    """Alternating sum of vertex-dropped faces; squares to zero."""
-    if T.dim < 1:
-        raise PreconditionError("0-dimensional chains have no boundary")
-    faces = [(key[:i] + key[i + 1:], g if i % 2 == 0 else -g)
-             for key, g, _ in T._cells for i in range(len(key))]
-    return _chain(T.ambient_dim, T.dim - 1, T.den, _cells(faces))
+boundary_simplicial = SimplicialChain.boundary
 
 
 def _apex(x, T: SimplicialChain) -> tuple[tuple[int, ...], int]:

@@ -239,6 +239,7 @@ def validate_complex(cx: Complex) -> ValidationReport:
 class IntChain:
     """A sparse integer chain over the cells of one dimension."""
 
+    carrier = "abstract"  # each chain class names its chain file's carrier
     __slots__ = ("complex", "dim", "_coeffs")
 
     def __init__(self, cx: Complex, dim: int, coeffs: Mapping[str, int]):

@@ -166,7 +166,10 @@ def _parse_box(body) -> BoxChain:
             coeff = _integer(tokens[-1], no)
             bounds = [numbers[t] if t in numbers else numbers.setdefault(t, _number(t, no))
                       for t in tokens[1:-1]]
-            intervals = _ordered(tuple(zip(bounds[::2], bounds[1::2])))
+            try:
+                intervals = _ordered(tuple(zip(bounds[::2], bounds[1::2])))
+            except PreconditionError as err:
+                raise ParseError(no, str(err)) from None
             if shape["ambient"] is not None and len(intervals) != shape["ambient"]:
                 raise ParseError(no, f"cell has {len(intervals)} axes, ambient is {shape['ambient']}")
             items.append((intervals, coeff))
@@ -181,6 +184,7 @@ def _parse_curves(body) -> CurveSystem:
     from .curves import CurveItem, CurveSystem
 
     items = []
+    numbers: dict[str, Fraction] = {}  # curves share masses: parse each text once
     for no, line in body:
         tokens = line.split()
         if tokens[0] != "curve":
@@ -190,7 +194,8 @@ def _parse_curves(body) -> CurveSystem:
         idx = _integer(tokens[1], no)
         if idx != len(items) + 1:
             raise ParseError(no, f"curve ids must be consecutive from 1, got {idx}")
-        mass = _number(tokens[4], no)
+        mass = numbers[tokens[4]] if tokens[4] in numbers else numbers.setdefault(
+            tokens[4], _number(tokens[4], no))
         if mass < 0:
             raise ParseError(no, f"negative mass {tokens[4]}")
         items.append(CurveItem(idx, tokens[2], tokens[3], mass))
@@ -216,7 +221,10 @@ def _parse_simplicial(body) -> SimplicialChain:
                 t, _number(t, no)) for t in map(str.strip, f.split(","))) for f in fields[:-1])
             if len({len(v) for v in vertices}) > 1:
                 raise ParseError(no, "vertices have mixed coordinate counts")
-            _check_vertices(vertices)
+            try:
+                _check_vertices(vertices)
+            except PreconditionError as err:
+                raise ParseError(no, str(err)) from None
             items.append((vertices, coeff))
         else:
             raise ParseError(no, f"unexpected {tokens[0]!r} in a simplicial file")
@@ -307,9 +315,7 @@ def serialize_chainfile(cf: ChainFile) -> str:
         out.append(f"ambient {chain.ambient_dim}")
         out.append(f"dim {chain.dim}")
         for simplex, g in chain.items():
-            verts = " ; ".join(",".join(format_number(c) for c in v)
-                               for v in simplex.vertices)
-            out.append(f"simplex {verts} ; {g}")
+            out.append(f"simplex {simplex.id_token()} ; {g}")
     else:
         cx, chain = cf.payload
         for dim in cx.dims():

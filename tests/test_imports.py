@@ -68,6 +68,11 @@ CALLS = [
     (["cyclerep", "parallel_paths.chain"], {"boxes", "curves"}),
     (["cone", "segment.chain", "--apex", "0,0"], {"cone"}),
     (["conereport", "segment.chain", "--apex", "0,0", "--p", "2"], {"cone"}),
+    # the parser loads `cone` for a simplicial file; the chain's own methods
+    # and `carrier` do the rest
+    (["mass", "segment.chain"], {"cone"}),
+    (["reduce", "segment.chain", "--p", "2"], {"cone"}),
+    (["boundary", "segment.chain"], {"cone"}),
     (["reduce", "path3.chain", "--p", "2"], set()),
     (["isoratio", "square_rim.chain", "--p", "2"], {"boxes", "flatnorm"}),
     (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes"}),

@@ -15,12 +15,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flatchains.cli import COMMANDS, build_parser, main
+from flatchains.boxes import BoxCell, BoxChain
+from flatchains.cli import COMMANDS, _chain_doc, build_parser, main
+from flatchains.cone import SimplicialChain
 from flatchains.core import PreconditionError
-from flatchains.fileio import (ParseError, format_number, load_chainfile,
+from flatchains.fileio import (ChainFile, ParseError, format_number, load_chainfile,
                                parse_chainfile, save_chainfile,
                                serialize_chainfile)
+from genutil import mixed_simplicial_items, ref_simplicial, ref_simplicial_boundary
 
+cone_module = sys.modules["flatchains.cone"]  # flatchains.cone is the function
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -138,6 +142,7 @@ PARSE_ERRORS = [
     ("chainfile 1 box\nambient 2\ncell 0 1 1\n", 3,
      "cell has 1 axes, ambient is 2"),
     ("chainfile 1 box\ncurve 1 a b 1\n", 2, "unexpected 'curve' in a box file"),
+    ("chainfile 1 box\ncell 1 0 0 1 1\n", 2, "interval [1, 0] is reversed"),
     ("chainfile 1 box\n", 1, "an empty box chain needs ambient and dim lines"),
     ("chainfile 1 curves\ncurve 2 a b 1\n", 2,
      "curve ids must be consecutive from 1, got 2"),
@@ -145,6 +150,8 @@ PARSE_ERRORS = [
     ("chainfile 1 curves\ncurve 1 a b\n", 2, "expected `curve id start end mass`"),
     ("chainfile 1 simplicial\nsimplex 0,0 ; 1 ; 1\n", 2,
      "vertices have mixed coordinate counts"),
+    ("chainfile 1 simplicial\nsimplex 0,0 ; 1,0 ; 0,1 ; 1,1 ; 1\n", 2,
+     "a 3-simplex does not fit in dimension 2"),
     ("chainfile 1 simplicial\n", 1,
      "an empty simplicial chain needs ambient and dim lines"),
     ("chainfile 1 abstract\ndim x\n", 2, "integer expected, got 'x'"),
@@ -200,6 +207,102 @@ def test_output_is_deterministic(capsys):
     first = run_cli(argv, capsys)
     second = run_cli(argv, capsys)
     assert first == second
+
+
+# ---- one chain interface for every carrier ----
+
+def _path3_chain():
+    return load_chainfile(FIXTURES / "path3.chain").payload
+
+
+# (chain, its document as the CLI printed it before the carriers shared
+# one interface)
+CHAIN_DOCS = [
+    (lambda: _path3_chain()[1],
+     {"carrier": "abstract", "dim": 0, "items": [["q0", -1], ["q3", 1]]}),
+    (lambda: _path3_chain()[0].zero_chain(0),
+     {"carrier": "abstract", "dim": 0, "items": []}),
+    (lambda: (5 * _path3_chain()[1]).reduce_mod_p(3),
+     {"carrier": "abstract", "dim": 0, "items": [["q0", 1], ["q3", -1]], "p": 3}),
+    (lambda: (3 * _path3_chain()[1]).reduce_mod_p(3),
+     {"carrier": "abstract", "dim": 0, "items": [], "p": 3}),
+    (lambda: BoxChain(2, 1, [(BoxCell(((0, Fraction(3, 2)), (Fraction(1, 3), Fraction(1, 3)))), 2),
+                             (BoxCell(((1, 1), (0, 1))), -1)]),
+     {"ambient": 2, "carrier": "box", "dim": 1,
+      "items": [["b1[0..1;1/3]", 2], ["b1[1;0..1/3]", -1], ["b1[1;1/3..1]", -1],
+                ["b1[1..3/2;1/3]", 2]]}),
+    (lambda: BoxChain(3, 2, ()),
+     {"ambient": 3, "carrier": "box", "dim": 2, "items": []}),
+    (lambda: SimplicialChain(2, 1, [(((0, 0), (Fraction(1, 2), 1)), -3),
+                                    (((2, Fraction(-1, 3)), (0, 0)), 1)]),
+     {"ambient": 2, "carrier": "simplicial", "dim": 1,
+      "items": [["0,0 ; 1/2,1", -3], ["0,0 ; 2,-1/3", -1]]}),
+    (lambda: SimplicialChain(2, 1, ()),
+     {"ambient": 2, "carrier": "simplicial", "dim": 1, "items": []}),
+]
+
+
+@pytest.mark.parametrize("make,doc", CHAIN_DOCS,
+                         ids=["int", "int-zero", "modp", "modp-zero", "box", "box-zero",
+                              "simplicial", "simplicial-zero"])
+def test_chain_doc_of_every_carrier(make, doc):
+    assert _chain_doc(make()) == doc
+
+
+def _residue(g, p):
+    r = g % p
+    return r - p if 2 * r > p else r
+
+
+def _simplicial_doc(ambient, dim, ref):
+    return {"carrier": "simplicial", "ambient": ambient, "dim": dim,
+            "items": [[" ; ".join(",".join(format_number(c) for c in v) for v in vertices), g]
+                      for vertices, g in ref]}
+
+
+def _check_simplicial_calls(path, ambient, dim, ref, capsys):
+    for p in (2, 3, 4):
+        rc, out = run_cli(["reduce", str(path), "--p", str(p), "--json"], capsys)
+        assert rc == 0
+        reduced = [(v, _residue(g, p)) for v, g in ref if _residue(g, p)]
+        assert json.loads(out)["result"]["chain"] == _simplicial_doc(ambient, dim, reduced)
+    rc, out = run_cli(["boundary", str(path), "--json"], capsys)
+    if dim == 0:
+        assert rc == 2
+        assert json.loads(out)["error"]["message"] == "0-dimensional chains have no boundary"
+    else:
+        assert rc == 0
+        assert json.loads(out)["result"]["chain"] == _simplicial_doc(
+            ambient, dim - 1, ref_simplicial_boundary(ref))
+
+
+def test_simplicial_reduce_and_boundary_match_the_fraction_reference(rng, tmp_path, capsys):
+    _check_simplicial_calls(FIXTURES / "segment.chain", 2, 1,
+                            ref_simplicial([(((1, 0), (1, 1)), 1)]), capsys)
+    for case in range(24):
+        n = rng.randint(1, 3)
+        k = rng.randint(0, n)
+        items = mixed_simplicial_items(rng, n, k)
+        path = tmp_path / f"s{case}.chain"
+        path.write_text(serialize_chainfile(ChainFile("simplicial", SimplicialChain(n, k, items))))
+        _check_simplicial_calls(path, n, k, ref_simplicial(items), capsys)
+
+
+def test_simplicial_reduce_reuses_the_gram_determinants(rng, monkeypatch):
+    chains = [SimplicialChain(n, k, mixed_simplicial_items(rng, n, k))
+              for n, k in ((2, 1), (2, 2), (3, 2), (3, 3))]
+    expected = {(i, p): SimplicialChain(t.ambient_dim, t.dim,
+                                        [(s, _residue(g, p)) for s, g in t.items()])
+                for i, t in enumerate(chains) for p in (2, 3, 4)}
+    calls = []
+    gram_det = cone_module._gram_det
+    monkeypatch.setattr(cone_module, "_gram_det", lambda key: calls.append(key) or gram_det(key))
+    reduced = {(i, p): t.reduce_mod_p(p) for i, t in enumerate(chains) for p in (2, 3, 4)}
+    assert calls == []
+    monkeypatch.undo()
+    assert reduced == expected
+    for key, chain in reduced.items():
+        assert chain.mass() == expected[key].mass()
 
 
 # ---- error paths and exit codes ----
