@@ -301,9 +301,11 @@ class BoxChain:
         return _measure(self, abs)
 
     def mass_p(self, p: int) -> Fraction:
+        _check_modulus(p)
         return _measure(self, lambda g: norm_mod_p(g, p))
 
     def reduce_mod_p(self, p: int) -> "BoxChain":
+        _check_modulus(p)
         # dropping the cells whose residue is 0 only removes cuts, so the
         # remaining cells need no split and the item map stays canonical
         residues = ((c, canonical_residue(g, p)) for c, g in self._items.items())

@@ -21,6 +21,7 @@ integers.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -509,5 +510,23 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry of `python -m flatchains.cli` and the `flatchains`
+    script: main, then exit with its code.
+
+    Whichever way main ends, usage errors included, the heap is frozen
+    before the interpreter exits, so its exit-time collections skip every
+    object the call loaded.  Exit still runs atexit handlers, flushes stdio
+    and tears the modules down.  main itself never freezes: tests and
+    tracers call it in-process, where a frozen heap would keep its cyclic
+    garbage for the rest of the run.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -293,6 +293,7 @@ class SimplicialChain:
         return _chain(self.ambient_dim, self.dim - 1, self.den, _cells(faces))
 
     def reduce_mod_p(self, p: int) -> "SimplicialChain":
+        _check_modulus(p)
         # the keys and their determinants stay; zero residues drop
         residues = ((key, canonical_residue(g, p), det) for key, g, det in self._cells)
         return _chain(self.ambient_dim, self.dim, self.den,

@@ -1,9 +1,12 @@
 """Chain file parsing, serialization, and the command line front end."""
 
+import ast
 import contextlib
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -532,6 +535,39 @@ def test_deform_rejects_a_modulus_below_two(capsys):
     assert error["message"].startswith("invalid modulus: 0")
 
 
+@pytest.mark.parametrize("p", [0, 1, -3])
+@pytest.mark.parametrize("make", [make for make, _ in CHAIN_DOCS],
+                         ids=["int", "int-zero", "modp", "modp-zero", "box", "box-zero",
+                              "simplicial", "simplicial-zero"])
+def test_every_carrier_rejects_a_modulus_below_two(make, p):
+    # checked before any cell is read, so an empty chain is no exception; a
+    # mod-p chain names its own modulus first
+    chain = make()
+    for method in (chain.mass_p, chain.reduce_mod_p):
+        with pytest.raises(PreconditionError, match="invalid modulus|chain has modulus 3"):
+            method(p)
+
+
+@pytest.mark.parametrize("p", ["0", "1", "-3"])
+@pytest.mark.parametrize("command", ["massp", "reduce"])
+@pytest.mark.parametrize("text", [
+    "chainfile 1 abstract\ndim 0\ncell v 1\nchain 0\n",
+    "chainfile 1 box\nambient 2\ndim 1\n",
+    "chainfile 1 simplicial\nambient 2\ndim 1\n",
+    (FIXTURES / "path3.chain").read_text(),
+    (FIXTURES / "square.chain").read_text(),
+    (FIXTURES / "segment.chain").read_text(),
+], ids=["abstract-empty", "box-empty", "simplicial-empty", "abstract", "box", "simplicial"])
+def test_cli_rejects_a_modulus_below_two(text, command, p, tmp_path, capsys):
+    path = tmp_path / "chain.chain"
+    path.write_text(text)
+    rc, out = run_cli([command, str(path), "--p", p, "--json"], capsys)
+    assert rc == 2
+    assert json.loads(out)["error"] == {
+        "kind": "precondition",
+        "message": f"invalid modulus: {p} (an integer >= 2 is required)"}
+
+
 def test_error_doc_matches_schema(capsys, schema):
     _, out = run_cli(fixture_argv(["mass", "broken.chain"]), capsys)
     jsonschema.Draft7Validator(schema).validate(json.loads(out))
@@ -561,6 +597,66 @@ def test_text_output_without_json_flag(capsys):
     assert out == "command: mass\nmass: \"1\"\n"
 
 
+# ---- the process entry: `python -m flatchains.cli` and the `flatchains` script ----
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_output_through_the_process_entry(name, argv):
+    done = subprocess.run([sys.executable, "-m", "flatchains.cli", *fixture_argv(argv)],
+                          capture_output=True, env=child_env(), timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDENS / f"{name}.json").read_bytes()
+
+
+# run as `python -m flatchains.cli` runs it; the atexit hook runs after the
+# entry has returned or raised, and before the interpreter's exit collections
+FREEZE_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0))
+runpy.run_module("flatchains.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["mass", str(FIXTURES / "square.chain"), "--json"], 0),
+    (["mass", "does-not-exist.chain", "--json"], 2),
+    (["mass", str(FIXTURES / "square.chain"), "--p", "3"], 2),  # a usage error
+], ids=["ok", "missing-file", "usage-error"])
+def test_a_cli_process_freezes_its_heap_before_exit(argv, code):
+    done = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True,
+                          env=child_env(), text=True, timeout=60)
+    assert done.returncode == code
+    assert done.stdout.splitlines()[-1] == "frozen: True"
+    assert "Traceback" not in done.stderr
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["mass", str(FIXTURES / "square.chain"), "--json"]) == 0
+    assert main(["mass", "does-not-exist.chain", "--json"]) == 2
+    with pytest.raises(SystemExit):
+        main(["mass", str(FIXTURES / "square.chain"), "--p", "3"])
+    assert gc.get_freeze_count() == before
+
+
+def test_the_script_and_python_m_call_one_entry():
+    # no tomllib before Python 3.11: the script line is read as text
+    entry = re.search(r'^flatchains = "flatchains\.cli:(\w+)"$',
+                      (SRC.parent / "pyproject.toml").read_text(), re.M).group(1)
+    tree = ast.parse((SRC / "flatchains" / "cli.py").read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block.body) == f"{entry}()"
+
+
 @pytest.mark.parametrize("argv,code", [
     (["flatnormp", "square_rim.chain", "--p", "3", "--json"], 0),
     (["mass", "square.chain", "--p", "3", "--json"], 2),  # a usage error
@@ -569,16 +665,13 @@ def test_text_output_without_json_flag(capsys):
 def test_a_closed_pipe_is_no_defect(argv, code):
     # the reader of stdout is gone before the CLI writes: the output goes
     # nowhere, and the exit code is still the command's own
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run([sys.executable, "-m", "flatchains.cli", argv[0],
                                str(FIXTURES / argv[1]), *argv[2:]],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
-                              timeout=60)
+                              stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
+                              text=True, timeout=60)
     finally:
         os.close(write_end)
     assert done.returncode == code
