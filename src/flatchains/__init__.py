@@ -6,7 +6,7 @@ homotopy identities, cycle extraction from curve systems, and the cone
 construction on simplicial chains, plus a file format and CLI tying it
 together.
 
-Each public name below, apart from those of `core`, is imported from its
+Each public name below, apart from those of `base`, is imported from its
 module on first access, so importing the package (or the CLI) does not
 load modules a caller never uses.  The function `cone` shares its
 module's name, and importing `flatchains.cone` makes Python bind the
@@ -18,10 +18,8 @@ import sys as _sys
 from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
-from .core import (CellularMap, Complex, FillInfeasibleError, IntChain,
-                   InternalDefectError, ModPChain, PreconditionError,
-                   ValidationReport, as_fraction, canonical_residue, mass_p,
-                   norm_mod_p, push_forward, validate_complex)
+from .base import (FillInfeasibleError, InternalDefectError, PreconditionError,
+                   as_fraction, canonical_residue, norm_mod_p)
 
 __version__ = "0.1.0"
 
@@ -32,6 +30,8 @@ _LAZY_MODULES = {
               "slice_mass_star"),
     "cone": ("ConeMassReport", "Simplex", "SimplicialChain", "boundary_simplicial", "cone",
              "cone_mass_report"),
+    "core": ("CellularMap", "Complex", "IntChain", "ModPChain", "ValidationReport", "mass_p",
+             "push_forward", "validate_complex"),
     "curves": ("CurveItem", "CurvePath", "CurveSystem", "PreprocessTrace",
                "cycle_representative", "decompose_paths_loops",
                "extract_cycle_indices", "preprocess", "system_boundary"),
@@ -67,6 +67,6 @@ class _Package(_ModuleType):
 _sys.modules[__name__].__class__ = _Package
 
 
-# the public names: those imported from core above, and the lazy ones
+# the public names: those imported from base above, and the lazy ones
 __all__ = sorted({*_LAZY, *(name for name, value in globals().items()
-                            if getattr(value, "__module__", None) == f"{__name__}.core")})
+                            if getattr(value, "__module__", None) == f"{__name__}.base")})

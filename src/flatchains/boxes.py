@@ -29,12 +29,10 @@ import itertools
 import math
 from fractions import Fraction
 from functools import total_ordering
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .core import (
-    Complex,
+from .base import (
     Frozen,
-    IntChain,
     InternalDefectError,
     PreconditionError,
     _check_modulus,
@@ -42,6 +40,9 @@ from .core import (
     canonical_residue,
     norm_mod_p,
 )
+
+if TYPE_CHECKING:  # only the complex builders below import it, when they run
+    from .core import Complex, IntChain
 
 Interval = tuple[Fraction, Fraction]
 Key = tuple[tuple[int, int], ...]  # a cell's (lo, hi) numerators over its chain's den
@@ -492,6 +493,8 @@ def _faces(key: Key) -> list[tuple[Key, int]]:
 
 
 def _build_complex(keys: Iterable[Key], den: int, text: Callable[[int], str]) -> Complex:
+    from .core import Complex
+
     by_dim: dict[int, dict[str, tuple]] = {}
     for key in keys:
         token = _token(key, text)
@@ -508,6 +511,8 @@ def _build_complex(keys: Iterable[Key], den: int, text: Callable[[int], str]) ->
 
 def compile_chain(chain: BoxChain) -> tuple[Complex, IntChain]:
     """The chain's cells plus all iterated faces, as an abstract complex."""
+    from .core import IntChain
+
     seen: set[Key] = set()
     frontier = list(chain._items)
     while frontier:
@@ -530,6 +535,8 @@ def arrangement_complex(chain: BoxChain, subdivide: int = 1) -> tuple[Complex, I
     fillings have somewhere to live.  subdivide = m splits each lattice
     gap into m equal parts first.
     """
+    from .core import IntChain
+
     if not isinstance(subdivide, int) or subdivide < 1:
         raise PreconditionError(f"subdivision factor must be an integer >= 1, got {subdivide!r}")
     if chain.is_zero():

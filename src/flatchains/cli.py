@@ -28,11 +28,14 @@ import sys
 import time
 from fractions import Fraction
 from importlib import import_module
+from typing import TYPE_CHECKING
 
 from . import _LAZY
-from .core import (FillInfeasibleError, InternalDefectError, IntChain,
-                   ModPChain, PreconditionError)
+from .base import FillInfeasibleError, InternalDefectError, PreconditionError
 from .fileio import ChainFile, ParseError, format_number, load_chainfile
+
+if TYPE_CHECKING:
+    from .core import IntChain
 
 
 # Each handler imports the library functions it uses when it runs, from
@@ -52,6 +55,7 @@ def _chain_doc(chain) -> dict:
     their ids, geometric cells by their id tokens."""
     doc = {"carrier": chain.carrier, "dim": chain.dim}
     if chain.carrier == "abstract":
+        from .core import ModPChain  # loaded already: the chain was built there
         doc["items"] = [[cid, g] for cid, g in chain.items()]
         if isinstance(chain, ModPChain):
             doc["p"] = chain.p

@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .core import (Frozen, PreconditionError, InternalDefectError, as_fraction,
+from .base import (Frozen, PreconditionError, InternalDefectError, as_fraction,
                    canonical_residue, norm_mod_p, _check_modulus)
 
 Point = tuple[Fraction, ...]

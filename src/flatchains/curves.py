@@ -33,10 +33,12 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import (Frozen, IntChain, InternalDefectError, PreconditionError, _check_modulus,
-                   as_fraction)
+from .base import Frozen, InternalDefectError, PreconditionError, _check_modulus, as_fraction
+
+if TYPE_CHECKING:  # a curve system needs no complex; CurvePath.chain imports it
+    from .core import IntChain
 
 
 class CurveItem(Frozen):
@@ -396,6 +398,8 @@ class CurvePath(Frozen):
         vars(self).update(vertices=vertices, edges=edges, closed=closed, mass=mass)
 
     def chain(self, cx) -> IntChain:
+        from .core import IntChain
+
         coeffs: dict[str, int] = {}
         for cid, sign in self.edges:
             coeffs[cid] = coeffs.get(cid, 0) + sign

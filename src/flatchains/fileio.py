@@ -24,11 +24,12 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
-from .core import Complex, Frozen, IntChain, PreconditionError, _check_modulus
+from .base import Frozen, PreconditionError, _check_modulus
 
 if TYPE_CHECKING:  # each parser imports its carrier's module when it runs
     from .boxes import BoxChain
     from .cone import SimplicialChain
+    from .core import Complex, IntChain
     from .curves import CurveSystem
 
 CARRIERS = ("abstract", "box", "curves", "simplicial")
@@ -233,6 +234,8 @@ def _parse_simplicial(body) -> SimplicialChain:
 
 
 def _parse_abstract(body) -> tuple[Complex, IntChain]:
+    from .core import Complex, IntChain
+
     cells: dict[int, list] = {}
     cell_lines: dict[str, int] = {}
     faces: dict[str, list] = {}

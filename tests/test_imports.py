@@ -6,18 +6,21 @@ long since imported the whole package.
 
 import json
 import os
+import runpy
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# loaded by every call: the package imports `core` eagerly, and the CLI
+# loaded by every call: the package imports `base` eagerly, and the CLI
 # needs `fileio` to read its file
-BASE = {"flatchains", "flatchains.core", "flatchains.fileio"}
+BASE = {"flatchains", "flatchains.base", "flatchains.fileio"}
 
 # standard modules too costly to import for the CLI: dataclasses pulls in
 # inspect, which pulls in dis, ast and tokenize
@@ -41,31 +44,42 @@ def flatchains_imports(names: set) -> set:
     return {name for name in names if name.split(".")[0] == "flatchains"}
 
 
-def test_importing_the_cli_loads_only_its_core():
-    done = run_python("-X", "importtime", "-c", "import json, sys, flatchains.cli; print("
+def import_in_child(module: str) -> set:
+    """The flatchains modules a fresh interpreter holds after importing
+    module, which must load none of HEAVY."""
+    done = run_python("-X", "importtime", "-c", f"import json, sys, {module}; print("
                       "json.dumps([m for m in sys.modules if m.split('.')[0] == 'flatchains']))")
     assert done.returncode == 0, done.stderr
-    assert set(json.loads(done.stdout)) == BASE | {"flatchains.cli"}
     assert not imported(done.stderr) & HEAVY
+    return set(json.loads(done.stdout))
+
+
+def test_importing_the_cli_loads_only_its_core():
+    assert import_in_child("flatchains.cli") == BASE | {"flatchains.cli"}
 
 
 # (argv, modules beyond BASE); `python -m` runs the CLI as __main__, so
 # `flatchains.cli` itself is never among the imported modules
 CALLS = [
-    (["validate", "path3.chain"], set()),
-    (["massp", "path3.chain", "--p", "2"], set()),
-    (["boundary", "rim_skeleton.chain"], set()),
+    # an abstract file's parser builds its complex in `core`
+    (["validate", "path3.chain"], {"core"}),
+    (["massp", "path3.chain", "--p", "2"], {"core"}),
+    (["boundary", "rim_skeleton.chain"], {"core"}),
     (["slice", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes"}),
     (["mass", "square.chain"], {"boxes"}),
     (["boundary", "square.chain"], {"boxes"}),
     (["deform", "fine_edge.chain", "--eta", "1", "--rho", "1/2,1/2"], {"boxes"}),
-    (["flatnorm", "path3.chain"], {"flatnorm"}),
-    (["flatnormp", "square_rim.chain", "--p", "2"], {"boxes", "flatnorm"}),
-    (["fill", "square_rim.chain", "--p", "2"], {"boxes", "flatnorm"}),
+    # only the integral flat norm compiles the min-cost flow
+    (["flatnorm", "path3.chain"], {"core", "flatnorm", "flow"}),
+    (["flatnorm", "square_rim.chain"], {"boxes", "core", "flatnorm", "flow"}),
+    # a box file's complex is built in `core` only where a call needs one
+    (["validate", "square.chain"], {"boxes", "core"}),
+    (["flatnormp", "square_rim.chain", "--p", "2"], {"boxes", "core", "flatnorm"}),
+    (["fill", "square_rim.chain", "--p", "2"], {"boxes", "core", "flatnorm"}),
     (["cyclecut", "curves_pair.chain"], {"curves"}),
     (["preprocess", "curves_mixed.chain"], {"curves"}),
-    (["decompose", "square_rim.chain"], {"boxes", "curves"}),
-    (["cyclerep", "parallel_paths.chain"], {"boxes", "curves"}),
+    (["decompose", "square_rim.chain"], {"boxes", "core", "curves"}),
+    (["cyclerep", "parallel_paths.chain"], {"boxes", "core", "curves"}),
     (["cone", "segment.chain", "--apex", "0,0"], {"cone"}),
     (["conereport", "segment.chain", "--apex", "0,0", "--p", "2"], {"cone"}),
     # the parser loads `cone` for a simplicial file; the chain's own methods
@@ -73,13 +87,14 @@ CALLS = [
     (["mass", "segment.chain"], {"cone"}),
     (["reduce", "segment.chain", "--p", "2"], {"cone"}),
     (["boundary", "segment.chain"], {"cone"}),
-    (["reduce", "path3.chain", "--p", "2"], set()),
-    (["isoratio", "square_rim.chain", "--p", "2"], {"boxes", "flatnorm"}),
+    (["reduce", "path3.chain", "--p", "2"], {"core"}),
+    (["isoratio", "square_rim.chain", "--p", "2"], {"boxes", "core", "flatnorm"}),
     (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes"}),
     (["islice", "square.chain", "--axis", "0,1", "--r", "1/2,1/2"], {"boxes"}),
     (["slicemass", "square.chain", "--axis", "0", "--p", "2"], {"boxes"}),
     (["slicestar", "square.chain", "--p", "2"], {"boxes"}),
-    (["refinecompare", "square_rim.chain", "--subdiv", "2", "--p", "2"], {"boxes", "flatnorm"}),
+    (["refinecompare", "square_rim.chain", "--subdiv", "2", "--p", "2"],
+     {"boxes", "core", "flatnorm"}),
     (["sysboundary", "curves_pair.chain"], {"curves"}),
 ]
 
@@ -102,6 +117,21 @@ def test_a_call_loads_only_what_its_subcommand_needs(argv, extra):
     assert not names & HEAVY
 
 
+# (library module, the flatchains modules importing it loads)
+LIBRARY = [
+    ("flatchains.boxes", {"flatchains", "flatchains.base", "flatchains.boxes"}),
+    ("flatchains.curves", {"flatchains", "flatchains.base", "flatchains.curves"}),
+    ("flatchains.cone", {"flatchains", "flatchains.base", "flatchains.cone"}),
+    ("flatchains.flatnorm", {"flatchains", "flatchains.base", "flatchains.core",
+                             "flatchains.flatnorm"}),
+]
+
+
+@pytest.mark.parametrize("module,loaded", LIBRARY, ids=[m for m, _ in LIBRARY])
+def test_a_library_import_loads_no_complex_or_flow_it_does_not_use(module, loaded):
+    assert import_in_child(module) == loaded
+
+
 def test_infeasible_fill_still_exits_2():
     done = run_python("-m", "flatchains.cli", "fill", str(FIXTURES / "rim_skeleton.chain"),
                       "--p", "2", "--json")
@@ -118,6 +148,7 @@ facts["not_from_defining_module"] = [
     if getattr(importlib.import_module(getattr(flatchains, name).__module__), name)
     is not getattr(flatchains, name)]
 import flatchains.cone
+import flatchains.core
 import flatchains.flatnorm
 facts["cone_is_the_function"] = callable(flatchains.cone) and flatchains.cone.__name__ == "cone"
 facts["one_fill_error"] = (flatchains.FillInfeasibleError
@@ -126,12 +157,64 @@ facts["one_fill_error"] = (flatchains.FillInfeasibleError
 print(json.dumps(facts))
 """
 
+# the package's public names; dropping one breaks callers
+PUBLIC = [
+    "BoxCell", "BoxChain", "CellularMap", "ChainFile", "Complex", "ConeMassReport", "CurveItem",
+    "CurvePath", "CurveSystem", "DeformationResult", "FillInfeasibleError", "FlatWitness",
+    "IntChain", "InternalDefectError", "ModPChain", "ParseError", "PreconditionError",
+    "PreprocessTrace", "Simplex", "SimplicialChain", "ValidationReport", "arrangement_complex",
+    "as_fraction", "boundary_simplicial", "canonical_residue", "compile_chain", "cone",
+    "cone_mass_report", "cycle_representative", "decompose_paths_loops", "deform",
+    "extract_cycle_indices", "fill_mod_p", "flat_norm_int", "flat_norm_mod_p",
+    "flat_norm_under_refinement", "format_number", "grid_chain", "isoperimetric_ratio",
+    "load_chainfile", "mass_p", "norm_mod_p", "parse_chainfile", "preprocess", "push_forward",
+    "save_chainfile", "serialize_chainfile", "slice_mass_integral", "slice_mass_star",
+    "system_boundary", "validate_complex",
+]
+
+# defined in `base`, and importable from the package and from `core` too
+BASE_NAMES = ("FillInfeasibleError", "Frozen", "InternalDefectError", "PreconditionError",
+              "_check_modulus", "as_fraction", "canonical_residue", "norm_mod_p")
+
+# the rest of what `flatchains.core` has always defined
+CORE_NAMES = ("CellularMap", "Complex", "IntChain", "ModPChain", "ValidationReport", "_Cell",
+              "mass_p", "push_forward", "validate_complex")
+
 
 def test_public_names_resolve_lazily_to_their_definitions():
     done = run_python("-c", PACKAGE_FACTS)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"missing_from_dir": [], "not_from_defining_module": [],
                                        "cone_is_the_function": True, "one_fill_error": True}
+
+
+def test_the_public_surface_is_pinned():
+    import flatchains
+    import flatchains.base
+    import flatchains.core
+
+    assert flatchains.__all__ == PUBLIC
+    for name in BASE_NAMES:
+        value = getattr(flatchains.base, name)
+        assert getattr(flatchains.core, name) is value
+        if name in PUBLIC:
+            assert getattr(flatchains, name) is value
+    for name in CORE_NAMES:
+        assert getattr(flatchains.core, name).__module__ == "flatchains.core"
+        if name in PUBLIC:
+            assert getattr(flatchains, name) is getattr(flatchains.core, name)
+
+
+def test_every_tracer_target_resolves_on_its_module():
+    # the tracer skips a target it cannot find, and that layer's metrics
+    # then read 0; run_path compiles the file without writing bytecode
+    targets = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))["TARGETS"]
+    for module_name, path, _, _ in targets:
+        owner = import_module(f"flatchains.{module_name}")
+        for attr in path.split("."):
+            assert hasattr(owner, attr), f"{module_name}.{path}"
+            owner = getattr(owner, attr)
+        assert callable(owner), f"{module_name}.{path}"
 
 
 def test_unknown_names_raise_attribute_error():
@@ -145,8 +228,6 @@ def test_unknown_names_raise_attribute_error():
 
 def test_the_cli_still_exposes_the_library_functions_it_calls():
     # the benchmark's tracer reads and patches these names on the CLI module
-    from importlib import import_module
-
     import flatchains.cli as cli
 
     for module, name in (("flatnorm", "fill_mod_p"), ("boxes", "deform"),
