@@ -71,11 +71,10 @@ def _points_doc(coeffs: dict[str, int]) -> dict:
 
 
 def _need_p(args, cf: ChainFile) -> int:
-    if args.p is not None:
-        return args.p
-    if cf.p is not None:
-        return cf.p
-    raise PreconditionError("a modulus is required: pass --p or put a `p` line in the file")
+    p = args.p if args.p is not None else cf.p
+    if p is None:
+        raise PreconditionError("a modulus is required: pass --p or put a `p` line in the file")
+    return p
 
 
 def _chain(cf: ChainFile):
@@ -244,8 +243,8 @@ def _cmd_slicestar(args, cf):
 def _cmd_deform(args, cf):
     from .boxes import deform
     chain = _payload(cf, "box")
-    result = deform(chain, args.eta, rho=args.rho, p=args.p,
-                    optimize_thresholds=args.optimize)
+    p = args.p if args.p is not None else cf.p
+    result = deform(chain, args.eta, rho=args.rho, p=p, optimize_thresholds=args.optimize)
     return {"rounded": _chain_doc(result.rounded),
             "boundary_sweep": _chain_doc(result.boundary_sweep),
             "chain_sweep": _chain_doc(result.chain_sweep),

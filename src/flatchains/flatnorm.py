@@ -35,7 +35,9 @@ A fill mod p is the mod-p flat norm in which every k-cell weighs more
 than any filling: an optimum below that weight leaves no remainder, and
 without one the fill is infeasible.  So the mod-p solvers take a strict
 upper bound on the cost, the limit, and drop whatever reaches it; for a
-flat norm it is mass_p(T) + 1, the cost of S = 0 plus one.
+flat norm it is mass_p(T) + 1, the cost of S = 0 plus one.  No value
+is tried past one that alone costs the limit on the lightest (k+1)-cell,
+so a flat norm's work does not grow with p; a fill's limit does.
 
 The mod-p flat norm runs a frontier dynamic program (`_frontier`) when
 the frontier is narrow.  The (k+1)-cells are placed in a greedy sweep
@@ -46,12 +48,12 @@ to come; a k-cell's cost is charged when its last coface is placed.  A
 state at the limit is dropped, and only two layers of states are kept.
 Each state carries the least pair (cost, key), where key lists the
 positions of the assigned values in (0, 1, -1, 2, -2, ...) over the
-cells in id order as the digits of one integer.  That pair is the
-search's own tie-break, so both routes return the same witness, which
-is decoded from the final key without backtracking.  The width w, the
-most k-cells a state carries, is known from the order before solving,
-and the program runs only when p ** w <= `_FRONTIER_STATES`; at that cap
-its two layers stay under ~100 MB.
+cells in id order as the digits of one integer in base n, the length of
+that list.  The pair is the search's own tie-break, so both routes give
+one witness, decoded from the final key without backtracking.  The
+width w, the most k-cells a state carries, is known from the order
+before solving, and the program runs only when p ** w <=
+`_FRONTIER_STATES`; at that cap its two layers stay under ~100 MB.
 
 Everything else runs a depth-first branch-and-bound over coefficient
 assignments (`_exact_search`), each for a reason:
@@ -62,16 +64,16 @@ assignments (`_exact_search`), each for a reason:
 - integral flat norms on non-network complexes, or under an explicit
   bound below the flow's filling.  A program over coefficients in
   [-B, B] took 2.4 s on 120 random 3-D 1-chains, the search 1.3 s.
-Its variables are the (k+1)-cells in decreasing-volume order, the
-lower bound at a partial assignment counts the cells of the remainder
-whose cofaces are all assigned plus the mass of the assigned filling,
-and the incumbent, which starts just below the limit, is replaced only
-by a strictly better value or an equal value with a lexicographically
-smaller witness: least cost, then the least tuple of (|v|, v < 0) over
-the cells in id order.  Results are therefore deterministic.  The
-general mod-2 problem is NP-hard (Chen & Freedman, 2011), so no method
-is fast on every input; the program is the bounded-width route of
-Blaser & Vagset (2020).
+Its variables are the (k+1)-cells in decreasing-volume order.  The lower
+bound at a partial assignment counts the cells of the remainder whose
+cofaces are all assigned, each weighed by one table (|a| or the distance
+to pZ), plus the mass of the assigned filling.  The incumbent starts just
+below the limit and is replaced only by a strictly better value or an
+equal value with a lexicographically smaller witness: least cost, then
+the least tuple of (|v|, v < 0) over the cells in id order.  Results are
+therefore deterministic.  The general mod-2 problem is NP-hard (Chen &
+Freedman, 2011), so no method is fast on every input; the program is the
+bounded-width route of Blaser & Vagset (2020).
 
 Every solver takes its structure from one table (`_Problem`), built
 once per public call: the cells, faces and cofaces as rows, the volumes
@@ -95,17 +97,13 @@ relative setting; absolute values can differ from a richer ambient.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import cycle, islice
 from math import lcm
 from operator import itemgetter
 from typing import Optional
 
-from .base import (
-    FillInfeasibleError,
-    Frozen,
-    InternalDefectError,
-    PreconditionError,
-    _check_modulus,
-)
+from .base import (FillInfeasibleError, Frozen, InternalDefectError, PreconditionError,
+                   _check_modulus, canonical_residue, norm_mod_p)
 from .core import IntChain, ModPChain
 
 
@@ -172,7 +170,7 @@ class _Problem:
         """The scaled cost of T on these rows of taus, as S = 0 leaves it:
         its mass there, or its mass_p for a modulus p."""
         target, vol_t = self.target, self.vol_t
-        return sum((abs(target[t]) if p is None else min(target[t] % p, -target[t] % p))
+        return sum((abs(target[t]) if p is None else norm_mod_p(target[t], p))
                    * vol_t[t] for t in rows)
 
     def closing(self, order: list[int]) -> tuple[list[list[int]], list[int]]:
@@ -196,13 +194,12 @@ class _Problem:
         return Fraction(cost + sum(abs(r) * v for r, v in zip(rest, self.vol_t)), self.scale)
 
 
-def _residue_order(p: int) -> list[int]:
-    vals = [0]
-    for t in range(1, (p - 1) // 2 + 1):
-        vals.extend((t, -t))
-    if p % 2 == 0:
-        vals.append(p // 2)
-    return vals
+def _residue_order(p: Optional[int], top: int) -> list[int]:
+    """0, 1, -1, 2, -2, ... up to |v| <= top; for a modulus p, the residues in (-p/2, p/2]."""
+    if p is not None:
+        top = min(top, p // 2)
+    vals = [0] + [s * t for t in range(1, top + 1) for s in (1, -1)]
+    return vals if p is None else vals[:p]  # -p/2 is p/2
 
 
 def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[int] = None,
@@ -213,15 +210,24 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
     does, or None when nothing costs less than the limit."""
     level = sorted(range(len(prob.sigmas)), key=lambda i: (-prob.vol_s[i], i))
     m = len(level)
-    # [-B, B] in the order (0, 1, -1, ...) is the residues mod 2B + 1
-    vals = _residue_order(p if p is not None else 2 * bound + 1)
+    if limit is None:
+        limit = prob.charge(range(len(prob.taus)), p) + 1
+    # a value that costs the limit on the lightest cell is in no answer
+    top = (limit - 1) // min(prob.vol_s, default=limit)
+    vals = _residue_order(p, top if bound is None else min(top, bound))
     det_at, loose = prob.closing(level)
     cob = [prob.faces[sigma] for sigma in level]
     vol_s = [prob.vol_s[sigma] for sigma in level]
     vol_t = prob.vol_t
-    acc = list(prob.target)
-    if limit is None:
-        limit = prob.charge(range(len(prob.taus)), p) + 1
+    # acc is T - dS offset by A, the most |T - dS| reaches (T taken mod p in
+    # (-p/2, p/2]), and norm[a + A] weighs coefficient a; weights mod p
+    # have period p, so one period is cycled
+    target = [g if p is None else canonical_residue(g, p) for g in prob.target]
+    A = max((abs(g) + abs(vals[-1]) * sum(abs(c) for _, c in cof)
+             for g, cof in zip(target, prob.cofaces)), default=0)
+    norm = [abs(a) if p is None else norm_mod_p(a, p) for a in range(-A, A + 1)[:p]]
+    norm = list(islice(cycle(norm), 2 * A + 1))
+    acc = [g + A for g in target]
     base = prob.charge(loose, p)
 
     # Depth-first over levels 0..m on an explicit stack: nxt[i] indexes
@@ -232,8 +238,8 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
     nxt = [0] * (m + 1)
     cost_at = [base] * (m + 1)
     id_order = sorted(range(m), key=level.__getitem__)
-    top = (len(vals) + 1,)  # a key above every key
-    best_cost, best_key = limit - 1, top
+    above = (len(vals) + 1,)  # a key above every key
+    best_cost, best_key = limit - 1, above
     i = 0
     while i >= 0:
         if i == m:
@@ -262,25 +268,15 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
         if v:
             for t, coeff in faces:
                 acc[t] -= coeff * v
-        feasible = True
-        if p is not None:
-            for t in det_at[i]:
-                r = acc[t] % p
-                stepped += min(r, p - r) * vol_t[t]
-                if stepped > best_cost:
-                    feasible = False
-                    break
+        for t in det_at[i]:
+            stepped += norm[acc[t]] * vol_t[t]
+            if stepped > best_cost:
+                break
         else:
-            for t in det_at[i]:
-                stepped += abs(acc[t]) * vol_t[t]
-                if stepped > best_cost:
-                    feasible = False
-                    break
-        if feasible:
             cost_at[i + 1] = stepped
             nxt[i + 1] = 0
             i += 1
-    if best_key == top:
+    if best_key == above:
         return None
     return prob.answer(best_cost, [vals[r - 1] for r in best_key])
 
@@ -348,20 +344,21 @@ def _frontier(prob: _Problem, order: list[int], p: int, limit: int):
     A state is the residues mod p of the open k-cells, in the order of
     `layout`; a k-cell's cost is charged when its last coface is placed.
     Each state keeps the least (cost, key) pair that reaches it, where
-    key = sum of rank(v_i) * p**(m-1-i) over the cells i in id order, with
-    rank the position of v_i in `_residue_order(p)`.  Both are packed into
-    one integer cost * p**m + key, so one comparison orders them, and the
-    final key decodes to the witness."""
+    key = sum of rank(v_i) * n**(m-1-i) over the cells i in id order, with
+    rank the position of v_i in the n values `_residue_order` lists below
+    the limit.  Both are packed into one integer cost * n**m + key, so one
+    comparison orders them, and the final key decodes to the witness."""
     faces, target, vol_s, vol_t = prob.faces, prob.target, prob.vol_s, prob.vol_t
     m = len(faces)
-    vals = _residue_order(p)
-    W = p ** m
+    vals = _residue_order(p, (limit - 1) // min(vol_s, default=limit))
+    n = len(vals)
+    W = n ** m
     shut_at, loose = prob.closing(order)
     base = prob.charge(loose, p)
     if base >= limit:
         return None
     limit *= W  # a state or a move at the limit is dropped
-    weight = [p ** (m - 1 - i) for i in range(m)]  # of cell i's key digit
+    weight = [n ** (m - 1 - i) for i in range(m)]  # of cell i's key digit
     layout: list[int] = []
     states = {(): base * W}
     for i, closes in zip(order, shut_at):
@@ -421,7 +418,7 @@ def _frontier(prob: _Problem, order: list[int], p: int, limit: int):
     cost, key = divmod(val, W)
     assign = [0] * m
     for i in range(m - 1, -1, -1):
-        key, rank = divmod(key, p)
+        key, rank = divmod(key, n)
         assign[i] = vals[rank]
     return prob.answer(cost, assign)
 

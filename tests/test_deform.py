@@ -152,6 +152,21 @@ def test_boundary_sweep_ratio_is_taken_mod_p():
     assert res.boundary_sweep.mass() == 3
 
 
+def test_the_file_p_line_sets_the_modulus(tmp_path):
+    # an edge and a doubled edge: over Z, rounded reads 6/13 and chain_sweep 3/10
+    cells = "cell 1/4 3/4 1/4 1/4 1\ncell 3/4 3/4 1/4 5/4 2\n"
+    plain, with_p = tmp_path / "plain.chain", tmp_path / "p3.chain"
+    plain.write_text("chainfile 1 box\nambient 2\ndim 1\n" + cells)
+    with_p.write_text("chainfile 1 box\np 3\nambient 2\ndim 1\n" + cells)
+    docs = []
+    for argv in ([str(plain), "--p", "3"], [str(with_p)]):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["deform", *argv, "--eta", "1", "--json"]) == 0
+        docs.append(json.loads(out.getvalue())["result"])
+    assert docs[0] == docs[1]
+    assert docs[1]["ratios"] == {"boundary_sweep": "1/2", "chain_sweep": "1/3", "rounded": "4/9"}
+
+
 def test_random_deformations(rng):
     for _ in range(15):
         k = rng.choice([1, 2])

@@ -126,6 +126,17 @@ def test_mod_p_solver_matches_oracle_small(rng):
         assert flat_norm_mod_p(t, p).value == flat_norm_mod_p_oracle(t, p)
 
 
+def test_a_large_modulus_gives_the_integral_flat_norm(rng):
+    # p exceeds twice every |T - dS| below the limit, so mod p changes no
+    # weight; the values tried stop at the limit, not at p / 2
+    for _ in range(40):
+        cx = unit_grid_complex(rng.choice([1, 2, 3]))
+        t = random_chain_on(rng, cx, 1, max_cells=8, coeff=1)
+        proved = flat_norm_int(t)
+        assert proved.exact
+        assert flat_norm_mod_p(t, 10 ** 9 + 7).value == proved.value
+
+
 CUBE_EDGES = [tuple((0, 1) if j == axis else (corner[j], corner[j]) for j in range(3))
               for axis in range(3) for corner in itertools.product((0, 1), repeat=3)
               if corner[axis] == 0]

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -386,6 +387,16 @@ def test_missing_modulus_exit_code(capsys):
     assert "a modulus is required" in doc["error"]["message"]
 
 
+def test_a_large_modulus_answers_at_once(capsys):
+    # the values tried stop at the cost of S = 0, not at p / 2
+    start = time.perf_counter()
+    rc, out = run_cli(fixture_argv(["flatnormp", "square_rim.chain", "--p", "1000000007"]),
+                      capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 0
+    assert json.loads(out)["result"]["value"] == "1"
+
+
 def test_infeasible_fill_exit_code(capsys):
     argv = fixture_argv(["fill", "rim_skeleton.chain", "--p", "2"])
     rc, out = run_cli(argv, capsys)
@@ -711,13 +722,18 @@ def fuzz_file(tmp_path_factory):
 @given(text=abstract_chain_files(),
        command=st.sampled_from([["flatnorm"], ["validate"], ["mass"], ["boundary"],
                                 ["flatnormp", "--p", "2"], ["flatnormp", "--p", "3"],
+                                ["flatnormp", "--p", "1000003"],
+                                ["flatnormp", "--p", "2305843009213693951"],
                                 ["fill", "--p", "2"], ["isoratio", "--p", "2"]]))
 def test_random_abstract_files_never_hit_a_defect(fuzz_file, text, command):
-    # rejected input exits 2; exit 1 would be an internal defect
+    # rejected input exits 2; exit 1 would be an internal defect.  A flat
+    # norm's work does not grow with p, so the large moduli answer at once
     fuzz_file.write_text(text)
+    start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()) as out:
         rc = main([command[0], str(fuzz_file), *command[1:], "--json"])
     assert rc in (0, 2), out.getvalue()
+    assert time.perf_counter() - start < 5
 
 
 @st.composite
