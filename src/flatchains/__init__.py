@@ -25,9 +25,8 @@ __version__ = "0.1.0"
 
 # defining module -> the public names loaded from it on first access
 _LAZY_MODULES = {
-    "boxes": ("BoxCell", "BoxChain", "DeformationResult", "arrangement_complex",
-              "compile_chain", "deform", "grid_chain", "slice_mass_integral",
-              "slice_mass_star"),
+    "arrangement": ("arrangement_complex", "compile_chain"),
+    "boxes": ("BoxCell", "BoxChain", "grid_chain", "slice_mass_integral", "slice_mass_star"),
     "cone": ("ConeMassReport", "Simplex", "SimplicialChain", "boundary_simplicial", "cone",
              "cone_mass_report"),
     "core": ("CellularMap", "Complex", "IntChain", "ModPChain", "ValidationReport", "mass_p",
@@ -39,6 +38,7 @@ _LAZY_MODULES = {
                "parse_chainfile", "save_chainfile", "serialize_chainfile"),
     "flatnorm": ("FlatWitness", "fill_mod_p", "flat_norm_int", "flat_norm_mod_p",
                  "flat_norm_under_refinement", "isoperimetric_ratio"),
+    "rounding": ("DeformationResult", "deform"),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 

@@ -29,20 +29,18 @@ import itertools
 import math
 from fractions import Fraction
 from functools import total_ordering
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
+from importlib import import_module
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from . import _LAZY
 from .base import (
     Frozen,
-    InternalDefectError,
     PreconditionError,
     _check_modulus,
     as_fraction,
     canonical_residue,
     norm_mod_p,
 )
-
-if TYPE_CHECKING:  # only the complex builders below import it, when they run
-    from .core import Complex, IntChain
 
 Interval = tuple[Fraction, Fraction]
 Key = tuple[tuple[int, int], ...]  # a cell's (lo, hi) numerators over its chain's den
@@ -479,8 +477,6 @@ def slice_mass_star(chain: BoxChain, p: int) -> Fraction:
                for axes in itertools.combinations(range(chain.ambient_dim), chain.dim))
 
 
-# -- compilation to abstract complexes ------------------------------------
-
 def _faces(key: Key) -> list[tuple[Key, int]]:
     items = []
     sign = 1
@@ -492,285 +488,11 @@ def _faces(key: Key) -> list[tuple[Key, int]]:
     return items
 
 
-def _build_complex(keys: Iterable[Key], den: int, text: Callable[[int], str]) -> Complex:
-    from .core import Complex
-
-    by_dim: dict[int, dict[str, tuple]] = {}
-    for key in keys:
-        token = _token(key, text)
-        dim = len(_directions(key))
-        layer = by_dim.setdefault(dim, {})
-        if token in layer:
-            continue
-        bdry = [(_token(f, text), s) for f, s in _faces(key)]
-        vol = Fraction(math.prod(hi - lo for lo, hi in key if lo < hi), den ** dim) if dim else 1
-        layer[token] = (token, vol, bdry)
-    data = {d: sorted(layer.values()) for d, layer in by_dim.items()}
-    return Complex(data)
-
-
-def compile_chain(chain: BoxChain) -> tuple[Complex, IntChain]:
-    """The chain's cells plus all iterated faces, as an abstract complex."""
-    from .core import IntChain
-
-    seen: set[Key] = set()
-    frontier = list(chain._items)
-    while frontier:
-        key = frontier.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        frontier.extend(f for f, _ in _faces(key))
-    text = {v: str(Fraction(v, chain.den)) for v in _values(chain._items)}.__getitem__
-    cx = _build_complex(seen, chain.den, text)
-    coeffs = {_token(key, text): g for key, g in sorted(chain._items.items())}
-    return cx, IntChain(cx, chain.dim, coeffs)
-
-
-def arrangement_complex(chain: BoxChain, subdivide: int = 1) -> tuple[Complex, IntChain]:
-    """The full box complex over the chain's coordinate lattice.
-
-    Unlike compile_chain, this includes every lattice cell of every
-    dimension (in particular the top-dimensional ones), so flat-norm
-    fillings have somewhere to live.  subdivide = m splits each lattice
-    gap into m equal parts first.
-    """
-    from .core import IntChain
-
-    if not isinstance(subdivide, int) or subdivide < 1:
-        raise PreconditionError(f"subdivision factor must be an integer >= 1, got {subdivide!r}")
-    if chain.is_zero():
-        return compile_chain(chain)
-    chain = chain._rescaled(chain.den * subdivide)
-    lattices = []
-    for j in range(chain.ambient_dim):
-        vals = sorted({v for key in chain._items for v in key[j]})
-        fine = []
-        for lo, hi in itertools.pairwise(vals):
-            fine.extend(range(lo, hi, (hi - lo) // subdivide))
-        fine.append(vals[-1])
-        lattices.append(fine)
-    per_axis_cells = [[(v, v) for v in vals] + list(itertools.pairwise(vals)) for vals in lattices]
-    text = {v: str(Fraction(v, chain.den)) for fine in lattices for v in fine}.__getitem__
-    cx = _build_complex(itertools.product(*per_axis_cells), chain.den, text)
-    coeffs: dict[str, int] = {}
-    index = [{v: i for i, v in enumerate(c)} for c in lattices]
-    for key, g in sorted(chain._items.items()):
-        per_axis = [_split_intervals(lo, hi, lattices[j], index[j])
-                    for j, (lo, hi) in enumerate(key)]
-        for combo in itertools.product(*per_axis):
-            token = _token(combo, text)
-            coeffs[token] = coeffs.get(token, 0) + g
-    out = IntChain(cx, chain.dim, coeffs)
-    return cx, out
-
-
-# -- coordinate-rounding deformation ---------------------------------------
-
-class DeformationResult(Frozen):
-    """Outcome of the coordinate-rounding deformation T = P + U + dQ.
-
-    rounded is the chain pushed fully onto the coarse grid, chain_sweep
-    is the accumulated (k+1)-dimensional sweep, and boundary_sweep is
-    the accumulated sweep of the boundary; the identity
-    original = rounded + boundary_sweep + boundary(chain_sweep)
-    holds exactly and is checked at construction time.  original_boundary
-    is boundary(original), built once (None for a 0-chain).
-    """
-
-    _fields = ("original", "rounded", "boundary_sweep", "chain_sweep", "eta", "rho", "modulus")
-
-    def __init__(self, original: BoxChain, rounded: BoxChain, boundary_sweep: BoxChain,
-                 chain_sweep: BoxChain, eta: Fraction, rho: tuple[Fraction, ...],
-                 original_boundary: Optional[BoxChain], modulus: Optional[int] = None):
-        vars(self).update(original=original, rounded=rounded, boundary_sweep=boundary_sweep,
-                          chain_sweep=chain_sweep, eta=eta, rho=rho,
-                          original_boundary=original_boundary, modulus=modulus)
-
-    def _relaxed_mass(self, chain: BoxChain) -> Fraction:
-        return chain.mass_p(self.modulus) if self.modulus is not None else chain.mass()
-
-    def _boundary_mass(self) -> Fraction:
-        bd = self.original_boundary
-        return self._relaxed_mass(bd) if bd is not None else Fraction(0)
-
-    @staticmethod
-    def _ratio(num: Fraction, den: Fraction) -> Fraction:
-        if den != 0:
-            return num / den
-        if num == 0:
-            return Fraction(0)
-        raise InternalDefectError("nonzero sweep over a vanishing reference mass")
-
-    @property
-    def ratio_rounded(self) -> Fraction:
-        return self._ratio(self._relaxed_mass(self.rounded),
-                           self._relaxed_mass(self.original) + self.eta * self._boundary_mass())
-
-    @property
-    def ratio_boundary_sweep(self) -> Fraction:
-        return self._ratio(self._relaxed_mass(self.boundary_sweep),
-                           self.eta * self._boundary_mass())
-
-    @property
-    def ratio_chain_sweep(self) -> Fraction:
-        return self._ratio(self._relaxed_mass(self.chain_sweep),
-                           self.eta * self._relaxed_mass(self.original))
-
-
-def _round_value(v: int, grid: int, cut: int) -> int:
-    # the grid point v rounds to: up when its offset in its grid cell passes cut
-    q, offset = divmod(v, grid)
-    if offset == cut:
-        raise InternalDefectError(f"threshold collision at numerator {v} escaped the precheck")
-    return grid * (q if offset < cut else q + 1)
-
-
-def _on_grid(chain: BoxChain, eta: Fraction, rhos: Sequence[Fraction]) -> tuple[BoxChain, int]:
-    # chain over the coarsest lattice where eta and each rho * eta are integers, and eta there
-    den = math.lcm(chain.den, eta.denominator, *((r * eta).denominator for r in rhos))
-    return chain._rescaled(den), eta.numerator * (den // eta.denominator)
-
-
-def _push_round(chain: BoxChain, axis: int, grid: int, cut: int) -> BoxChain:
-    items = []
-    for key, g in chain._items.items():
-        lo, hi = key[axis]
-        rlo, rhi = _round_value(lo, grid, cut), _round_value(hi, grid, cut)
-        if lo < hi and rlo == rhi:
-            continue
-        items.append((_replaced(key, axis, rlo, rhi), g))
-    return BoxChain(chain.ambient_dim, chain.dim, items, chain.den)
-
-
-def _sweep(chain: BoxChain, axis: int, grid: int, cut: int) -> BoxChain:
-    """The chain-homotopy prisms of the rounding map on one axis.
-
-    Only cells degenerate in the axis sweep out anything; a cell already
-    extended there traces a region of its own dimension, a zero chain.
-    """
-    items = []
-    for key, g in chain._items.items():
-        lo, hi = key[axis]
-        if lo < hi:
-            continue
-        target = _round_value(lo, grid, cut)
-        if target == lo:
-            continue
-        # the swept axis comes after the directions below it in the wedge
-        sign = -1 if sum(a < b for a, b in key[:axis]) % 2 else 1
-        items.append((_replaced(key, axis, min(lo, target), max(lo, target)),
-                      sign * g if target > lo else -sign * g))
-    return BoxChain(chain.ambient_dim, chain.dim + 1, items, chain.den)
-
-
-def _axis_denominators(chain: BoxChain, eta: Fraction) -> list[int]:
-    # per axis, the lcm of the denominators of v / eta over its coordinates v
-    top = (eta * chain.den).numerator
-    return [top // math.gcd(top, *{v for key in chain._items for v in key[j]})
-            for j in range(chain.ambient_dim)]
-
-
-def deform(chain: BoxChain, eta, rho: Union[None, Sequence, object] = None,
-           p: Optional[int] = None, optimize_thresholds: bool = False) -> DeformationResult:
-    """Round a box chain onto the eta-grid through per-axis chain homotopies.
-
-    Every coordinate of the chain must be a rational multiple of eta.
-    Thresholds rho (one per axis, each strictly between 0 and 1) decide
-    which side of a coarse interval a fine coordinate rounds to; the
-    default picks, per axis, a value that collides with no coordinate of
-    the chain.  With optimize_thresholds the per-axis threshold is chosen
-    among the fine-gap midpoints to minimize the mass of the rounded
-    chain at that step.  p only affects the reported mass ratios.
-    """
-    eta = as_fraction(eta)
-    if eta <= 0:
-        raise PreconditionError("coarse scale must be positive")
-    if p is not None:
-        _check_modulus(p)
-    n = chain.ambient_dim
-    denoms = _axis_denominators(chain, eta)
-    if rho is not None and optimize_thresholds:
-        raise PreconditionError("give thresholds or ask for the threshold search, not both")
-    if rho is None:
-        thresholds = [Fraction(2 * (m // 2) + 1, 2 * m) for m in denoms]
-    else:
-        if not isinstance(rho, (list, tuple)):
-            rho = [rho] * n
-        if len(rho) != n:
-            raise PreconditionError(f"expected {n} thresholds, got {len(rho)}")
-        thresholds = [as_fraction(r) for r in rho]
-        for j, r in enumerate(thresholds):
-            if not 0 < r < 1:
-                raise PreconditionError(f"threshold {r} on axis {j} not in (0, 1)")
-            for v in chain.axis_values(j):
-                if (v / eta) % 1 == r:
-                    raise PreconditionError(
-                        f"threshold {r} on axis {j} collides with coordinate {v}")
-    # every candidate (2t + 1) / (2m) of the search has the lattice of t = 0
-    current, grid = _on_grid(chain, eta, [Fraction(1, 2 * m) for m in denoms]
-                             if optimize_thresholds else thresholds)
-    original_bd = chain.boundary() if chain.dim >= 1 else None
-    sweep_total = BoxChain(n, chain.dim + 1, {})
-    boundary_sweep_total = BoxChain(n, chain.dim, {})
-    chosen = []
-    for j in range(n):
-        if optimize_thresholds:
-            # thresholds between the same two fractional parts round alike,
-            # so the least midpoint above each part (and t = 0) stand for all
-            m = denoms[j]
-            starts = {0} | {v % grid * m // grid for key in current._items for v in key[j]}
-            r_j = min((Fraction(2 * t + 1, 2 * m) for t in starts),
-                      key=lambda r: (_push_round(current, j, grid, int(r * grid)).mass(), r))
-        else:
-            r_j = thresholds[j]
-        chosen.append(r_j)
-        cut = int(r_j * grid)
-        prism = _sweep(current, j, grid, cut)
-        rounded = _push_round(current, j, grid, cut)
-        if original_bd is None:
-            edge = BoxChain(n, chain.dim, {})
-        else:
-            bd = original_bd._rescaled(current.den) if j == 0 else current.boundary()
-            edge = _sweep(bd, j, grid, cut)
-        if not _combine((1, rounded), (-1, current), (-1, prism.boundary()), (-1, edge)).is_zero():
-            raise InternalDefectError(f"homotopy identity failed on axis {j}")
-        # summed step by step: canonical item maps depend on the order
-        sweep_total = sweep_total + prism
-        boundary_sweep_total = boundary_sweep_total + edge
-        current = rounded
-
-    result = DeformationResult(
-        original=chain,
-        rounded=current,
-        boundary_sweep=-boundary_sweep_total,
-        chain_sweep=-sweep_total,
-        eta=eta,
-        rho=tuple(chosen),
-        original_boundary=original_bd,
-        modulus=p,
-    )
-    _check_deformation(result)
-    return result
-
-
-def _check_deformation(res: DeformationResult) -> None:
-    t, p_chain = res.original, res.rounded
-    if not _combine((1, p_chain), (1, res.boundary_sweep), (1, res.chain_sweep.boundary()),
-                    (-1, t)).is_zero():
-        raise InternalDefectError("deformation identity T = P + U + dQ failed")
-    step = res.eta * p_chain.den  # the coarse grid's step in p_chain's numerators
-    if any(v * step.denominator % step.numerator for key in p_chain._items for iv in key
-           for v in iv):
-        raise InternalDefectError("rounded chain left the coarse grid")
-    if t.dim >= 1:
-        t_bd, p_bd = res.original_boundary, p_chain.boundary()
-        rounded_boundary, grid = _on_grid(t_bd, res.eta, res.rho)
-        for j, r_j in enumerate(res.rho):
-            rounded_boundary = _push_round(rounded_boundary, j, grid, int(r_j * grid))
-        if p_bd != rounded_boundary:
-            raise InternalDefectError("boundary of the rounded chain is not the rounded boundary")
-        if not _combine((1, res.boundary_sweep.boundary()), (-1, t_bd), (1, p_bd)).is_zero():
-            raise InternalDefectError("boundary sweep does not account for the boundary defect")
-        if t_bd.is_zero() and not res.boundary_sweep.is_zero():
-            raise InternalDefectError("cycle input produced a nonzero boundary sweep")
+def __getattr__(name: str):
+    # the deformation and the complex builders have modules of their own,
+    # which box calculus never compiles; their public names stay readable
+    # here, for `from .boxes import ...` and for code that patches them
+    module = _LAZY.get(name)
+    if module not in ("arrangement", "rounding"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __package__), name)

@@ -4,8 +4,13 @@ One subcommand per operation, one chain file per invocation.  Each
 subcommand takes only its own flags, listed in COMMANDS, plus `--json`
 and `--timing`; any other flag is a usage error (exit 2, argparse's
 message on stderr, and under `--json` an error document as well).  A
-call builds the parser of its subcommand alone; help, no arguments or an
-unknown subcommand build the full parser.
+well-formed call never imports argparse: a small reader over COMMANDS
+and _FLAGS takes the subcommand, its file and its flags, with argparse's
+types and choices.  Whatever the reader does not take (help, a usage
+error, or a shape such as `--p=3` or a repeated flag) goes to argparse,
+which builds the parser of its subcommand alone, or the full parser for
+help, no arguments or an unknown subcommand; so every usage message and
+help text is argparse's own.
 Default output is a short human-readable report; `--json` switches to a
 single structured document (stable key order, canonical number strings)
 that validates against the packaged schema.json.  Exit codes: 0 on success,
@@ -20,7 +25,6 @@ integers.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
@@ -28,6 +32,7 @@ import sys
 import time
 from fractions import Fraction
 from importlib import import_module
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import _LAZY
@@ -35,14 +40,17 @@ from .base import FillInfeasibleError, InternalDefectError, PreconditionError
 from .fileio import ChainFile, ParseError, format_number, load_chainfile
 
 if TYPE_CHECKING:
+    import argparse
+
     from .core import IntChain
 
 
-# Each handler imports the library functions it uses when it runs, from
-# their defining module, so a call loads only the modules its subcommand
-# needs.  The package's public names stay readable as attributes of this
-# module, for code that reads or patches `flatchains.cli.<name>`
-# (perfbench's tracer does).
+# Each handler imports the library functions it uses when it runs, so a
+# call loads only the modules its subcommand needs: from their defining
+# module, but `deform` and the box complex builders from `boxes`, which
+# loads them from theirs and is where perfbench's tracer wraps them.  The
+# package's public names stay readable as attributes of this module, for
+# code that reads or patches `flatchains.cli.<name>` (the tracer does).
 def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
@@ -382,22 +390,72 @@ COMMANDS = {
 
 # -- dispatch ---------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, keeping a usage error's message on the SystemExit it raises."""
+def _read(argv: list) -> SimpleNamespace | None:
+    """argv's namespace as argparse would build it, for the one shape a
+    well-formed call takes; None for anything else.
 
-    def error(self, message):
-        try:
-            super().error(message)
-        except SystemExit as stop:
-            stop.usage_message = message
-            raise
+    The shape: a known subcommand, then its file and its flags in any
+    order, each flag spelled in full and given once, each flag's value
+    the next token, not starting with `-`.  Values get argparse's `type`
+    and `choices`.  A None sends argv to argparse, which parses it or
+    reports the error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, required, optional = COMMANDS[argv[0]]
+    flags = {f"--{flag}": (flag, _FLAGS[flag][1]) for flag in required + optional}
+    flags.update({"--json": ("as_json", {"action": "store_true"}),
+                  "--timing": ("timing", {"action": "store_true"})})
+    args = {"command": argv[0]}
+    for dest, keywords in flags.values():
+        args[dest] = keywords.get("default", False if "action" in keywords else None)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            dest, value = "file", token
+        else:
+            dest, keywords = flags.get(token, (None, None))
+            if dest is None:
+                return None
+            if "action" in keywords:  # store_true
+                value = True
+            else:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+                if "type" in keywords:
+                    try:
+                        value = keywords["type"](value)
+                    except (TypeError, ValueError):
+                        return None
+                if value not in keywords.get("choices", (value,)):
+                    return None
+        if dest in given:
+            return None
+        given.add(dest)
+        args[dest] = value
+    return SimpleNamespace(**args) if "file" in given else None
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser: all subparsers, or only the given subcommand's.
 
     The two print the same usage line, so their messages are the same.
+    main builds it only for argv the reader does not take.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse, keeping a usage error's message on the SystemExit it raises."""
+
+        def error(self, message):
+            try:
+                super().error(message)
+            except SystemExit as stop:
+                stop.usage_message = message
+                raise
+
     parser = _Parser(
         prog="flatchains",
         description="Mass, flat norm, slicing, deformation, and cycle "
@@ -485,11 +543,13 @@ def _emit_usage_error(argv: list, stop: SystemExit) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
-    except SystemExit as stop:
-        _emit_usage_error(argv, stop)
-        raise
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        except SystemExit as stop:
+            _emit_usage_error(argv, stop)
+            raise
     started = time.perf_counter()
     doc = {"version": 2, "command": args.command}
     try:

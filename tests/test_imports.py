@@ -1,7 +1,9 @@
 """Import surface: a CLI call loads only the modules its subcommand uses.
 
 Every check runs in a fresh interpreter, since this test process has
-long since imported the whole package.
+long since imported the whole package.  The child reports its
+`sys.modules`: `-X importtime` lists no module loaded through
+`importlib.import_module`, which is how the package loads its names.
 """
 
 import json
@@ -26,6 +28,9 @@ BASE = {"flatchains", "flatchains.base", "flatchains.fileio"}
 # inspect, which pulls in dis, ast and tokenize
 HEAVY = {"dataclasses", "inspect"}
 
+# argparse and what it pulls in: loaded only to report a usage error or help
+PARSING = {"argparse", "gettext", "locale"}
+
 
 def run_python(*args):
     env = dict(os.environ)
@@ -34,24 +39,35 @@ def run_python(*args):
                           text=True, timeout=60)
 
 
-def imported(stderr: str) -> set:
-    """The modules named in a `-X importtime` report."""
-    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
-            if line.startswith("import time:") and "|" in line}
-
-
 def flatchains_imports(names: set) -> set:
     return {name for name in names if name.split(".")[0] == "flatchains"}
 
 
 def import_in_child(module: str) -> set:
     """The flatchains modules a fresh interpreter holds after importing
-    module, which must load none of HEAVY."""
-    done = run_python("-X", "importtime", "-c", f"import json, sys, {module}; print("
-                      "json.dumps([m for m in sys.modules if m.split('.')[0] == 'flatchains']))")
+    module, which must load none of HEAVY or PARSING."""
+    done = run_python("-c", f"import json, sys, {module}; print(json.dumps(list(sys.modules)))")
     assert done.returncode == 0, done.stderr
-    assert not imported(done.stderr) & HEAVY
-    return set(json.loads(done.stdout))
+    names = set(json.loads(done.stdout))
+    assert not names & (HEAVY | PARSING)
+    return flatchains_imports(names)
+
+
+# runs the CLI as `python -m flatchains.cli` does, then prints the modules
+# it holds as the last line of stderr, however the CLI exits
+CLI_CHILD = """
+import json, runpy, sys
+try:
+    runpy.run_module("flatchains.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(list(sys.modules)), file=sys.stderr)
+"""
+
+
+def cli_in_child(*argv):
+    """The finished child and every module it held at exit."""
+    done = run_python("-c", CLI_CHILD, *argv)
+    return done, set(json.loads(done.stderr.splitlines()[-1]))
 
 
 def test_importing_the_cli_loads_only_its_core():
@@ -59,7 +75,9 @@ def test_importing_the_cli_loads_only_its_core():
 
 
 # (argv, modules beyond BASE); `python -m` runs the CLI as __main__, so
-# `flatchains.cli` itself is never among the imported modules
+# `flatchains.cli` itself is never among the imported modules.  Box
+# calculus loads `boxes` alone: only `deform` loads `rounding`, and only a
+# call that builds a complex from a box file loads `arrangement`.
 CALLS = [
     # an abstract file's parser builds its complex in `core`
     (["validate", "path3.chain"], {"core"}),
@@ -67,19 +85,21 @@ CALLS = [
     (["boundary", "rim_skeleton.chain"], {"core"}),
     (["slice", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes"}),
     (["mass", "square.chain"], {"boxes"}),
+    (["massp", "square.chain", "--p", "2"], {"boxes"}),
+    (["reduce", "square.chain", "--p", "2"], {"boxes"}),
     (["boundary", "square.chain"], {"boxes"}),
-    (["deform", "fine_edge.chain", "--eta", "1", "--rho", "1/2,1/2"], {"boxes"}),
+    (["deform", "fine_edge.chain", "--eta", "1", "--rho", "1/2,1/2"], {"boxes", "rounding"}),
     # only the integral flat norm compiles the min-cost flow
     (["flatnorm", "path3.chain"], {"core", "flatnorm", "flow"}),
-    (["flatnorm", "square_rim.chain"], {"boxes", "core", "flatnorm", "flow"}),
+    (["flatnorm", "square_rim.chain"], {"arrangement", "boxes", "core", "flatnorm", "flow"}),
     # a box file's complex is built in `core` only where a call needs one
-    (["validate", "square.chain"], {"boxes", "core"}),
-    (["flatnormp", "square_rim.chain", "--p", "2"], {"boxes", "core", "flatnorm"}),
-    (["fill", "square_rim.chain", "--p", "2"], {"boxes", "core", "flatnorm"}),
+    (["validate", "square.chain"], {"arrangement", "boxes", "core"}),
+    (["flatnormp", "square_rim.chain", "--p", "2"], {"arrangement", "boxes", "core", "flatnorm"}),
+    (["fill", "square_rim.chain", "--p", "2"], {"arrangement", "boxes", "core", "flatnorm"}),
     (["cyclecut", "curves_pair.chain"], {"curves"}),
     (["preprocess", "curves_mixed.chain"], {"curves"}),
-    (["decompose", "square_rim.chain"], {"boxes", "core", "curves"}),
-    (["cyclerep", "parallel_paths.chain"], {"boxes", "core", "curves"}),
+    (["decompose", "square_rim.chain"], {"arrangement", "boxes", "core", "curves"}),
+    (["cyclerep", "parallel_paths.chain"], {"arrangement", "boxes", "core", "curves"}),
     (["cone", "segment.chain", "--apex", "0,0"], {"cone"}),
     (["conereport", "segment.chain", "--apex", "0,0", "--p", "2"], {"cone"}),
     # the parser loads `cone` for a simplicial file; the chain's own methods
@@ -88,13 +108,13 @@ CALLS = [
     (["reduce", "segment.chain", "--p", "2"], {"cone"}),
     (["boundary", "segment.chain"], {"cone"}),
     (["reduce", "path3.chain", "--p", "2"], {"core"}),
-    (["isoratio", "square_rim.chain", "--p", "2"], {"boxes", "core", "flatnorm"}),
+    (["isoratio", "square_rim.chain", "--p", "2"], {"arrangement", "boxes", "core", "flatnorm"}),
     (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes"}),
     (["islice", "square.chain", "--axis", "0,1", "--r", "1/2,1/2"], {"boxes"}),
     (["slicemass", "square.chain", "--axis", "0", "--p", "2"], {"boxes"}),
     (["slicestar", "square.chain", "--p", "2"], {"boxes"}),
     (["refinecompare", "square_rim.chain", "--subdiv", "2", "--p", "2"],
-     {"boxes", "core", "flatnorm"}),
+     {"arrangement", "boxes", "core", "flatnorm"}),
     (["sysboundary", "curves_pair.chain"], {"curves"}),
 ]
 
@@ -108,18 +128,36 @@ def test_calls_cover_every_subcommand():
 @pytest.mark.parametrize("argv,extra", CALLS, ids=[" ".join(c[0][:2]) for c in CALLS])
 def test_a_call_loads_only_what_its_subcommand_needs(argv, extra):
     cmd, name, *flags = argv
-    done = run_python("-X", "importtime", "-m", "flatchains.cli",
-                      cmd, str(FIXTURES / name), *flags, "--json")
+    done, names = cli_in_child(cmd, str(FIXTURES / name), *flags, "--json")
     assert done.returncode == 0, done.stdout
     assert json.loads(done.stdout)["command"] == cmd
-    names = imported(done.stderr)
     assert flatchains_imports(names) == BASE | {f"flatchains.{m}" for m in extra}
-    assert not names & HEAVY
+    # a well-formed call is read without argparse
+    assert not names & (HEAVY | PARSING)
+
+
+# (argv, exit code): a usage error, help, and a well-formed call in a
+# shape the CLI's own reader leaves to argparse
+ARGPARSE_CALLS = [(["mass", "square.chain", "--p", "3"], 2), (["mass", "--help"], 0),
+                  (["massp", "square.chain", "--p=3"], 0)]
+
+
+@pytest.mark.parametrize("argv,code", ARGPARSE_CALLS,
+                         ids=["usage-error", "help", "joined-value"])
+def test_argparse_loads_for_what_the_reader_does_not_take(argv, code):
+    argv = [str(FIXTURES / a) if a.endswith(".chain") else a for a in argv]
+    done, names = cli_in_child(*argv)
+    assert done.returncode == code, done.stderr
+    assert PARSING <= names
 
 
 # (library module, the flatchains modules importing it loads)
 LIBRARY = [
     ("flatchains.boxes", {"flatchains", "flatchains.base", "flatchains.boxes"}),
+    ("flatchains.rounding", {"flatchains", "flatchains.base", "flatchains.boxes",
+                             "flatchains.rounding"}),
+    ("flatchains.arrangement", {"flatchains", "flatchains.arrangement", "flatchains.base",
+                                "flatchains.boxes", "flatchains.core"}),
     ("flatchains.curves", {"flatchains", "flatchains.base", "flatchains.curves"}),
     ("flatchains.cone", {"flatchains", "flatchains.base", "flatchains.cone"}),
     ("flatchains.flatnorm", {"flatchains", "flatchains.base", "flatchains.core",
@@ -217,11 +255,35 @@ def test_every_tracer_target_resolves_on_its_module():
         assert callable(owner), f"{module_name}.{path}"
 
 
+def test_the_moved_names_still_resolve_on_boxes():
+    # the tracer and `from .boxes import ...` read them there
+    import flatchains
+    import flatchains.boxes as boxes
+    import flatchains.cli as cli
+
+    for name, module in (("deform", "rounding"), ("DeformationResult", "rounding"),
+                         ("arrangement_complex", "arrangement"),
+                         ("compile_chain", "arrangement")):
+        assert getattr(boxes, name) is getattr(import_module(f"flatchains.{module}"), name)
+    assert flatchains.deform is cli.deform is boxes.deform
+    assert flatchains.deform.__name__ == "deform"
+
+
+def test_no_module_is_named_after_a_public_name():
+    # importing such a module would bind it as the package attribute in
+    # place of the name; the package undoes that for `cone` alone
+    import flatchains
+
+    modules = {path.stem for path in (SRC / "flatchains").glob("*.py")}
+    assert modules & set(flatchains.__all__) == {"cone"}
+
+
 def test_unknown_names_raise_attribute_error():
     import flatchains
+    import flatchains.boxes
     import flatchains.cli
 
-    for module in (flatchains, flatchains.cli):
+    for module in (flatchains, flatchains.boxes, flatchains.cli):
         with pytest.raises(AttributeError):
             module.no_such_name  # noqa: B018
 

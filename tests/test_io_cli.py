@@ -16,11 +16,11 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatchains.boxes import BoxCell, BoxChain
-from flatchains.cli import COMMANDS, _chain_doc, build_parser, main
+from flatchains.cli import COMMANDS, _chain_doc, _read, build_parser, main
 from flatchains.cone import SimplicialChain
 from flatchains.core import PreconditionError
 from flatchains.fileio import (ChainFile, ParseError, format_number, load_chainfile,
@@ -510,6 +510,94 @@ def test_usage_error_without_a_known_subcommand_prints_no_doc(argv, capsys):
         main(argv)
     assert exit_.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+# ---- the reader that spares a well-formed call argparse ----
+
+def argparse_namespace(argv):
+    """vars() of the full parser's namespace for argv, or None where
+    argparse exits (a usage error or help)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_the_reader_takes_every_well_formed_call(command):
+    _, required, optional = COMMANDS[command]
+
+    def flags(names):
+        return [token for flag in names for token in (f"--{flag}", *FLAG_VALUES[flag])]
+
+    for argv in ([command, "x.chain", *flags(required + optional), "--json"],
+                 [command, *flags(optional + required), "--timing", "x.chain"],
+                 [command, "x.chain", *flags(required)]):
+        namespace = _read(argv)
+        assert namespace is not None, argv
+        assert vars(namespace) == argparse_namespace(argv)
+
+
+# (argv the reader leaves to argparse, whether argparse takes it): a
+# negative value, a joined value, a repeated switch and `--` are fine
+# there; the rest are usage errors or help
+LEFT_TO_ARGPARSE = [
+    (["massp", "f.chain", "--p", "-3"], True), (["massp", "f.chain", "--p=3"], True),
+    (["mass", "f.chain", "--json", "--json"], True), (["mass", "--", "f.chain"], True),
+    (["slice", "f.chain", "--axis", "-1/2", "--r", "1/2"], False),
+    (["slice", "f.chain", "--axis", "--r"], False), (["massp", "f.chain", "--p"], False),
+    (["massp", "f.chain", "--p", "two"], False),
+    (["restrict", "f.chain", "--axis", "0", "--r", "1/2", "--side", "left"], False),
+    (["mass", "f.chain", "f.chain"], False), (["mass"], False),
+    (["mass", "f.chain", "-h"], False), (["mass", "f.chain", "--p", "3"], False),
+    (["nosuch", "f.chain"], False), ([], False), (["--help"], False),
+]
+
+
+@pytest.mark.parametrize("argv,taken", LEFT_TO_ARGPARSE,
+                         ids=[" ".join(argv) for argv, _ in LEFT_TO_ARGPARSE])
+def test_the_reader_leaves_the_rest_to_argparse(argv, taken):
+    assert _read(argv) is None
+    assert (argparse_namespace(argv) is not None) == taken
+
+
+# tokens argparse reads in ways a plain reader could get wrong: negative
+# numbers, the empty string, `--`, help, joined values, integers Python
+# writes unusually, bad integers and bad choices
+AWKWARD = ["-3", "-1/2", "", "--", "-", "-h", "--help", "--p=3", "--json=1", "-p", "--r",
+           " 3", "3_0", "+4", "two", "1.5", "left", "below", "above", "0,1", "1/2", "x.chain"]
+ALL_FLAGS = [f"--{flag}" for flag in FLAG_VALUES] + ["--json", "--timing"]
+
+
+@st.composite
+def awkward_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS) + ["nosuch"]))
+    _, required, optional = COMMANDS.get(command, (None, (), ()))
+    tokens = []
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from([*required, *optional, "json", "timing"]))
+        tokens.append(f"--{flag}")
+        if flag in FLAG_VALUES and FLAG_VALUES[flag]:
+            tokens.append(draw(st.one_of(st.sampled_from(FLAG_VALUES[flag]),
+                                         st.sampled_from(AWKWARD))))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))),
+                      draw(st.sampled_from(AWKWARD + ALL_FLAGS)))
+    # the file, anywhere: mostly once, sometimes missing or twice
+    for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), "f.chain")
+    return [command, *tokens]
+
+
+@settings(max_examples=400)
+@given(awkward_argv())
+def test_the_reader_agrees_with_argparse(argv):
+    # the reader may leave argv that argparse takes to argparse, but what
+    # it takes it reads as argparse does; so where argparse exits it takes nothing
+    namespace = _read(argv)
+    if namespace is not None:
+        assert vars(namespace) == argparse_namespace(argv)
 
 
 def test_schema_lists_every_command_and_flag(schema):
