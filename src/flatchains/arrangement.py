@@ -12,12 +12,11 @@ compiles it; `flatchains.boxes` still resolves its public names.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .base import PreconditionError
-from .boxes import BoxChain, Key, _directions, _faces, _split_intervals, _token, _values
+from .boxes import BoxChain, Key, _directions, _faces, _split_intervals, _token, _values, _volume
 from .core import Complex, IntChain
 
 
@@ -30,7 +29,7 @@ def _build_complex(keys: Iterable[Key], den: int, text: Callable[[int], str]) ->
         if token in layer:
             continue
         bdry = [(_token(f, text), s) for f, s in _faces(key)]
-        vol = Fraction(math.prod(hi - lo for lo, hi in key if lo < hi), den ** dim) if dim else 1
+        vol = Fraction(_volume(key), den ** dim) if dim else 1
         layer[token] = (token, vol, bdry)
     data = {d: sorted(layer.values()) for d, layer in by_dim.items()}
     return Complex(data)

@@ -382,12 +382,17 @@ def _combine(*terms: tuple[int, BoxChain]) -> BoxChain:
     return BoxChain(first.ambient_dim, first.dim, items, den)
 
 
+def _volume(key: Key) -> int:
+    """The cell's volume in units of 1 / den ** dim."""
+    return math.prod(hi - lo for lo, hi in key if lo < hi)
+
+
 def _measure(chain: BoxChain, weight: Callable[[int], int], axes: Sequence[int] = ()) -> Fraction:
     """The sum of weight(g) * volume over the cells extended in every axis of axes."""
     total = 0
     for key, g in chain._items.items():
         if all(key[a][0] < key[a][1] for a in axes):
-            total += weight(g) * math.prod(hi - lo for lo, hi in key if lo < hi)
+            total += weight(g) * _volume(key)
     return Fraction(total, chain.den ** chain.dim)
 
 
@@ -468,13 +473,15 @@ def slice_mass_star(chain: BoxChain, p: int) -> Fraction:
 
     The maximum ranges over all subsets of the coordinate axes of size
     equal to the chain dimension; for 0-chains this is the plain mass_p.
+    A cell counts only toward its own direction set, so one pass sums
+    mass_p per direction set present and takes the largest (0 if none).
     """
-    if chain.is_zero():
-        return Fraction(0)
-    if chain.dim == 0:
-        return chain.mass_p(p)
-    return max(slice_mass_integral(chain, axes, p)
-               for axes in itertools.combinations(range(chain.ambient_dim), chain.dim))
+    _check_modulus(p)
+    per_dirs: dict[tuple[int, ...], int] = {}
+    for key, g in chain._items.items():
+        dirs = _directions(key)
+        per_dirs[dirs] = per_dirs.get(dirs, 0) + norm_mod_p(g, p) * _volume(key)
+    return Fraction(max(per_dirs.values(), default=0), chain.den ** chain.dim)
 
 
 def _faces(key: Key) -> list[tuple[Key, int]]:

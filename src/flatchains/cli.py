@@ -50,7 +50,7 @@ if TYPE_CHECKING:
 # module, but `deform` and the box complex builders from `boxes`, which
 # loads them from theirs and is where perfbench's tracer wraps them.  The
 # package's public names stay readable as attributes of this module, for
-# code that reads or patches `flatchains.cli.<name>` (the tracer does).
+# code that reads `flatchains.cli.<name>` (perfbench's harness tests do).
 def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:

@@ -476,16 +476,14 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
 
     With positive volumes on a network complex (see the module
     docstring) the flat norm is a min-cost flow, proved by a matching
-    dual: the result has exact=True and bound=None.  Otherwise one search runs over
-    fillings with coefficients in [-B, B], where B is the given bound or
-    twice (max coefficient + 1), and reports bound=B.  Its value is
-    proved when every cell outside the box would on its own already cost
-    more than the value found, or when it equals the flow's certified
-    optimum.
-
-    An explicit bound asks for the optimum over |S| <= bound: the flow's
-    answer stands when its filling fits in that box, and the search runs
-    when it does not.
+    dual; `flow` returns that certified optimum and its filling.  When
+    the filling fits in the box |S| <= bound (always, with no bound), it
+    is the witness, with exact=True and bound=None.  Otherwise one search
+    runs over fillings with coefficients in [-B, B], where B is the given
+    bound or twice (max coefficient + 1), and reports bound=B.  Its value
+    is proved when every cell outside the box would on its own already
+    cost more than the value found, or when it equals the flow's
+    certified optimum.  Either way the witness is assembled once, here.
     """
     if bound is not None and (not isinstance(bound, int) or bound < 1):
         raise PreconditionError(f"coefficient bound must be an integer >= 1, got {bound!r}")
@@ -493,14 +491,15 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
 
     prob = _Problem(T)
     flow = _flow_flat_norm(T, prob)
-    if flow is not None and (bound is None
-                             or all(abs(g) <= bound for _, g in flow.filling.items())):
-        return flow
-    b = bound if bound is not None else 2 * (max((abs(g) for _, g in T.items()), default=0) + 1)
-    cost, s_coeffs = _exact_search(prob, bound=b)
+    if flow is not None and (bound is None or all(abs(g) <= bound for g in flow[1].values())):
+        cost, s_coeffs = flow
+        proved, b = True, None
+    else:
+        b = bound if bound is not None else 2 * (max((abs(g) for _, g in T.items()), default=0) + 1)
+        cost, s_coeffs = _exact_search(prob, bound=b)
+        proved = ((flow is not None and cost == flow[0])
+                  or all((b + 1) * v > cost * prob.scale for v in prob.vol_s))
     filling, remainder, value = _decompose(T, s_coeffs, cost)
-    proved = ((flow is not None and cost == prob.mass(flow.filling.coeffs))
-              or all((b + 1) * v > cost * prob.scale for v in prob.vol_s))
     return FlatWitness(value, remainder, filling, exact=proved, bound=b)
 
 

@@ -1,9 +1,10 @@
 """The integral flat norm as a min-cost flow, on network complexes.
 
 `flatnorm.flat_norm_int` imports this module when it runs, so mod-p
-solves never compile it.  The `flatnorm` module docstring says when a
-complex is a network (the dual circulation and the primal flow) and how
-every flow answer is certified; `_min_cost_flow` below solves both.
+solves never compile it, and builds the witness from the certified
+optimum and filling returned here.  The `flatnorm` module docstring says
+when a complex is a network (the dual circulation and the primal flow)
+and how every flow answer is certified; `_min_cost_flow` below solves both.
 """
 
 from __future__ import annotations
@@ -13,16 +14,16 @@ from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Optional
 
 from .base import InternalDefectError, as_fraction
-from .flatnorm import FlatWitness, _decompose
 
 if TYPE_CHECKING:
     from .core import IntChain
     from .flatnorm import _Problem
 
 
-def _flow_flat_norm(T: IntChain, prob: _Problem) -> Optional[FlatWitness]:
-    """The certified min-cost-flow solution, or None when the complex is no
-    network in dimensions k and k+1."""
+def _flow_flat_norm(T: IntChain, prob: _Problem) -> Optional[tuple[Fraction, dict]]:
+    """(optimum, filling by cell id) of the min-cost flow, once its dual
+    certificate holds, or None when the complex is no network in
+    dimensions k and k+1."""
     solved = _dual_circulation(prob) or _primal_flow(prob)
     if solved is None:
         return None
@@ -30,8 +31,7 @@ def _flow_flat_norm(T: IntChain, prob: _Problem) -> Optional[FlatWitness]:
     optimum = _dual_value(T, prob.sigmas, y, prob.scale)
     if optimum != prob.mass(s_coeffs):
         raise InternalDefectError("flow optimum differs from its dual value")
-    filling, remainder, value = _decompose(T, s_coeffs, optimum)
-    return FlatWitness(value, remainder, filling, exact=True)
+    return optimum, s_coeffs
 
 
 def _dual_value(T: IntChain, sigmas, y: dict, scale: int) -> Fraction:

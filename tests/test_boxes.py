@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -428,6 +429,29 @@ def test_slice_mass_star_pinned_examples():
     edge = BoxChain(2, 1, [(cell((0, 1), (0, 0)), 1)])
     assert slice_mass_star(edge, 2) == 1
     assert slice_mass_star(2 * edge, 2) == 0
+    # the modulus is checked before any cell is read
+    for chain in (BoxChain(2, 1, {}), sq):
+        with pytest.raises(PreconditionError, match="invalid modulus"):
+            slice_mass_star(chain, 1)
+
+
+def test_slice_mass_star_equals_the_subset_enumeration(rng):
+    # the maximum over every axis subset of the chain's dimension
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        k = rng.randint(0, n)
+        t = random_box_chain(rng, n, k, max_cells=4, coeff=5)
+        p = rng.choice([2, 3, 5])
+        assert slice_mass_star(t, p) == max(slice_mass_integral(t, axes, p)
+                                            for axes in itertools.combinations(range(n), k))
+
+
+def test_slice_mass_star_takes_one_pass_over_the_cells():
+    # a 20-cell in R^40: C(40, 20) ~ 1.4e11 axis subsets, one direction set
+    cube = BoxChain(40, 20, [(BoxCell(((0, 1),) * 20 + ((0, 0),) * 20), 3)])
+    start = time.perf_counter()
+    assert slice_mass_star(cube, 2) == 1
+    assert time.perf_counter() - start < 5
 
 
 def test_slice_mass_integral_bounded_by_relaxed_mass(rng):

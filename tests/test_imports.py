@@ -162,6 +162,8 @@ LIBRARY = [
     ("flatchains.cone", {"flatchains", "flatchains.base", "flatchains.cone"}),
     ("flatchains.flatnorm", {"flatchains", "flatchains.base", "flatchains.core",
                              "flatchains.flatnorm"}),
+    # the flow hands flatnorm an optimum and builds no witness of its own
+    ("flatchains.flow", {"flatchains", "flatchains.base", "flatchains.flow"}),
 ]
 
 
@@ -289,7 +291,7 @@ def test_unknown_names_raise_attribute_error():
 
 
 def test_the_cli_still_exposes_the_library_functions_it_calls():
-    # the benchmark's tracer reads and patches these names on the CLI module
+    # perfbench's harness tests read these names on the CLI module
     import flatchains.cli as cli
 
     for module, name in (("flatnorm", "fill_mod_p"), ("boxes", "deform"),

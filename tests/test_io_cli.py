@@ -667,6 +667,16 @@ def test_cli_rejects_a_modulus_below_two(text, command, p, tmp_path, capsys):
         "message": f"invalid modulus: {p} (an integer >= 2 is required)"}
 
 
+@pytest.mark.parametrize("name", ["empty_box.chain", "square.chain"])
+def test_slicestar_rejects_a_modulus_below_two(name, capsys):
+    # checked before any cell is read, so an empty chain is no exception
+    rc, out = run_cli(fixture_argv(["slicestar", name, "--p", "1"]), capsys)
+    assert rc == 2
+    assert json.loads(out)["error"] == {
+        "kind": "precondition",
+        "message": "invalid modulus: 1 (an integer >= 2 is required)"}
+
+
 def test_error_doc_matches_schema(capsys, schema):
     _, out = run_cli(fixture_argv(["mass", "broken.chain"]), capsys)
     jsonschema.Draft7Validator(schema).validate(json.loads(out))
