@@ -190,7 +190,7 @@ class BoxChain:
                  items: Union[Mapping[BoxCell, int], Iterable[tuple[BoxCell, int]]],
                  den: Optional[int] = None):
         # With den given, items are (key, coefficient) pairs over den built
-        # by this module or by the box file parser from _keyed.
+        # by this module, its file reader included, from _keyed.
         if isinstance(items, Mapping):
             items = items.items()
         if den is None:
@@ -493,6 +493,48 @@ def _faces(key: Key) -> list[tuple[Key, int]]:
             items.append((_replaced(key, axis, lo, lo), -sign))
             sign = -sign
     return items
+
+
+def _read_chainfile(body) -> BoxChain:
+    """The chain of a box file's body lines (see fileio.CARRIERS)."""
+    from .fileio import ParseError, _integer, _number, _parse_shape, _resolve_shape
+
+    shape = {"ambient": None, "dim": None}
+    items = []
+    numbers: dict[str, Fraction] = {}  # cells share coordinates: parse each text once
+    for no, line in body:
+        tokens = line.split()
+        if tokens[0] in shape:
+            _parse_shape(tokens, no, shape)
+        elif tokens[0] == "cell":
+            if len(tokens) < 4 or len(tokens) % 2 != 0:
+                raise ParseError(no, "expected `cell lo1 hi1 ... coeff`")
+            coeff = _integer(tokens[-1], no)
+            bounds = [numbers[t] if t in numbers else numbers.setdefault(t, _number(t, no))
+                      for t in tokens[1:-1]]
+            try:
+                intervals = _ordered(tuple(zip(bounds[::2], bounds[1::2])))
+            except PreconditionError as err:
+                raise ParseError(no, str(err)) from None
+            if shape["ambient"] is not None and len(intervals) != shape["ambient"]:
+                raise ParseError(no, f"cell has {len(intervals)} axes, ambient is {shape['ambient']}")
+            items.append((intervals, coeff))
+        else:
+            raise ParseError(no, f"unexpected {tokens[0]!r} in a box file")
+    first = items and (len(items[0][0]), sum(lo != hi for lo, hi in items[0][0]))
+    ambient, dim = _resolve_shape(shape, first, body, "box")
+    return BoxChain(ambient, dim, *_keyed(ambient, dim, items))
+
+
+def _write_chainfile(chain: BoxChain) -> list[str]:
+    from .fileio import format_number
+
+    out = [f"ambient {chain.ambient_dim}", f"dim {chain.dim}"]
+    for cell, g in chain.items():
+        bounds = " ".join(f"{format_number(lo)} {format_number(hi)}"
+                          for lo, hi in cell.intervals)
+        out.append(f"cell {bounds} {g}")
+    return out
 
 
 def __getattr__(name: str):

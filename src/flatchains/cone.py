@@ -390,3 +390,39 @@ def cone_mass_report(x, T: SimplicialChain, p: Optional[int] = None) -> ConeMass
             raise InternalDefectError(
                 f"cone mod-{p} mass {mass_p} exceeds {r} * {base_p}")
     return ConeMassReport(cone_mass, mass_p, r)
+
+
+def _read_chainfile(body) -> SimplicialChain:
+    """The chain of a simplicial file's body lines (see fileio.CARRIERS)."""
+    from .fileio import ParseError, _integer, _number, _parse_shape, _resolve_shape
+
+    shape = {"ambient": None, "dim": None}
+    items = []
+    numbers: dict[str, Fraction] = {}  # simplices share vertices: parse each text once
+    for no, line in body:
+        tokens = line.split()
+        if tokens[0] in shape:
+            _parse_shape(tokens, no, shape)
+        elif tokens[0] == "simplex":
+            fields = [f.strip() for f in line[len("simplex"):].split(";")]
+            if len(fields) < 2 or not all(fields):
+                raise ParseError(no, "expected `simplex v0 ; v1 ; ... ; coeff`")
+            coeff = _integer(fields[-1], no)
+            vertices = tuple(tuple(numbers[t] if t in numbers else numbers.setdefault(
+                t, _number(t, no)) for t in map(str.strip, f.split(","))) for f in fields[:-1])
+            if len({len(v) for v in vertices}) > 1:
+                raise ParseError(no, "vertices have mixed coordinate counts")
+            try:
+                _check_vertices(vertices)
+            except PreconditionError as err:
+                raise ParseError(no, str(err)) from None
+            items.append((vertices, coeff))
+        else:
+            raise ParseError(no, f"unexpected {tokens[0]!r} in a simplicial file")
+    first = items and (len(items[0][0][0]), len(items[0][0]) - 1)
+    return SimplicialChain(*_resolve_shape(shape, first, body, "simplicial"), *_keyed(items))
+
+
+def _write_chainfile(chain: SimplicialChain) -> list[str]:
+    return [f"ambient {chain.ambient_dim}", f"dim {chain.dim}",
+            *(f"simplex {simplex.id_token()} ; {g}" for simplex, g in chain.items())]

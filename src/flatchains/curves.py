@@ -86,6 +86,36 @@ def system_boundary(system: CurveSystem) -> dict[str, int]:
     return {pt: g for pt, g in sorted(out.items()) if g != 0}
 
 
+def _read_chainfile(body) -> CurveSystem:
+    """The system of a curves file's body lines (see fileio.CARRIERS)."""
+    from .fileio import ParseError, _integer, _number
+
+    items = []
+    numbers: dict[str, Fraction] = {}  # curves share masses: parse each text once
+    for no, line in body:
+        tokens = line.split()
+        if tokens[0] != "curve":
+            raise ParseError(no, f"unexpected {tokens[0]!r} in a curves file")
+        if len(tokens) != 5:
+            raise ParseError(no, "expected `curve id start end mass`")
+        idx = _integer(tokens[1], no)
+        if idx != len(items) + 1:
+            raise ParseError(no, f"curve ids must be consecutive from 1, got {idx}")
+        mass = numbers[tokens[4]] if tokens[4] in numbers else numbers.setdefault(
+            tokens[4], _number(tokens[4], no))
+        if mass < 0:
+            raise ParseError(no, f"negative mass {tokens[4]}")
+        items.append(CurveItem(idx, tokens[2], tokens[3], mass))
+    return CurveSystem(tuple(items))
+
+
+def _write_chainfile(system: CurveSystem) -> list[str]:
+    from .fileio import format_number
+
+    return [f"curve {item.index} {item.start} {item.end} {format_number(item.mass)}"
+            for item in system.items]
+
+
 class PreprocessTrace(Frozen):
     """How the reduced items map back to the original ones.
 

@@ -16,23 +16,25 @@ Blank lines and lines starting with `#` are skipped.  Numbers parse as
 exact decimals or `a/b` rationals; serialization writes integers bare
 and other rationals as `a/b`, so a canonical file round-trips byte for
 byte.  Coefficients must be plain integers.
+
+Each carrier's body is read and written by the module that builds the
+carrier (CARRIERS), so a file compiles only its own carrier's code.  The
+CLI's handlers share the document helpers at the end of this module.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from importlib import import_module
+from typing import Optional
 
 from .base import Frozen, PreconditionError, _check_modulus
 
-if TYPE_CHECKING:  # each parser imports its carrier's module when it runs
-    from .boxes import BoxChain
-    from .cone import SimplicialChain
-    from .core import Complex, IntChain
-    from .curves import CurveSystem
-
-CARRIERS = ("abstract", "box", "curves", "simplicial")
+# carrier -> module of `_read_chainfile(body)`, body the (line number, text)
+# pairs after the header and `p`, and `_write_chainfile(payload)`, the body lines
+CARRIERS = {"abstract": "abstractfile", "box": "boxes", "curves": "curves",
+            "simplicial": "cone"}
 
 
 class ParseError(PreconditionError):
@@ -70,14 +72,13 @@ def _integer(token: str, line: int) -> int:
 
 
 class ChainFile(Frozen):
-    """A parsed chain file: carrier tag, optional modulus, payload."""
+    """A parsed chain file: carrier tag, optional modulus, payload (a BoxChain,
+    CurveSystem, SimplicialChain, or an abstract file's (Complex, IntChain))."""
 
     _fields = ("carrier", "payload", "p")
     __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
 
-    def __init__(self, carrier: str,
-                 payload: Union[BoxChain, CurveSystem, SimplicialChain, tuple[Complex, IntChain]],
-                 p: Optional[int] = None):
+    def __init__(self, carrier: str, payload, p: Optional[int] = None):
         if carrier not in CARRIERS:
             raise PreconditionError(f"unknown carrier {carrier!r}")
         if p is not None:
@@ -110,9 +111,8 @@ def parse_chainfile(text: str) -> ChainFile:
         if p < 2:
             raise ParseError(no, f"modulus must be at least 2, got {p}")
         body = body[1:]
-    parser = {"box": _parse_box, "curves": _parse_curves,
-              "simplicial": _parse_simplicial, "abstract": _parse_abstract}[carrier]
-    return ChainFile(carrier, parser(body), p)
+    module = import_module(f".{CARRIERS[carrier]}", __package__)
+    return ChainFile(carrier, module._read_chainfile(body), p)
 
 
 def load_chainfile(path) -> ChainFile:
@@ -151,190 +151,62 @@ def _resolve_shape(shape, first, body, carrier) -> tuple[int, int]:
     return ambient, dim
 
 
-def _parse_box(body) -> BoxChain:
-    from .boxes import BoxChain, _keyed, _ordered
-
-    shape = {"ambient": None, "dim": None}
-    items = []
-    numbers: dict[str, Fraction] = {}  # cells share coordinates: parse each text once
-    for no, line in body:
-        tokens = line.split()
-        if tokens[0] in shape:
-            _parse_shape(tokens, no, shape)
-        elif tokens[0] == "cell":
-            if len(tokens) < 4 or len(tokens) % 2 != 0:
-                raise ParseError(no, "expected `cell lo1 hi1 ... coeff`")
-            coeff = _integer(tokens[-1], no)
-            bounds = [numbers[t] if t in numbers else numbers.setdefault(t, _number(t, no))
-                      for t in tokens[1:-1]]
-            try:
-                intervals = _ordered(tuple(zip(bounds[::2], bounds[1::2])))
-            except PreconditionError as err:
-                raise ParseError(no, str(err)) from None
-            if shape["ambient"] is not None and len(intervals) != shape["ambient"]:
-                raise ParseError(no, f"cell has {len(intervals)} axes, ambient is {shape['ambient']}")
-            items.append((intervals, coeff))
-        else:
-            raise ParseError(no, f"unexpected {tokens[0]!r} in a box file")
-    first = items and (len(items[0][0]), sum(lo != hi for lo, hi in items[0][0]))
-    ambient, dim = _resolve_shape(shape, first, body, "box")
-    return BoxChain(ambient, dim, *_keyed(ambient, dim, items))
-
-
-def _parse_curves(body) -> CurveSystem:
-    from .curves import CurveItem, CurveSystem
-
-    items = []
-    numbers: dict[str, Fraction] = {}  # curves share masses: parse each text once
-    for no, line in body:
-        tokens = line.split()
-        if tokens[0] != "curve":
-            raise ParseError(no, f"unexpected {tokens[0]!r} in a curves file")
-        if len(tokens) != 5:
-            raise ParseError(no, "expected `curve id start end mass`")
-        idx = _integer(tokens[1], no)
-        if idx != len(items) + 1:
-            raise ParseError(no, f"curve ids must be consecutive from 1, got {idx}")
-        mass = numbers[tokens[4]] if tokens[4] in numbers else numbers.setdefault(
-            tokens[4], _number(tokens[4], no))
-        if mass < 0:
-            raise ParseError(no, f"negative mass {tokens[4]}")
-        items.append(CurveItem(idx, tokens[2], tokens[3], mass))
-    return CurveSystem(tuple(items))
-
-
-def _parse_simplicial(body) -> SimplicialChain:
-    from .cone import SimplicialChain, _check_vertices, _keyed
-
-    shape = {"ambient": None, "dim": None}
-    items = []
-    numbers: dict[str, Fraction] = {}  # simplices share vertices: parse each text once
-    for no, line in body:
-        tokens = line.split()
-        if tokens[0] in shape:
-            _parse_shape(tokens, no, shape)
-        elif tokens[0] == "simplex":
-            fields = [f.strip() for f in line[len("simplex"):].split(";")]
-            if len(fields) < 2 or not all(fields):
-                raise ParseError(no, "expected `simplex v0 ; v1 ; ... ; coeff`")
-            coeff = _integer(fields[-1], no)
-            vertices = tuple(tuple(numbers[t] if t in numbers else numbers.setdefault(
-                t, _number(t, no)) for t in map(str.strip, f.split(","))) for f in fields[:-1])
-            if len({len(v) for v in vertices}) > 1:
-                raise ParseError(no, "vertices have mixed coordinate counts")
-            try:
-                _check_vertices(vertices)
-            except PreconditionError as err:
-                raise ParseError(no, str(err)) from None
-            items.append((vertices, coeff))
-        else:
-            raise ParseError(no, f"unexpected {tokens[0]!r} in a simplicial file")
-    first = items and (len(items[0][0][0]), len(items[0][0]) - 1)
-    return SimplicialChain(*_resolve_shape(shape, first, body, "simplicial"), *_keyed(items))
-
-
-def _parse_abstract(body) -> tuple[Complex, IntChain]:
-    from .core import Complex, IntChain
-
-    cells: dict[int, list] = {}
-    cell_lines: dict[str, int] = {}
-    faces: dict[str, list] = {}
-    chain_dim = None
-    coeffs: dict[str, int] = {}
-    current_dim = None
-    in_chain = False
-    for no, line in body:
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "dim":
-            if in_chain:
-                raise ParseError(no, "dim section after the chain section")
-            if len(tokens) != 2:
-                raise ParseError(no, "expected `dim <int>`")
-            current_dim = _integer(tokens[1], no)
-            cells.setdefault(current_dim, [])
-        elif kind == "cell":
-            if current_dim is None:
-                raise ParseError(no, "cell line before any dim line")
-            if len(tokens) != 3:
-                raise ParseError(no, "expected `cell id vol`")
-            cid = tokens[1]
-            if cid in cell_lines:
-                raise ParseError(no, f"duplicate cell id {cid!r}")
-            cell_lines[cid] = current_dim
-            cells[current_dim].append((cid, _number(tokens[2], no)))
-        elif kind == "face":
-            if len(tokens) != 4:
-                raise ParseError(no, "expected `face cell child sign`")
-            if tokens[1] not in cell_lines:
-                raise ParseError(no, f"face references undeclared cell {tokens[1]!r}")
-            if tokens[2] not in cell_lines:
-                raise ParseError(no, f"face references undeclared cell {tokens[2]!r}")
-            faces.setdefault(tokens[1], []).append((tokens[2], _integer(tokens[3], no)))
-        elif kind == "chain":
-            if len(tokens) != 2:
-                raise ParseError(no, "expected `chain <dim>`")
-            if chain_dim is not None:
-                raise ParseError(no, "duplicate chain line")
-            chain_dim = _integer(tokens[1], no)
-            in_chain = True
-        elif kind == "coeff":
-            if not in_chain:
-                raise ParseError(no, "coeff line before the chain line")
-            if len(tokens) != 3:
-                raise ParseError(no, "expected `coeff id g`")
-            if tokens[1] in coeffs:
-                raise ParseError(no, f"duplicate coefficient for {tokens[1]!r}")
-            coeffs[tokens[1]] = _integer(tokens[2], no)
-        else:
-            raise ParseError(no, f"unexpected {kind!r} in an abstract file")
-    layout = {dim: [(cid, vol, faces.get(cid, ())) for cid, vol in layer]
-              for dim, layer in cells.items()}
-    cx = Complex(layout)
-    if chain_dim is None:
-        chain_dim = cx.top_dim
-    return cx, IntChain(cx, chain_dim, coeffs)
-
-
 def serialize_chainfile(cf: ChainFile) -> str:
     out = [f"chainfile 1 {cf.carrier}"]
     if cf.p is not None:
         out.append(f"p {cf.p}")
-    if cf.carrier == "box":
-        chain: BoxChain = cf.payload
-        out.append(f"ambient {chain.ambient_dim}")
-        out.append(f"dim {chain.dim}")
-        for cell, g in chain.items():
-            bounds = " ".join(f"{format_number(lo)} {format_number(hi)}"
-                              for lo, hi in cell.intervals)
-            out.append(f"cell {bounds} {g}")
-    elif cf.carrier == "curves":
-        system: CurveSystem = cf.payload
-        for item in system.items:
-            out.append(f"curve {item.index} {item.start} {item.end} "
-                       f"{format_number(item.mass)}")
-    elif cf.carrier == "simplicial":
-        chain: SimplicialChain = cf.payload
-        out.append(f"ambient {chain.ambient_dim}")
-        out.append(f"dim {chain.dim}")
-        for simplex, g in chain.items():
-            out.append(f"simplex {simplex.id_token()} ; {g}")
-    else:
-        cx, chain = cf.payload
-        for dim in cx.dims():
-            out.append(f"dim {dim}")
-            for cid in cx.cells(dim):
-                out.append(f"cell {cid} {format_number(cx.volume(cid))}")
-        for dim in cx.dims():
-            for cid in cx.cells(dim):
-                for fid, sign in sorted(cx.boundary_of(cid).items()):
-                    out.append(f"face {cid} {fid} {sign}")
-        out.append(f"chain {chain.dim}")
-        for cid, g in chain.items():
-            out.append(f"coeff {cid} {g}")
+    out += import_module(f".{CARRIERS[cf.carrier]}", __package__)._write_chainfile(cf.payload)
     return "\n".join(out) + "\n"
 
 
 def save_chainfile(cf: ChainFile, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_chainfile(cf))
+
+
+# -- documents: the CLI's handlers share these --------------------------------
+
+def _chain_doc(chain) -> dict:
+    """A chain of any carrier as a document: abstract cells are named by
+    their ids, geometric cells by their id tokens."""
+    doc = {"carrier": chain.carrier, "dim": chain.dim}
+    if chain.carrier == "abstract":
+        from .core import ModPChain  # loaded already: the chain was built there
+        doc["items"] = [[cid, g] for cid, g in chain.items()]
+        if isinstance(chain, ModPChain):
+            doc["p"] = chain.p
+    else:
+        doc["ambient"] = chain.ambient_dim
+        doc["items"] = [[cell.id_token(), g] for cell, g in chain.items()]
+    return doc
+
+
+def _need_p(args, cf: ChainFile) -> int:
+    p = args.p if args.p is not None else cf.p
+    if p is None:
+        raise PreconditionError("a modulus is required: pass --p or put a `p` line in the file")
+    return p
+
+
+def _payload(cf: ChainFile, carrier: str):
+    if cf.carrier != carrier:
+        raise PreconditionError(f"this subcommand needs a {carrier} file, got {cf.carrier!r}")
+    return cf.payload
+
+
+def _as_cellular(cf: ChainFile, ambient: bool):
+    """The file's IntChain over an explicit complex: abstract validated, box compiled.
+
+    With ambient=True a box chain is compiled over the full arrangement
+    of its coordinate values, so higher-dimensional fillings exist; the
+    flat norms this computes are relative to that complex.
+    """
+    if cf.carrier == "abstract":
+        cf.payload[0].validate().require("invalid complex")
+        return cf.payload[1]
+    if cf.carrier == "box":
+        from .boxes import arrangement_complex, compile_chain
+        _, chain = (arrangement_complex if ambient else compile_chain)(cf.payload)
+        return chain
+    raise PreconditionError(
+        f"this subcommand needs a box or abstract file, got {cf.carrier!r}")

@@ -18,7 +18,7 @@ from flatchains import (
     parse_chainfile,
     serialize_chainfile,
 )
-from flatchains.cli import _chain_doc
+from flatchains.fileio import _chain_doc
 from genutil import (
     generic_apex,
     mixed_point,

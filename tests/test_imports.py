@@ -74,48 +74,57 @@ def test_importing_the_cli_loads_only_its_core():
     assert import_in_child("flatchains.cli") == BASE | {"flatchains.cli"}
 
 
-# (argv, modules beyond BASE); `python -m` runs the CLI as __main__, so
-# `flatchains.cli` itself is never among the imported modules.  Box
+# (argv, modules beyond BASE); `python -m` runs the CLI as __main__, so a
+# loaded `flatchains.cli` would mean `cli.py` was compiled twice.  A call
+# loads the module of its handler's family, if its handler is not in the
+# CLI itself, and its carrier's file code: an abstract file's in
+# `abstractfile`, the others' in the module that builds the carrier.  Box
 # calculus loads `boxes` alone: only `deform` loads `rounding`, and only a
 # call that builds a complex from a box file loads `arrangement`.
 CALLS = [
     # an abstract file's parser builds its complex in `core`
-    (["validate", "path3.chain"], {"core"}),
-    (["massp", "path3.chain", "--p", "2"], {"core"}),
-    (["boundary", "rim_skeleton.chain"], {"core"}),
-    (["slice", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes"}),
+    (["validate", "path3.chain"], {"abstractfile", "core"}),
+    (["massp", "path3.chain", "--p", "2"], {"abstractfile", "core"}),
+    (["boundary", "rim_skeleton.chain"], {"abstractfile", "core"}),
+    (["slice", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes", "cli_boxes"}),
     (["mass", "square.chain"], {"boxes"}),
     (["massp", "square.chain", "--p", "2"], {"boxes"}),
     (["reduce", "square.chain", "--p", "2"], {"boxes"}),
     (["boundary", "square.chain"], {"boxes"}),
-    (["deform", "fine_edge.chain", "--eta", "1", "--rho", "1/2,1/2"], {"boxes", "rounding"}),
+    (["deform", "fine_edge.chain", "--eta", "1", "--rho", "1/2,1/2"],
+     {"boxes", "cli_boxes", "rounding"}),
     # only the integral flat norm compiles the min-cost flow
-    (["flatnorm", "path3.chain"], {"core", "flatnorm", "flow"}),
-    (["flatnorm", "square_rim.chain"], {"arrangement", "boxes", "core", "flatnorm", "flow"}),
+    (["flatnorm", "path3.chain"], {"abstractfile", "cli_flatnorm", "core", "flatnorm", "flow"}),
+    (["flatnorm", "square_rim.chain"],
+     {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm", "flow"}),
     # a box file's complex is built in `core` only where a call needs one
     (["validate", "square.chain"], {"arrangement", "boxes", "core"}),
-    (["flatnormp", "square_rim.chain", "--p", "2"], {"arrangement", "boxes", "core", "flatnorm"}),
-    (["fill", "square_rim.chain", "--p", "2"], {"arrangement", "boxes", "core", "flatnorm"}),
-    (["cyclecut", "curves_pair.chain"], {"curves"}),
-    (["preprocess", "curves_mixed.chain"], {"curves"}),
-    (["decompose", "square_rim.chain"], {"arrangement", "boxes", "core", "curves"}),
-    (["cyclerep", "parallel_paths.chain"], {"arrangement", "boxes", "core", "curves"}),
-    (["cone", "segment.chain", "--apex", "0,0"], {"cone"}),
-    (["conereport", "segment.chain", "--apex", "0,0", "--p", "2"], {"cone"}),
+    (["flatnormp", "square_rim.chain", "--p", "2"],
+     {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
+    (["fill", "square_rim.chain", "--p", "2"],
+     {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
+    (["cyclecut", "curves_pair.chain"], {"cli_curves", "curves"}),
+    (["preprocess", "curves_mixed.chain"], {"cli_curves", "curves"}),
+    (["decompose", "square_rim.chain"], {"arrangement", "boxes", "cli_curves", "core", "curves"}),
+    (["cyclerep", "parallel_paths.chain"],
+     {"arrangement", "boxes", "cli_curves", "core", "curves"}),
+    (["cone", "segment.chain", "--apex", "0,0"], {"cli_cone", "cone"}),
+    (["conereport", "segment.chain", "--apex", "0,0", "--p", "2"], {"cli_cone", "cone"}),
     # the parser loads `cone` for a simplicial file; the chain's own methods
     # and `carrier` do the rest
     (["mass", "segment.chain"], {"cone"}),
     (["reduce", "segment.chain", "--p", "2"], {"cone"}),
     (["boundary", "segment.chain"], {"cone"}),
-    (["reduce", "path3.chain", "--p", "2"], {"core"}),
-    (["isoratio", "square_rim.chain", "--p", "2"], {"arrangement", "boxes", "core", "flatnorm"}),
-    (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes"}),
-    (["islice", "square.chain", "--axis", "0,1", "--r", "1/2,1/2"], {"boxes"}),
-    (["slicemass", "square.chain", "--axis", "0", "--p", "2"], {"boxes"}),
-    (["slicestar", "square.chain", "--p", "2"], {"boxes"}),
+    (["reduce", "path3.chain", "--p", "2"], {"abstractfile", "core"}),
+    (["isoratio", "square_rim.chain", "--p", "2"],
+     {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
+    (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes", "cli_boxes"}),
+    (["islice", "square.chain", "--axis", "0,1", "--r", "1/2,1/2"], {"boxes", "cli_boxes"}),
+    (["slicemass", "square.chain", "--axis", "0", "--p", "2"], {"boxes", "cli_boxes"}),
+    (["slicestar", "square.chain", "--p", "2"], {"boxes", "cli_boxes"}),
     (["refinecompare", "square_rim.chain", "--subdiv", "2", "--p", "2"],
-     {"arrangement", "boxes", "core", "flatnorm"}),
-    (["sysboundary", "curves_pair.chain"], {"curves"}),
+     {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
+    (["sysboundary", "curves_pair.chain"], {"cli_curves", "curves"}),
 ]
 
 
@@ -148,11 +157,14 @@ def test_argparse_loads_for_what_the_reader_does_not_take(argv, code):
     argv = [str(FIXTURES / a) if a.endswith(".chain") else a for a in argv]
     done, names = cli_in_child(*argv)
     assert done.returncode == code, done.stderr
-    assert PARSING <= names
+    assert PARSING | {"flatchains.cli_argparse"} <= names
 
 
 # (library module, the flatchains modules importing it loads)
 LIBRARY = [
+    # the file code reads a body with its carrier's module, loaded when read;
+    # the carriers' modules load `fileio` only when they read or write a file
+    ("flatchains.fileio", {"flatchains", "flatchains.base", "flatchains.fileio"}),
     ("flatchains.boxes", {"flatchains", "flatchains.base", "flatchains.boxes"}),
     ("flatchains.rounding", {"flatchains", "flatchains.base", "flatchains.boxes",
                              "flatchains.rounding"}),

@@ -20,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatchains.boxes import BoxCell, BoxChain
-from flatchains.cli import COMMANDS, _chain_doc, _read, build_parser, main
+from flatchains.cli import _FLAGS, COMMANDS, _read, main
+from flatchains.cli_argparse import build_parser
 from flatchains.cone import SimplicialChain
 from flatchains.core import PreconditionError
-from flatchains.fileio import (ChainFile, ParseError, format_number, load_chainfile,
-                               parse_chainfile, save_chainfile,
+from flatchains.fileio import (ChainFile, ParseError, _chain_doc, format_number,
+                               load_chainfile, parse_chainfile, save_chainfile,
                                serialize_chainfile)
 from genutil import mixed_simplicial_items, ref_simplicial, ref_simplicial_boundary
 
@@ -501,7 +502,8 @@ def test_argparse_output_is_byte_identical(case, capsys, monkeypatch):
 def test_a_lone_subparser_prints_what_the_full_parser_prints(case, capsys, monkeypatch):
     argv = ARGPARSE_GOLDENS[case]["argv"]
     assert (argparse_output(main, argv, capsys, monkeypatch)
-            == argparse_output(build_parser().parse_args, argv, capsys, monkeypatch))
+            == argparse_output(build_parser(COMMANDS, _FLAGS).parse_args, argv, capsys,
+                               monkeypatch))
 
 
 @pytest.mark.parametrize("argv", [["nosuch", "--json"], ["--json"]])
@@ -519,7 +521,7 @@ def argparse_namespace(argv):
     argparse exits (a usage error or help)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser().parse_args(argv))
+            return vars(build_parser(COMMANDS, _FLAGS).parse_args(argv))
         except SystemExit:
             return None
 
