@@ -26,7 +26,8 @@ __version__ = "0.1.0"
 # defining module -> the public names loaded from it on first access
 _LAZY_MODULES = {
     "arrangement": ("arrangement_complex", "compile_chain"),
-    "boxes": ("BoxCell", "BoxChain", "grid_chain", "slice_mass_integral", "slice_mass_star"),
+    "boxes": ("BoxCell", "BoxChain"),
+    "boxmass": ("grid_chain", "slice_mass_integral", "slice_mass_star"),
     "cone": ("ConeMassReport", "Simplex", "SimplicialChain", "boundary_simplicial", "cone",
              "cone_mass_report"),
     "core": ("CellularMap", "Complex", "IntChain", "ModPChain", "ValidationReport", "mass_p",

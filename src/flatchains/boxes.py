@@ -406,84 +406,6 @@ def _suggest_level(vals: Sequence[Fraction], r: Fraction) -> Fraction:
     return r - Fraction(1, 2)
 
 
-def grid_chain(n: int, k: int, region: Sequence, scale,
-               coefficient: Union[int, Callable[[BoxCell], int]] = 1) -> BoxChain:
-    """All k-cells of the scale-grid inside a box region.
-
-    region is a sequence of n (lo, hi) pairs whose corners must sit at
-    integer multiples of the scale; coefficient is a constant or a
-    per-cell callable.
-    """
-    scale = as_fraction(scale)
-    if scale <= 0:
-        raise PreconditionError("grid scale must be positive")
-    if len(region) != n:
-        raise PreconditionError(f"region needs {n} intervals, got {len(region)}")
-    if not 0 <= k <= n:
-        raise PreconditionError(f"cell dimension {k} not in [0, {n}]")
-    steps = []
-    for lo, hi in region:
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if lo > hi or (lo / scale).denominator != 1 or (hi / scale).denominator != 1:
-            raise PreconditionError(
-                f"misaligned region interval [{lo}, {hi}] for scale {scale}")
-        steps.append((lo, int((hi - lo) / scale)))
-    items = []
-    for dirs in itertools.combinations(range(n), k):
-        per_axis = [[(lo + t * scale, lo + (t + 1) * scale) for t in range(count)] if j in dirs
-                    else [(lo + t * scale, lo + t * scale) for t in range(count + 1)]
-                    for j, (lo, count) in enumerate(steps)]
-        for combo in itertools.product(*per_axis):
-            cell = BoxCell(tuple(combo))
-            g = coefficient(cell) if callable(coefficient) else coefficient
-            if g:
-                items.append((cell, g))
-    return BoxChain(n, k, items)
-
-
-def slice_mass_integral(chain: BoxChain, axes: Sequence[int], p: int) -> Fraction:
-    """Exact integral over the slicing parameters of the iterated slice mass.
-
-    Closed form: the sum of norm_mod_p(g, p) * volume over the cells whose
-    directions include every axis in axes.  This is exact because chains
-    are canonical: on each axis every extended interval of a cell is one
-    gap of the chain's sorted endpoints.  At a generic point x of the
-    slicing axes, the iterated slice therefore sends each cell extended
-    in all of them and containing x to its own cross-section, with
-    coefficient +-g and volume the cell's volume over the lengths of its
-    sliced intervals, and sends every other cell to nothing.  No two
-    cross-sections coincide, so nothing merges, and integrating over x
-    restores the sliced lengths.
-    """
-    _check_modulus(p)
-    axes = tuple(axes)
-    if len(set(axes)) != len(axes):
-        raise PreconditionError("slice integral axes must be distinct")
-    if len(axes) > chain.dim:
-        raise PreconditionError(
-            f"cannot integrate {len(axes)} slices of a {chain.dim}-chain")
-    for axis in axes:
-        if not 0 <= axis < chain.ambient_dim:
-            raise PreconditionError(f"axis {axis} out of range for R^{chain.ambient_dim}")
-    return _measure(chain, lambda g: norm_mod_p(g, p), axes)
-
-
-def slice_mass_star(chain: BoxChain, p: int) -> Fraction:
-    """Maximum of the full iterated slice-mass integral over axis subsets.
-
-    The maximum ranges over all subsets of the coordinate axes of size
-    equal to the chain dimension; for 0-chains this is the plain mass_p.
-    A cell counts only toward its own direction set, so one pass sums
-    mass_p per direction set present and takes the largest (0 if none).
-    """
-    _check_modulus(p)
-    per_dirs: dict[tuple[int, ...], int] = {}
-    for key, g in chain._items.items():
-        dirs = _directions(key)
-        per_dirs[dirs] = per_dirs.get(dirs, 0) + norm_mod_p(g, p) * _volume(key)
-    return Fraction(max(per_dirs.values(), default=0), chain.den ** chain.dim)
-
-
 def _faces(key: Key) -> list[tuple[Key, int]]:
     items = []
     sign = 1
@@ -538,10 +460,10 @@ def _write_chainfile(chain: BoxChain) -> list[str]:
 
 
 def __getattr__(name: str):
-    # the deformation and the complex builders have modules of their own,
-    # which box calculus never compiles; their public names stay readable
-    # here, for `from .boxes import ...` and for code that patches them
+    # the deformation, the complex builders, grid chains and slice masses
+    # have modules of their own; their public names stay readable here,
+    # for `from .boxes import ...` and for code that patches them
     module = _LAZY.get(name)
-    if module not in ("arrangement", "rounding"):
+    if module not in ("arrangement", "boxmass", "rounding"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f".{module}", __package__), name)

@@ -21,16 +21,16 @@ The handlers that take any carrier are here, the others in the module
 of their family that COMMANDS names, so a call compiles only its own
 family's; the document helpers they share are in `fileio`.
 
-Numbers inside JSON reports are strings in the file format, integers
-and `a/b` rationals exactly and floats via repr, so reports are stable
-byte for byte.  Cell coefficients, counts, and indices stay JSON
-integers.
+Numbers inside reports are strings in the file format, integers and
+`a/b` rationals exactly and floats via repr; coefficients, counts and
+indices stay JSON integers.  `_json` writes every report, so no call
+imports json; it gives the bytes of `json.dumps(value, sort_keys=True)`,
+with `indent=2` under `--json`, for the types the handlers build.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 import time
@@ -248,15 +248,62 @@ def _parse_flags(args) -> dict:
     return doc
 
 
+def _json(value, indent: bool) -> str:
+    """The text of `json.dumps(value, sort_keys=True)`, with `indent=2`
+    when indent is set, for what the handlers build: str, int, bool,
+    None, list, tuple and dict with str keys.  Anything else, a float
+    included, is a TypeError."""
+    out = []
+    escapes = {34: '\\"', 92: "\\\\", 8: "\\b", 12: "\\f", 10: "\\n", 13: "\\r", 9: "\\t"}
+
+    def write(v, pad: str) -> None:
+        if isinstance(v, str):
+            if not (v.isascii() and v.isprintable()) or '"' in v or "\\" in v:
+                # as ensure_ascii does: the short escapes, \uXXXX outside
+                # ' '..'~', and a surrogate pair above U+FFFF
+                v = "".join(escapes.get(n) or (
+                    chr(n) if 31 < n < 127 else f"\\u{n:04x}" if n < 0x10000
+                    else f"\\u{0xd7c0 + (n >> 10):04x}\\u{0xdc00 | n & 0x3ff:04x}")
+                    for n in map(ord, v))
+            out.append(f'"{v}"')
+        elif v is None or isinstance(v, int):
+            out.append("null" if v is None else "true" if v is True else "false" if v is False
+                       else int.__repr__(v))
+        elif isinstance(v, (list, tuple, dict)):
+            is_dict = isinstance(v, dict)
+            brackets = "{}" if is_dict else "[]"
+            if not v:
+                out.append(brackets)
+                return
+            inner = pad + "  " if indent else pad
+            out.append(brackets[0] + inner)
+            for n, item in enumerate(sorted(v.items()) if is_dict else v):
+                if n:
+                    out.append("," + inner if indent else ", ")
+                if is_dict:
+                    key, item = item
+                    if not isinstance(key, str):
+                        raise TypeError(f"key {key!r} is not a str")
+                    write(key, inner)
+                    out.append(": ")
+                write(item, inner)
+            out.append(pad + brackets[1])
+        else:
+            raise TypeError(f"cannot write a {type(v).__name__} as JSON")
+
+    write(value, "\n" if indent else "")
+    return "".join(out)
+
+
 def _emit(doc: dict, as_json: bool) -> None:
     try:
         if as_json:
-            print(json.dumps(doc, sort_keys=True, indent=2))
+            print(_json(doc, True))
         else:
             print(f"command: {doc['command']}")
             body = doc.get("result") if doc.get("result") is not None else doc.get("error")
             for key in sorted(body):
-                print(f"{key}: {json.dumps(body[key], sort_keys=True)}")
+                print(f"{key}: {_json(body[key], False)}")
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left: let the final flush go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

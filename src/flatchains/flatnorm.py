@@ -56,7 +56,8 @@ before solving, and the program runs only when p ** w <=
 `_FRONTIER_STATES`; at that cap its two layers stay under ~100 MB.
 
 Everything else runs a depth-first branch-and-bound over coefficient
-assignments (`_exact_search`), each for a reason:
+assignments (`_exact_search` in `search.py`, imported only by a solve
+that takes it), each for a reason:
 - wide frontiers, whose states would not fit the cap.  On 25 sparse 0-
   and 1-chains of 3-D box grids at p = 5 with widths 13 to 27, the
   search took 21 s in all and a program without the cap 69 s; at widths
@@ -64,16 +65,9 @@ assignments (`_exact_search`), each for a reason:
 - integral flat norms on non-network complexes, or under an explicit
   bound below the flow's filling.  A program over coefficients in
   [-B, B] took 2.4 s on 120 random 3-D 1-chains, the search 1.3 s.
-Its variables are the (k+1)-cells in decreasing-volume order.  The lower
-bound at a partial assignment counts the cells of the remainder whose
-cofaces are all assigned, each weighed by one table (|a| or the distance
-to pZ), plus the mass of the assigned filling.  The incumbent starts just
-below the limit and is replaced only by a strictly better value or an
-equal value with a lexicographically smaller witness: least cost, then
-the least tuple of (|v|, v < 0) over the cells in id order.  Results are
-therefore deterministic.  The general mod-2 problem is NP-hard (Chen &
-Freedman, 2011), so no method is fast on every input; the program is the
-bounded-width route of Blaser & Vagset (2020).
+The general mod-2 problem is NP-hard (Chen & Freedman, 2011), so no
+method is fast on every input; the program is the bounded-width route of
+Blaser & Vagset (2020).
 
 Every solver takes its structure from one table (`_Problem`), built
 once per public call: the cells, faces and cofaces as rows, the volumes
@@ -97,13 +91,12 @@ relative setting; absolute values can differ from a richer ambient.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import cycle, islice
 from math import lcm
 from operator import itemgetter
 from typing import Optional
 
 from .base import (FillInfeasibleError, Frozen, InternalDefectError, PreconditionError,
-                   _check_modulus, canonical_residue, norm_mod_p)
+                   _check_modulus, norm_mod_p)
 from .core import IntChain, ModPChain
 
 
@@ -202,85 +195,6 @@ def _residue_order(p: Optional[int], top: int) -> list[int]:
     return vals if p is None else vals[:p]  # -p/2 is p/2
 
 
-def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[int] = None,
-                  limit: Optional[int] = None):
-    """Minimize the flat objective over coefficient assignments to the
-    (k+1)-cells, below the scaled cost `limit` (by default the cost of
-    S = 0 plus one).  Returns (cost, assignment) as `_Problem.answer`
-    does, or None when nothing costs less than the limit."""
-    level = sorted(range(len(prob.sigmas)), key=lambda i: (-prob.vol_s[i], i))
-    m = len(level)
-    if limit is None:
-        limit = prob.charge(range(len(prob.taus)), p) + 1
-    # a value that costs the limit on the lightest cell is in no answer
-    top = (limit - 1) // min(prob.vol_s, default=limit)
-    vals = _residue_order(p, top if bound is None else min(top, bound))
-    det_at, loose = prob.closing(level)
-    cob = [prob.faces[sigma] for sigma in level]
-    vol_s = [prob.vol_s[sigma] for sigma in level]
-    vol_t = prob.vol_t
-    # acc is T - dS offset by A, the most |T - dS| reaches (T taken mod p in
-    # (-p/2, p/2]), and norm[a + A] weighs coefficient a; weights mod p
-    # have period p, so one period is cycled
-    target = [g if p is None else canonical_residue(g, p) for g in prob.target]
-    A = max((abs(g) + abs(vals[-1]) * sum(abs(c) for _, c in cof)
-             for g, cof in zip(target, prob.cofaces)), default=0)
-    norm = [abs(a) if p is None else norm_mod_p(a, p) for a in range(-A, A + 1)[:p]]
-    norm = list(islice(cycle(norm), 2 * A + 1))
-    acc = [g + A for g in target]
-    base = prob.charge(loose, p)
-
-    # Depth-first over levels 0..m on an explicit stack: nxt[i] indexes
-    # the next value of vals to try at level i, and cost_at[i] is the cost
-    # of the assignment to the levels before i.  Coming back to level i
-    # first undoes the value last tried there.  At a leaf, nxt[i] - 1 is
-    # the position in vals, ordered by (|v|, v < 0), of level i's value.
-    nxt = [0] * (m + 1)
-    cost_at = [base] * (m + 1)
-    id_order = sorted(range(m), key=level.__getitem__)
-    above = (len(vals) + 1,)  # a key above every key
-    best_cost, best_key = limit - 1, above
-    i = 0
-    while i >= 0:
-        if i == m:
-            cost = cost_at[m]
-            key = tuple(nxt[j] for j in id_order)
-            if cost < best_cost or (cost == best_cost and key < best_key):
-                best_cost, best_key = cost, key
-            i -= 1
-            continue
-        j = nxt[i]
-        faces = cob[i]
-        if j:
-            v = vals[j - 1]
-            if v:
-                for t, coeff in faces:
-                    acc[t] += coeff * v
-            if j == len(vals):
-                i -= 1
-                continue
-        v = vals[j]
-        stepped = cost_at[i] + abs(v) * vol_s[i] if v else cost_at[i]
-        if stepped > best_cost:
-            i -= 1  # candidate magnitudes only grow from here
-            continue
-        nxt[i] = j + 1
-        if v:
-            for t, coeff in faces:
-                acc[t] -= coeff * v
-        for t in det_at[i]:
-            stepped += norm[acc[t]] * vol_t[t]
-            if stepped > best_cost:
-                break
-        else:
-            cost_at[i + 1] = stepped
-            nxt[i + 1] = 0
-            i += 1
-    if best_key == above:
-        return None
-    return prob.answer(best_cost, [vals[r - 1] for r in best_key])
-
-
 # The frontier program runs when p ** width is at most this, so a layer
 # holds at most this many states.  Two layers of 2 ** 17 states (a 17x17
 # grid at p = 2, 289 cells) took ~85 MB over the interpreter's own ~30 MB.
@@ -295,6 +209,7 @@ def _solve_mod_p(prob: _Problem, p: int, limit: int):
     order, width = _sweep_order(prob)
     if p ** width <= _FRONTIER_STATES:
         return _frontier(prob, order, p, limit)
+    from .search import _exact_search
     return _exact_search(prob, p=p, limit=limit)
 
 
@@ -495,6 +410,7 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
         cost, s_coeffs = flow
         proved, b = True, None
     else:
+        from .search import _exact_search
         b = bound if bound is not None else 2 * (max((abs(g) for _, g in T.items()), default=0) + 1)
         cost, s_coeffs = _exact_search(prob, bound=b)
         proved = ((flow is not None and cost == flow[0])

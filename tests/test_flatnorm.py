@@ -26,7 +26,9 @@ from flatchains import (
     validate_complex,
 )
 import flatchains.flatnorm as flatnorm
-from flatchains.flatnorm import _exact_search, _Problem
+import flatchains.search as search
+from flatchains.flatnorm import _Problem
+from flatchains.search import _exact_search
 from genutil import (WITNESS_ORACLE_LIMIT, flat_norm_mod_p_oracle, lexmin_witness_oracle,
                      path_complex, random_chain_on, random_grid_complex, unit_grid_complex)
 
@@ -192,7 +194,7 @@ def test_witness_is_the_least_optimum_in_id_order(rng, monkeypatch, route, reps)
     if route == "search":
         monkeypatch.setattr(flatnorm, "_FRONTIER_STATES", 0)
     else:
-        monkeypatch.setattr(flatnorm, "_exact_search", no_search)
+        monkeypatch.setattr(search, "_exact_search", no_search)
     cases = list(itertools.product((2, 3), (0, 1), (2, 3, 5), (False, True))) * reps
     for dim, k, p, fill in cases:
         t = small_instance(rng, dim, k, p, fill)
@@ -584,7 +586,7 @@ def test_fill_infeasible_without_top_cells(monkeypatch):
     sq = grid_chain(2, 2, [(0, 1), (0, 1)], 1)
     cx, rim = compile_chain(sq.boundary())  # 1-skeleton only
     with monkeypatch.context() as patch:
-        patch.setattr(flatnorm, "_exact_search", no_search)
+        patch.setattr(search, "_exact_search", no_search)
         with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
             fill_mod_p(rim, 2)
     monkeypatch.setattr(flatnorm, "_FRONTIER_STATES", 0)
@@ -604,7 +606,7 @@ def test_fill_of_the_rim_of_a_missing_square_is_infeasible(monkeypatch):
                          for cid in grid.cells(d) if cid != "f1_1"] for d in grid.dims()})
     rim = holed.chain(1, dict(grid.chain(2, {"f1_1": 1}).boundary().coeffs))
     with monkeypatch.context() as patch:
-        patch.setattr(flatnorm, "_exact_search", no_search)
+        patch.setattr(search, "_exact_search", no_search)
         with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
             fill_mod_p(rim, 3)
     monkeypatch.setattr(flatnorm, "_FRONTIER_STATES", 0)

@@ -25,8 +25,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 BASE = {"flatchains", "flatchains.base", "flatchains.fileio"}
 
 # standard modules too costly to import for the CLI: dataclasses pulls in
-# inspect, which pulls in dis, ast and tokenize
-HEAVY = {"dataclasses", "inspect"}
+# inspect, which pulls in dis, ast and tokenize; the CLI writes its reports
+# without json
+HEAVY = {"dataclasses", "inspect", "json"}
 
 # argparse and what it pulls in: loaded only to report a usage error or help
 PARSING = {"argparse", "gettext", "locale"}
@@ -46,7 +47,8 @@ def flatchains_imports(names: set) -> set:
 def import_in_child(module: str) -> set:
     """The flatchains modules a fresh interpreter holds after importing
     module, which must load none of HEAVY or PARSING."""
-    done = run_python("-c", f"import json, sys, {module}; print(json.dumps(list(sys.modules)))")
+    done = run_python("-c", f"import sys, {module}\nnames = list(sys.modules)\n"
+                            "import json\nprint(json.dumps(names))")
     assert done.returncode == 0, done.stderr
     names = set(json.loads(done.stdout))
     assert not names & (HEAVY | PARSING)
@@ -54,13 +56,16 @@ def import_in_child(module: str) -> set:
 
 
 # runs the CLI as `python -m flatchains.cli` does, then prints the modules
-# it holds as the last line of stderr, however the CLI exits
+# it held before json was imported to print them, as the last line of
+# stderr, however the CLI exits
 CLI_CHILD = """
-import json, runpy, sys
+import runpy, sys
 try:
     runpy.run_module("flatchains.cli", run_name="__main__", alter_sys=True)
 finally:
-    print(json.dumps(list(sys.modules)), file=sys.stderr)
+    names = list(sys.modules)
+    import json
+    print(json.dumps(names), file=sys.stderr)
 """
 
 
@@ -97,6 +102,10 @@ CALLS = [
     (["flatnorm", "path3.chain"], {"abstractfile", "cli_flatnorm", "core", "flatnorm", "flow"}),
     (["flatnorm", "square_rim.chain"],
      {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm", "flow"}),
+    # only a solve that takes the search compiles it: here the flow's filling
+    # has coefficient 2, above the bound
+    (["flatnorm", "double_rim.chain", "--bound", "1"],
+     {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm", "flow", "search"}),
     # a box file's complex is built in `core` only where a call needs one
     (["validate", "square.chain"], {"arrangement", "boxes", "core"}),
     (["flatnormp", "square_rim.chain", "--p", "2"],
@@ -120,8 +129,9 @@ CALLS = [
      {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
     (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes", "cli_boxes"}),
     (["islice", "square.chain", "--axis", "0,1", "--r", "1/2,1/2"], {"boxes", "cli_boxes"}),
-    (["slicemass", "square.chain", "--axis", "0", "--p", "2"], {"boxes", "cli_boxes"}),
-    (["slicestar", "square.chain", "--p", "2"], {"boxes", "cli_boxes"}),
+    # grid chains and the slice masses compile only where a call needs them
+    (["slicemass", "square.chain", "--axis", "0", "--p", "2"], {"boxes", "boxmass", "cli_boxes"}),
+    (["slicestar", "square.chain", "--p", "2"], {"boxes", "boxmass", "cli_boxes"}),
     (["refinecompare", "square_rim.chain", "--subdiv", "2", "--p", "2"],
      {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
     (["sysboundary", "curves_pair.chain"], {"cli_curves", "curves"}),
@@ -176,6 +186,10 @@ LIBRARY = [
                              "flatchains.flatnorm"}),
     # the flow hands flatnorm an optimum and builds no witness of its own
     ("flatchains.flow", {"flatchains", "flatchains.base", "flatchains.flow"}),
+    ("flatchains.search", {"flatchains", "flatchains.base", "flatchains.core",
+                           "flatchains.flatnorm", "flatchains.search"}),
+    ("flatchains.boxmass", {"flatchains", "flatchains.base", "flatchains.boxes",
+                            "flatchains.boxmass"}),
 ]
 
 
@@ -277,7 +291,8 @@ def test_the_moved_names_still_resolve_on_boxes():
 
     for name, module in (("deform", "rounding"), ("DeformationResult", "rounding"),
                          ("arrangement_complex", "arrangement"),
-                         ("compile_chain", "arrangement")):
+                         ("compile_chain", "arrangement"), ("grid_chain", "boxmass"),
+                         ("slice_mass_integral", "boxmass"), ("slice_mass_star", "boxmass")):
         assert getattr(boxes, name) is getattr(import_module(f"flatchains.{module}"), name)
     assert flatchains.deform is cli.deform is boxes.deform
     assert flatchains.deform.__name__ == "deform"

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatchains.boxes import BoxCell, BoxChain
-from flatchains.cli import _FLAGS, COMMANDS, _read, main
+from flatchains.cli import _FLAGS, COMMANDS, _json, _read, main
 from flatchains.cli_argparse import build_parser
 from flatchains.cone import SimplicialChain
 from flatchains.core import PreconditionError
@@ -37,7 +37,7 @@ GOLDENS = Path(__file__).parent / "goldens"
 CANONICAL = [
     "square", "square_rim", "parallel_paths", "fine_edge", "empty_box",
     "path3", "rim_skeleton", "bad_complex", "curves_pair", "curves_mixed",
-    "segment",
+    "segment", "double_rim",
 ]
 
 # One pinned invocation per subcommand.  Paths are absolute but only the
@@ -706,6 +706,42 @@ def test_text_output_without_json_flag(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == "command: mass\nmass: \"1\"\n"
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_text_output_of_every_golden_case(name, argv, capsys):
+    # one line per key of the golden's result, its value as the stdlib
+    # writes it without indent
+    result = json.loads((GOLDENS / f"{name}.json").read_text())["result"]
+    rc, out = run_cli(fixture_argv(argv)[:-1], capsys)
+    assert rc == 0
+    assert out == "".join([f"command: {argv[0]}\n"] + [
+        f"{key}: {json.dumps(result[key], sort_keys=True)}\n" for key in sorted(result)])
+
+
+# the characters JSON escapes, and astral ones that become surrogate pairs
+json_text = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80 ~e\u00e9\u20ac\ud800\U0001f600')
+                    | st.characters(exclude_categories=()), max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(json_values)
+def test_the_writer_matches_the_stdlib(value):
+    assert _json(value, True) == json.dumps(value, sort_keys=True, indent=2)
+    assert _json(value, False) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, {1}, [{"a": 1.5}], {1: "a"}],
+                         ids=["fraction", "float", "set", "nested-float", "int-key"])
+def test_the_writer_refuses_other_types(value):
+    for indent in (True, False):
+        with pytest.raises(TypeError):
+            _json(value, indent)
 
 
 # ---- the process entry: `python -m flatchains.cli` and the `flatchains` script ----

@@ -16,6 +16,7 @@ from flatchains import (BoxCell, BoxChain, ChainFile, Complex,
                         serialize_chainfile)
 from flatchains.cli import main
 import flatchains.flatnorm as flatnorm
+import flatchains.search as search
 
 from genutil import (flat_norm_mod_p_oracle, path_complex, random_chain_on,
                      random_grid_complex, unit_grid_complex)
@@ -71,7 +72,7 @@ def test_float_volumes_take_the_frontier(rng, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("took the search")
 
-    monkeypatch.setattr(flatnorm, "_exact_search", no_search)
+    monkeypatch.setattr(search, "_exact_search", no_search)
     for _ in range(4):
         cx = random_grid_complex(rng, float_volumes=True, small=True)
         k = cx.top_dim - 1
@@ -119,14 +120,14 @@ def test_one_table_per_call(monkeypatch):
             built.append(T)
             super().__init__(T)
 
-    search = flatnorm._exact_search
+    exact_search = search._exact_search
 
     def spied(*args, **kwargs):
         searched.append(kwargs)
-        return search(*args, **kwargs)
+        return exact_search(*args, **kwargs)
 
     monkeypatch.setattr(flatnorm, "_Problem", Counted)
-    monkeypatch.setattr(flatnorm, "_exact_search", spied)
+    monkeypatch.setattr(search, "_exact_search", spied)
     # codimension 2: the flow does not apply, and the search falls back
     cx, _ = arrangement_complex(grid_chain(3, 3, [(0, 2), (0, 1), (0, 1)], 1))
     assert flat_norm_int(cx.chain(1, {cx.cells(1)[0]: 1})).bound == 4
