@@ -27,7 +27,8 @@ __version__ = "0.1.0"
 _LAZY_MODULES = {
     "arrangement": ("arrangement_complex", "compile_chain"),
     "boxes": ("BoxCell", "BoxChain"),
-    "boxmass": ("grid_chain", "slice_mass_integral", "slice_mass_star"),
+    "boxgrid": ("grid_chain",),
+    "boxmass": ("slice_mass_integral", "slice_mass_star"),
     "cone": ("ConeMassReport", "Simplex", "SimplicialChain", "boundary_simplicial", "cone",
              "cone_mass_report"),
     "core": ("CellularMap", "Complex", "IntChain", "ModPChain", "ValidationReport", "mass_p",

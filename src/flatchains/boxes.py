@@ -464,6 +464,6 @@ def __getattr__(name: str):
     # have modules of their own; their public names stay readable here,
     # for `from .boxes import ...` and for code that patches them
     module = _LAZY.get(name)
-    if module not in ("arrangement", "boxmass", "rounding"):
+    if module not in ("arrangement", "boxgrid", "boxmass", "rounding"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f".{module}", __package__), name)

@@ -23,9 +23,8 @@ family's; the document helpers they share are in `fileio`.
 
 Numbers inside reports are strings in the file format, integers and
 `a/b` rationals exactly and floats via repr; coefficients, counts and
-indices stay JSON integers.  `_json` writes every report, so no call
-imports json; it gives the bytes of `json.dumps(value, sort_keys=True)`,
-with `indent=2` under `--json`, for the types the handlers build.
+indices stay JSON integers.  `_json` writes every report, byte for byte
+as `json.dumps` would, so no call imports json.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import gc
 import os
 import sys
 import time
+from _json import encode_basestring_ascii as _quote  # json's own ensure_ascii escaper
 from fractions import Fraction
 from importlib import import_module
 from types import SimpleNamespace
@@ -249,47 +249,38 @@ def _parse_flags(args) -> dict:
 
 
 def _json(value, indent: bool) -> str:
-    """The text of `json.dumps(value, sort_keys=True)`, with `indent=2`
-    when indent is set, for what the handlers build: str, int, bool,
-    None, list, tuple and dict with str keys.  Anything else, a float
-    included, is a TypeError."""
+    """The text of `json.dumps(value, sort_keys=True)`, `indent=2` if indent
+    is set, for str, int, bool, None, list, tuple and dict with str keys;
+    anything else, a float included, is a TypeError."""
     out = []
-    escapes = {34: '\\"', 92: "\\\\", 8: "\\b", 12: "\\f", 10: "\\n", 13: "\\r", 9: "\\t"}
 
     def write(v, pad: str) -> None:
         if isinstance(v, str):
-            if not (v.isascii() and v.isprintable()) or '"' in v or "\\" in v:
-                # as ensure_ascii does: the short escapes, \uXXXX outside
-                # ' '..'~', and a surrogate pair above U+FFFF
-                v = "".join(escapes.get(n) or (
-                    chr(n) if 31 < n < 127 else f"\\u{n:04x}" if n < 0x10000
-                    else f"\\u{0xd7c0 + (n >> 10):04x}\\u{0xdc00 | n & 0x3ff:04x}")
-                    for n in map(ord, v))
-            out.append(f'"{v}"')
+            out.append(_quote(v))
         elif v is None or isinstance(v, int):
             out.append("null" if v is None else "true" if v is True else "false" if v is False
                        else int.__repr__(v))
-        elif isinstance(v, (list, tuple, dict)):
-            is_dict = isinstance(v, dict)
-            brackets = "{}" if is_dict else "[]"
-            if not v:
-                out.append(brackets)
-                return
-            inner = pad + "  " if indent else pad
-            out.append(brackets[0] + inner)
-            for n, item in enumerate(sorted(v.items()) if is_dict else v):
-                if n:
-                    out.append("," + inner if indent else ", ")
-                if is_dict:
-                    key, item = item
-                    if not isinstance(key, str):
-                        raise TypeError(f"key {key!r} is not a str")
-                    write(key, inner)
-                    out.append(": ")
-                write(item, inner)
-            out.append(pad + brackets[1])
-        else:
+        elif not isinstance(v, (list, tuple, dict)):
             raise TypeError(f"cannot write a {type(v).__name__} as JSON")
+        elif not v:
+            out.append("{}" if isinstance(v, dict) else "[]")
+        else:
+            is_dict = isinstance(v, dict)
+            inner = pad + "  " if indent else pad
+            sep = "," + inner if indent else ", "
+            out.append(("{" if is_dict else "[") + inner)
+            kinds = None if is_dict else set(map(type, v))
+            if kinds == {int} or kinds == {str}:  # a flat list, written in one join
+                out.append(sep.join(map(int.__repr__ if int in kinds else _quote, v)))
+            else:
+                for n, item in enumerate(sorted(v) if is_dict else v):
+                    if n:
+                        out.append(sep)
+                    if is_dict:  # _quote refuses a key that is no str
+                        out.append(_quote(item) + ": ")
+                        item = v[item]
+                    write(item, inner)
+            out.append(pad + ("}" if is_dict else "]"))
 
     write(value, "\n" if indent else "")
     return "".join(out)

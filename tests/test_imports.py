@@ -129,7 +129,8 @@ CALLS = [
      {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
     (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes", "cli_boxes"}),
     (["islice", "square.chain", "--axis", "0,1", "--r", "1/2,1/2"], {"boxes", "cli_boxes"}),
-    # grid chains and the slice masses compile only where a call needs them
+    # the slice masses compile only where a call needs them; no call loads
+    # `boxgrid`, the grid chains
     (["slicemass", "square.chain", "--axis", "0", "--p", "2"], {"boxes", "boxmass", "cli_boxes"}),
     (["slicestar", "square.chain", "--p", "2"], {"boxes", "boxmass", "cli_boxes"}),
     (["refinecompare", "square_rim.chain", "--subdiv", "2", "--p", "2"],
@@ -190,6 +191,8 @@ LIBRARY = [
                            "flatchains.flatnorm", "flatchains.search"}),
     ("flatchains.boxmass", {"flatchains", "flatchains.base", "flatchains.boxes",
                             "flatchains.boxmass"}),
+    ("flatchains.boxgrid", {"flatchains", "flatchains.base", "flatchains.boxes",
+                            "flatchains.boxgrid"}),
 ]
 
 
@@ -291,7 +294,7 @@ def test_the_moved_names_still_resolve_on_boxes():
 
     for name, module in (("deform", "rounding"), ("DeformationResult", "rounding"),
                          ("arrangement_complex", "arrangement"),
-                         ("compile_chain", "arrangement"), ("grid_chain", "boxmass"),
+                         ("compile_chain", "arrangement"), ("grid_chain", "boxgrid"),
                          ("slice_mass_integral", "boxmass"), ("slice_mass_star", "boxmass")):
         assert getattr(boxes, name) is getattr(import_module(f"flatchains.{module}"), name)
     assert flatchains.deform is cli.deform is boxes.deform
