@@ -17,9 +17,10 @@ that validates against the packaged schema.json.  Exit codes: 0 on success,
 2 on a precondition violation (including parse errors, unparsable or
 missing flag values, and infeasible fills), 1 on an internal defect.
 
-The handlers that take any carrier are here, the others in the module
-of their family that COMMANDS names, so a call compiles only its own
-family's; the document helpers they share are in `fileio`.
+Each handler is in the module of its family that COMMANDS names, those
+that take any carrier in `cli_chain`, so a call compiles only its own
+family's; the document helpers they share are in `fileio`.  `run`, the
+process entry, ends the process without the interpreter's teardown.
 
 Numbers inside reports are strings in the file format, integers and
 `a/b` rationals exactly and floats via repr; coefficients, counts and
@@ -29,7 +30,6 @@ as `json.dumps` would, so no call imports json.
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 import time
@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 from . import _LAZY
 from .base import FillInfeasibleError, InternalDefectError, PreconditionError
-from .fileio import ChainFile, ParseError, _chain_doc, _need_p, format_number, load_chainfile
+from .fileio import ParseError, format_number, load_chainfile
 
 
 # Each handler imports the library functions it uses when it runs, so a
@@ -54,67 +54,6 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f".{module}", __package__), name)
-
-
-def _chain(cf: ChainFile):
-    """The file's chain: an abstract file's chain, else the payload."""
-    return cf.payload[1] if cf.carrier == "abstract" else cf.payload
-
-
-# -- handlers ---------------------------------------------------------------
-
-def _cmd_validate(args, cf):
-    if cf.carrier == "abstract":
-        cx, chain = cf.payload
-        report = cx.validate()
-        detail = {k: (format_number(v) if isinstance(v, (int, Fraction, float))
-                      and not isinstance(v, bool) else v)
-                  for k, v in report.detail.items()}
-        result = {"ok": report.ok, "carrier": cf.carrier,
-                  "message": report.message, "cell": report.cell_id,
-                  "detail": detail, "chain_cells": len(chain.items())}
-        return result, 0 if report.ok else 2
-    if cf.carrier == "curves":
-        return {"ok": True, "carrier": cf.carrier, "curves": len(cf.payload)}, 0
-    chain = cf.payload
-    if cf.carrier == "box":
-        from .boxes import compile_chain
-        report = compile_chain(chain)[0].validate()
-        if not report.ok:
-            raise InternalDefectError(f"compiled box complex invalid: {report.message}")
-    return {"ok": True, "carrier": cf.carrier, "cells": len(chain),
-            "ambient": chain.ambient_dim, "dim": chain.dim}, 0
-
-
-def _cmd_mass(args, cf):
-    if cf.carrier == "curves":
-        total = sum((item.mass for item in cf.payload.items), Fraction(0))
-    else:
-        total = _chain(cf).mass()
-    return {"mass": format_number(total)}, 0
-
-
-def _cmd_massp(args, cf):
-    p = _need_p(args, cf)
-    if cf.carrier == "curves":
-        raise PreconditionError("mass mod p does not apply to curve systems")
-    return {"mass_p": format_number(_chain(cf).mass_p(p)), "p": p}, 0
-
-
-def _cmd_reduce(args, cf):
-    p = _need_p(args, cf)
-    if cf.carrier == "curves":
-        raise PreconditionError("reduce does not apply to curve systems")
-    return {"chain": _chain_doc(_chain(cf).reduce_mod_p(p))}, 0
-
-
-def _cmd_boundary(args, cf):
-    if cf.carrier == "curves":
-        from .curves import system_boundary
-        points = sorted(system_boundary(cf.payload).items())
-        return {"chain": {"carrier": "points", "dim": 0,
-                          "items": [[pt, g] for pt, g in points]}}, 0
-    return {"chain": _chain_doc(_chain(cf).boundary())}, 0
 
 
 def _csv(convert):
@@ -137,14 +76,14 @@ _FLAGS = {
                         "help": "search rounding thresholds instead of the default"}),
 }
 
-# subcommand -> (the module of its handler `_cmd_<subcommand>`, None for
-# this one; required flags; optional flags)
+# subcommand -> (the module of its handler `_cmd_<subcommand>`; required
+# flags; optional flags)
 COMMANDS = {
-    "validate": (None, (), ()),
-    "mass": (None, (), ()),
-    "massp": (None, (), ("p",)),
-    "reduce": (None, (), ("p",)),
-    "boundary": (None, (), ()),
+    "validate": ("cli_chain", (), ()),
+    "mass": ("cli_chain", (), ()),
+    "massp": ("cli_chain", (), ("p",)),
+    "reduce": ("cli_chain", (), ("p",)),
+    "boundary": ("cli_chain", (), ()),
     "flatnorm": ("cli_flatnorm", (), ("bound",)),
     "flatnormp": ("cli_flatnorm", (), ("p",)),
     "fill": ("cli_flatnorm", (), ("p",)),
@@ -333,9 +272,8 @@ def main(argv=None) -> int:
     try:
         doc["inputs"] = _parse_flags(args)
         cf = load_chainfile(args.file)
-        module = COMMANDS[args.command][0]
-        handlers = globals() if module is None else vars(import_module(f".{module}", __package__))
-        result, code = handlers[f"_cmd_{args.command}"](args, cf)
+        handlers = import_module(f".{COMMANDS[args.command][0]}", __package__)
+        result, code = getattr(handlers, f"_cmd_{args.command}")(args, cf)
         doc["result"] = result
     except (ParseError, PreconditionError, FillInfeasibleError) as err:
         kind = "infeasible" if isinstance(err, FillInfeasibleError) else "precondition"
@@ -357,18 +295,23 @@ def run() -> None:
     """The process entry of `python -m flatchains.cli` and the `flatchains`
     script: main, then exit with its code.
 
-    Whichever way main ends, usage errors included, the heap is frozen
-    before the interpreter exits, so its exit-time collections skip every
-    object the call loaded.  Exit still runs atexit handlers, flushes stdio
-    and tears the modules down.  main itself never freezes: tests and
-    tracers call it in-process, where a frozen heap would keep its cyclic
-    garbage for the rest of the run.
+    main's code, or argparse's after help or a usage error, ends the
+    process through `os._exit` once stdout and stderr are flushed, so no
+    call pays for the interpreter's teardown: no module is torn down, no
+    exit-time collection runs, and atexit handlers do not run.  Any other
+    exception out of main takes the ordinary exit with its traceback.
+    main itself returns: tests and tracers call it in-process.
     """
     try:
         code = main()
-    finally:
-        gc.freeze()
-    sys.exit(code)
+    except SystemExit as stop:  # argparse's, after help or a usage error: 0 or 2
+        code = stop.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:  # the reader left: the rest goes nowhere
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

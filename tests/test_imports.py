@@ -57,15 +57,19 @@ def import_in_child(module: str) -> set:
 
 # runs the CLI as `python -m flatchains.cli` does, then prints the modules
 # it held before json was imported to print them, as the last line of
-# stderr, however the CLI exits
+# stderr; the CLI ends its process through os._exit, with no teardown
 CLI_CHILD = """
-import runpy, sys
-try:
-    runpy.run_module("flatchains.cli", run_name="__main__", alter_sys=True)
-finally:
+import os, runpy, sys
+exit_now = os._exit
+
+def report_and_exit(code):
     names = list(sys.modules)
     import json
-    print(json.dumps(names), file=sys.stderr)
+    print(json.dumps(names), file=sys.stderr, flush=True)
+    exit_now(code)
+
+os._exit = report_and_exit
+runpy.run_module("flatchains.cli", run_name="__main__", alter_sys=True)
 """
 
 
@@ -81,25 +85,28 @@ def test_importing_the_cli_loads_only_its_core():
 
 # (argv, modules beyond BASE); `python -m` runs the CLI as __main__, so a
 # loaded `flatchains.cli` would mean `cli.py` was compiled twice.  A call
-# loads the module of its handler's family, if its handler is not in the
-# CLI itself, and its carrier's file code: an abstract file's in
+# loads the module of its handler's family (`cli_chain` for the handlers
+# that take any carrier) and its carrier's file code: an abstract file's in
 # `abstractfile`, the others' in the module that builds the carrier.  Box
 # calculus loads `boxes` alone: only `deform` loads `rounding`, and only a
-# call that builds a complex from a box file loads `arrangement`.
+# call that builds a complex from a box file loads `arrangement`.  Only a
+# call that validates a complex loads `checks`: `validate`, and a solve or
+# decomposition of an abstract file.
 CALLS = [
     # an abstract file's parser builds its complex in `core`
-    (["validate", "path3.chain"], {"abstractfile", "core"}),
-    (["massp", "path3.chain", "--p", "2"], {"abstractfile", "core"}),
-    (["boundary", "rim_skeleton.chain"], {"abstractfile", "core"}),
+    (["validate", "path3.chain"], {"abstractfile", "checks", "cli_chain", "core"}),
+    (["massp", "path3.chain", "--p", "2"], {"abstractfile", "cli_chain", "core"}),
+    (["boundary", "rim_skeleton.chain"], {"abstractfile", "cli_chain", "core"}),
     (["slice", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes", "cli_boxes"}),
-    (["mass", "square.chain"], {"boxes"}),
-    (["massp", "square.chain", "--p", "2"], {"boxes"}),
-    (["reduce", "square.chain", "--p", "2"], {"boxes"}),
-    (["boundary", "square.chain"], {"boxes"}),
+    (["mass", "square.chain"], {"boxes", "cli_chain"}),
+    (["massp", "square.chain", "--p", "2"], {"boxes", "cli_chain"}),
+    (["reduce", "square.chain", "--p", "2"], {"boxes", "cli_chain"}),
+    (["boundary", "square.chain"], {"boxes", "cli_chain"}),
     (["deform", "fine_edge.chain", "--eta", "1", "--rho", "1/2,1/2"],
      {"boxes", "cli_boxes", "rounding"}),
     # only the integral flat norm compiles the min-cost flow
-    (["flatnorm", "path3.chain"], {"abstractfile", "cli_flatnorm", "core", "flatnorm", "flow"}),
+    (["flatnorm", "path3.chain"],
+     {"abstractfile", "checks", "cli_flatnorm", "core", "flatnorm", "flow"}),
     (["flatnorm", "square_rim.chain"],
      {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm", "flow"}),
     # only a solve that takes the search compiles it: here the flow's filling
@@ -107,7 +114,7 @@ CALLS = [
     (["flatnorm", "double_rim.chain", "--bound", "1"],
      {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm", "flow", "search"}),
     # a box file's complex is built in `core` only where a call needs one
-    (["validate", "square.chain"], {"arrangement", "boxes", "core"}),
+    (["validate", "square.chain"], {"arrangement", "boxes", "checks", "cli_chain", "core"}),
     (["flatnormp", "square_rim.chain", "--p", "2"],
      {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
     (["fill", "square_rim.chain", "--p", "2"],
@@ -121,10 +128,10 @@ CALLS = [
     (["conereport", "segment.chain", "--apex", "0,0", "--p", "2"], {"cli_cone", "cone"}),
     # the parser loads `cone` for a simplicial file; the chain's own methods
     # and `carrier` do the rest
-    (["mass", "segment.chain"], {"cone"}),
-    (["reduce", "segment.chain", "--p", "2"], {"cone"}),
-    (["boundary", "segment.chain"], {"cone"}),
-    (["reduce", "path3.chain", "--p", "2"], {"abstractfile", "core"}),
+    (["mass", "segment.chain"], {"cli_chain", "cone"}),
+    (["reduce", "segment.chain", "--p", "2"], {"cli_chain", "cone"}),
+    (["boundary", "segment.chain"], {"cli_chain", "cone"}),
+    (["reduce", "path3.chain", "--p", "2"], {"abstractfile", "cli_chain", "core"}),
     (["isoratio", "square_rim.chain", "--p", "2"],
      {"arrangement", "boxes", "cli_flatnorm", "core", "flatnorm"}),
     (["restrict", "square.chain", "--axis", "0", "--r", "1/2"], {"boxes", "cli_boxes"}),
@@ -193,6 +200,10 @@ LIBRARY = [
                             "flatchains.boxmass"}),
     ("flatchains.boxgrid", {"flatchains", "flatchains.base", "flatchains.boxes",
                             "flatchains.boxgrid"}),
+    # a complex's and a map's validation load their checks when first run
+    ("flatchains.core", {"flatchains", "flatchains.base", "flatchains.core"}),
+    ("flatchains.checks", {"flatchains", "flatchains.base", "flatchains.checks",
+                           "flatchains.core"}),
 ]
 
 

@@ -763,25 +763,36 @@ def test_golden_output_through_the_process_entry(name, argv):
     assert done.stdout == (GOLDENS / f"{name}.json").read_bytes()
 
 
-# run as `python -m flatchains.cli` runs it; the atexit hook runs after the
-# entry has returned or raised, and before the interpreter's exit collections
-FREEZE_PROBE = """
-import atexit, gc, runpy
-atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0))
+# run as `python -m flatchains.cli` runs it, after registering an atexit
+# hook that an ordinary interpreter exit would run
+EXIT_PROBE = """
+import atexit, runpy
+atexit.register(print, "atexit ran")
 runpy.run_module("flatchains.cli", run_name="__main__")
 """
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["mass", str(FIXTURES / "square.chain"), "--json"], 0),
-    (["mass", "does-not-exist.chain", "--json"], 2),
-    (["mass", str(FIXTURES / "square.chain"), "--p", "3"], 2),  # a usage error
-], ids=["ok", "missing-file", "usage-error"])
-def test_a_cli_process_freezes_its_heap_before_exit(argv, code):
-    done = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True,
-                          env=child_env(), text=True, timeout=60)
+@pytest.mark.parametrize("argv,usage", [
+    (["mass", str(FIXTURES / "square.chain"), "--json"], False),
+    (["mass", "does-not-exist.chain", "--json"], False),
+    (["mass", str(FIXTURES / "square.chain"), "--p", "3"], True),  # a usage error
+    (["mass", "--help"], False),
+], ids=["ok", "missing-file", "usage-error", "help"])
+def test_a_cli_process_skips_the_interpreter_teardown(argv, usage, capsys, monkeypatch):
+    # the entry exits with main's code and output, and no atexit hook runs
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal's width
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse's, after help or a usage error
+        code = stop.code
+    out = capsys.readouterr().out
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # what stdout holds reaches it only by the entry's flush
+    done = subprocess.run([sys.executable, "-c", EXIT_PROBE, *argv], capture_output=True,
+                          env=env, text=True, timeout=60)
     assert done.returncode == code
-    assert done.stdout.splitlines()[-1] == "frozen: True"
+    assert done.stdout == out
+    assert ("usage:" in done.stderr) == usage
     assert "Traceback" not in done.stderr
 
 
@@ -804,6 +815,21 @@ def test_the_script_and_python_m_call_one_entry():
     assert ast.unparse(block.body) == f"{entry}()"
 
 
+def run_into_a_closed_pipe(argv, env):
+    """The finished `python -m flatchains.cli` child whose stdout reader
+    was gone before it started."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "flatchains.cli", argv[0],
+                               *(str(FIXTURES / a) if a.endswith(".chain") else a
+                                 for a in argv[1:])],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("argv,code", [
     (["flatnormp", "square_rim.chain", "--p", "3", "--json"], 0),
     (["mass", "square.chain", "--p", "3", "--json"], 2),  # a usage error
@@ -812,15 +838,23 @@ def test_the_script_and_python_m_call_one_entry():
 def test_a_closed_pipe_is_no_defect(argv, code):
     # the reader of stdout is gone before the CLI writes: the output goes
     # nowhere, and the exit code is still the command's own
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run([sys.executable, "-m", "flatchains.cli", argv[0],
-                               str(FIXTURES / argv[1]), *argv[2:]],
-                              stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
-                              text=True, timeout=60)
-    finally:
-        os.close(write_end)
+    done = run_into_a_closed_pipe(argv, child_env())
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr and (code or not done.stderr)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["preprocess", "curves_mixed.chain", "--json"], 0),
+    (["preprocess", "curves_mixed.chain"], 0),
+    (["mass", "square.chain", "--p", "3", "--json"], 2),  # a usage error
+    (["mass", "--help"], 0),
+], ids=["json", "text", "usage-error", "help"])
+def test_a_closed_pipe_is_no_defect_with_buffered_stdout(argv, code):
+    # with stdout buffered, a write to the closed pipe fails only at a flush:
+    # the report's own, or the one the process entry makes before os._exit
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = run_into_a_closed_pipe(argv, env)
     assert done.returncode == code
     assert "Traceback" not in done.stderr and (code or not done.stderr)
 
