@@ -31,13 +31,21 @@ flipped orientation).  The primal-flow witness is the flow the solver
 reaches, with nodes, arcs and shortest-path ties taken in cell-id order.
 Both depend only on the complex and T.
 
-A fill mod p is the mod-p flat norm in which every k-cell weighs more
-than any filling: an optimum below that weight leaves no remainder, and
-without one the fill is infeasible.  So the mod-p solvers take a strict
-upper bound on the cost, the limit, and drop whatever reaches it; for a
-flat norm it is mass_p(T) + 1, the cost of S = 0 plus one.  No value
-is tried past one that alone costs the limit on the lightest (k+1)-cell,
-so a flat norm's work does not grow with p; a fill's limit does.
+The mod-p solvers take a strict upper bound on the cost, the limit, and
+drop whatever reaches it: the cost of a known answer plus one, so
+mass_p(T) + 1 for a flat norm (S = 0).  A fill first solves dS = T over
+Z/p, one equation per k-cell, by Howell-form elimination (Howell, "Spans
+in the module (Z_m)^s", 1986): column by column, Euclid's unimodular row
+steps fold the rows that start there into one pivot, from the zero row
+with entry p, so the pivot's entry is a divisor g of p and the row folded
+out last is the annihilator (p / g) * pivot, left for later columns; a
+composite p needs no factoring.  A row left with only T's residue proves
+the fill infeasible.  Otherwise back-substitution gives a filling S0,
+checked, and the fill is the flat norm mod p below mass_p(S0) + 1 where
+every k-cell weighs that limit, so an optimum leaves no remainder.  No
+value is tried past one that alone costs the limit on the lightest
+(k+1)-cell, so the work does not grow with p unless S0 does (dc = 2v
+needs (p + 1) / 2 on c).
 
 The mod-p flat norm runs a frontier dynamic program (`_frontier`) when
 the frontier is narrow.  The (k+1)-cells are placed in a greedy sweep
@@ -419,41 +427,53 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
     return FlatWitness(value, remainder, filling, exact=proved, bound=b)
 
 
-def _component_sums_vanish(prob: _Problem, p: int) -> bool:
-    """False when the table's 0-chain T provably bounds nothing mod p.
+def _boundary_solution(prob: _Problem, p: int) -> list[int]:
+    """Residues mod p, for the (k+1)-cells in id order, of a filling S0 with
+    dS0 = T mod p (see the module docstring); FillInfeasibleError if none."""
+    m = len(prob.sigmas)
+    # rows by first column; column m holds T's residues, and m + 1 empty rows
+    starts: list[list[dict]] = [[] for _ in range(m + 2)]
 
-    If every edge's boundary sums to zero mod p, so does the boundary of
-    any 1-chain on each connected component of the 1-skeleton; T then
-    needs a zero sum mod p on every component.  Edges of the usual form
-    v - u make that condition exact.  An edge whose boundary does not sum
-    to zero mod p voids the test, and the answer is True.
-    """
-    parent = list(range(len(prob.taus)))
+    def add(row, other, q):  # row + q * other mod p, zeros dropped
+        out = dict(row)
+        for i, c in other.items():
+            c = (out.get(i, 0) + q * c) % p
+            if c:
+                out[i] = c
+            else:
+                out.pop(i, None)
+        return out
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for faces in prob.faces:
-        if sum(c for _, c in faces) % p:
-            return True
-        roots = [find(t) for t, _ in faces]
-        for root in roots[1:]:
-            parent[root] = roots[0]
-    sums: dict[int, int] = {}
-    for t, g in enumerate(prob.target):
-        root = find(t)
-        sums[root] = sums.get(root, 0) + g
-    return all(s % p == 0 for s in sums.values())
+    for cof, g in zip(prob.cofaces, prob.target):
+        row = add({}, dict([*cof, (m, g)]), 1)
+        starts[min(row, default=m + 1)].append(row)
+    pivots = []
+    for j in range(m):
+        piv, e = {}, p  # the zero row, with entry p in column j
+        for row in starts[j]:
+            a = row.pop(j)
+            while a:  # Euclid's step on the two rows' entries e and a
+                piv, row, e, a = row, add(piv, row, -(e // a)), a, e % a
+            starts[min(row, default=m + 1)].append(row)
+        if e < p:
+            pivots.append((j, e, piv))
+    if starts[m]:
+        raise FillInfeasibleError("infeasible in this complex")
+    x = [0] * m + [-1]
+    for j, e, piv in reversed(pivots):
+        x[j] = -sum(c * x[i] for i, c in piv.items()) % p // e
+    if any((g - sum(c * x[i] for i, c in cof)) % p
+           for cof, g in zip(prob.cofaces, prob.target)):
+        raise InternalDefectError("elimination's filling does not bound the chain mod p")
+    return x[:m]
 
 
 def fill_mod_p(L: IntChain, p: int) -> IntChain:
     """A minimal-mass_p chain S with dS congruent to L mod p.
 
-    L must be a cycle mod p; raises FillInfeasibleError when no chain of
-    the complex has boundary L mod p.
+    L must be a cycle mod p.  Elimination over Z/p raises
+    FillInfeasibleError when no chain of the complex has boundary L mod p,
+    and otherwise finds a filling, whose cost bounds the least one's.
     """
     _check_modulus(p)
     if L.dim >= 1:
@@ -462,15 +482,12 @@ def fill_mod_p(L: IntChain, p: int) -> IntChain:
             cid = rim.items()[0][0]
             raise PreconditionError(f"not a cycle mod p: boundary residue at cell {cid!r}")
     prob = _Problem(L)
-    if L.dim == 0 and not _component_sums_vanish(prob, p):
-        raise FillInfeasibleError("infeasible in this complex")
-    # the flat norm mod p where a k-cell outweighs every filling: an
-    # optimum below that weight leaves no remainder
-    heavy = sum(prob.vol_s) * (p // 2) + 1
-    prob.vol_t = [heavy] * len(prob.taus)
-    found = _solve_mod_p(prob, p, heavy)
+    s0 = _boundary_solution(prob, p)
+    limit = sum(norm_mod_p(v, p) * vol for v, vol in zip(s0, prob.vol_s)) + 1
+    prob.vol_t = [limit] * len(prob.taus)
+    found = _solve_mod_p(prob, p, limit)
     if found is None:
-        raise FillInfeasibleError("infeasible in this complex")
+        raise InternalDefectError("solver found no filling below the elimination's")
     cost, s_coeffs = found
     filling, remainder, _ = _decompose(L, s_coeffs, cost, p)
     if not remainder.reduce_mod_p(p).is_zero():

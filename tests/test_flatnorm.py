@@ -652,6 +652,89 @@ def test_fill_zero_dimensional_chain_with_a_one_ended_edge():
     assert fill_mod_p(cx.chain(0, {"a": 1}), 2) == cx.chain(1, {"e": 1})
 
 
+def a_vertex_bounding_twice():
+    """The 0-chain v on a complex whose one cell c has dc = 2v."""
+    return Complex({0: [("v", 1, [])], 1: [("c", 1, [("v", 2)])]}).chain(0, {"v": 1})
+
+
+def two_components():
+    cx = Complex({0: [("a", 1, []), ("b", 1, []), ("c", 1, []), ("d", 1, [])],
+                  1: [("ab", 1, [("a", -1), ("b", 1)]),
+                      ("cd", 1, [("c", -1), ("d", 1)])]})
+    return cx.chain(0, {"a": 1, "c": -1})
+
+
+def rim_skeleton():
+    return compile_chain(grid_chain(2, 2, [(0, 1), (0, 1)], 1).boundary())[1]
+
+
+def holed_rim():
+    grid = unit_grid_complex(3)
+    holed = Complex({d: [(cid, grid.volume(cid), list(grid.boundary_of(cid).items()))
+                         for cid in grid.cells(d) if cid != "f1_1"] for d in grid.dims()})
+    return holed.chain(1, dict(grid.chain(2, {"f1_1": 1}).boundary().coeffs))
+
+
+def cube_shell():
+    # k = 2: the unit cube's boundary on the complex of its own faces
+    return compile_chain(grid_chain(3, 3, [(0, 1)] * 3, 1).boundary())[1]
+
+
+@pytest.mark.parametrize("build,p", [
+    (two_components, 3), (two_components, 4), (rim_skeleton, 2), (rim_skeleton, 6),
+    (holed_rim, 3), (holed_rim, 4), (cube_shell, 5), (cube_shell, 9),
+    (a_vertex_bounding_twice, 4), (a_vertex_bounding_twice, 6),
+], ids=["components-3", "components-4", "skeleton-2", "skeleton-6", "holed-3", "holed-4",
+        "cube-shell-5", "cube-shell-9", "twice-4", "twice-6"])
+def test_infeasible_fills_are_refused_before_any_solver(monkeypatch, build, p):
+    def no_solver(*args):
+        raise AssertionError("a solver ran")
+
+    monkeypatch.setattr(flatnorm, "_solve_mod_p", no_solver)
+    with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
+        fill_mod_p(build(), p)
+
+
+@pytest.mark.parametrize("p,value", [(3, -1), (5, -2)])
+def test_a_cell_with_boundary_twice_a_vertex_fills_it_at_odd_p(p, value):
+    # 2 * value = 1 mod p, and the value is the least canonical residue that does it
+    v = a_vertex_bounding_twice()
+    filling = fill_mod_p(v, p)
+    assert filling == v.complex.chain(1, {"c": value})
+    assert filling.mass_p(p) == abs(value)
+
+
+def random_system(rng):
+    """A tiny complex whose k-cells have no faces, so that every k-chain is
+    a cycle, with (k+1)-cells of random small face coefficients."""
+    k = rng.choice([0, 1])
+    taus = [f"t{i}" for i in range(rng.randint(1, 4))]
+    sigmas = [(f"s{i}", 1, [(t, rng.choice([-3, -2, -1, 1, 2, 3]))
+                            for t in rng.sample(taus, rng.randint(0, len(taus)))])
+              for i in range(rng.randint(0, 3))]
+    cx = Complex({k: [(t, 1, []) for t in taus], k + 1: sigmas})
+    named = rng.sample(taus, rng.randint(1, len(taus)))
+    return cx.chain(k, {t: rng.randint(-4, 4) for t in named})
+
+
+def test_elimination_decides_what_enumeration_decides(rng):
+    for p in (2, 3, 4, 6, 9):
+        for _ in range(60):
+            t = random_system(rng)
+            cx, sigmas = t.complex, t.complex.cells(t.dim + 1)
+
+            def bounds(s):
+                s = cx.chain(t.dim + 1, dict(zip(sigmas, s)))
+                return (s.boundary() - t).reduce_mod_p(p).is_zero()
+
+            prob = _Problem(t)
+            if not any(map(bounds, itertools.product(range(p), repeat=len(sigmas)))):
+                with pytest.raises(FillInfeasibleError):
+                    flatnorm._boundary_solution(prob, p)
+            else:
+                assert bounds(flatnorm._boundary_solution(prob, p)), (p, t)
+
+
 def test_isoperimetric_pinned_values():
     _, sq = square_setup()
     rim = sq.boundary()

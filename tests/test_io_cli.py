@@ -398,6 +398,20 @@ def test_a_large_modulus_answers_at_once(capsys):
     assert json.loads(out)["result"]["value"] == "1"
 
 
+@pytest.mark.parametrize("argv,key,value", [
+    (["fill", "square_rim.chain"], "filling_mass", "1"),
+    (["isoratio", "square_rim.chain"], "ratio", "1/16"),
+    (["fill", "path3.chain"], "filling_mass", "3"),
+])
+def test_a_huge_modulus_fills_at_once(capsys, argv, key, value):
+    # a fill's values stop at the cost of the elimination's filling, not at p / 2
+    start = time.perf_counter()
+    rc, out = run_cli(fixture_argv([*argv, "--p", "2305843009213693951"]), capsys)
+    assert time.perf_counter() - start < 1
+    assert rc == 0
+    assert json.loads(out)["result"][key] == value
+
+
 def test_infeasible_fill_exit_code(capsys):
     argv = fixture_argv(["fill", "rim_skeleton.chain", "--p", "2"])
     rc, out = run_cli(argv, capsys)
@@ -894,7 +908,8 @@ def fuzz_file(tmp_path_factory):
                                 ["flatnormp", "--p", "2"], ["flatnormp", "--p", "3"],
                                 ["flatnormp", "--p", "1000003"],
                                 ["flatnormp", "--p", "2305843009213693951"],
-                                ["fill", "--p", "2"], ["isoratio", "--p", "2"]]))
+                                ["fill", "--p", "2"], ["fill", "--p", "4"], ["fill", "--p", "6"],
+                                ["isoratio", "--p", "2"], ["isoratio", "--p", "3"]]))
 def test_random_abstract_files_never_hit_a_defect(fuzz_file, text, command):
     # rejected input exits 2; exit 1 would be an internal defect.  A flat
     # norm's work does not grow with p, so the large moduli answer at once

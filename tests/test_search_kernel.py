@@ -187,6 +187,17 @@ def test_feasible_0_chain_fills_at_p5_are_fast(coeffs, mass, witness):
     assert filling.mass_p(5) == mass
 
 
+@pytest.mark.parametrize("p", [11, 31, 101])
+def test_a_two_point_fill_does_not_grow_with_p(p):
+    # the search's values stop at the cost of the elimination's filling, not
+    # at p / 2: at the old limit p = 31 took ~2 s and p = 101 over a minute
+    cx, _ = arrangement_complex(grid_chain(3, 3, [(0, 1), (0, 1), (0, 2)], 1))
+    started = time.perf_counter()
+    filling = fill_mod_p(cx.chain(0, {"b0[0;0;0]": 1, "b0[1;1;2]": -1}), p)
+    assert time.perf_counter() - started < 1
+    assert filling.mass_p(p) == 4
+
+
 def test_forty_one_random_segments_are_answered():
     # the 41 unit segments of the benchmark's `segments34` input, drawn the
     # same way; duplicates merge into 34 cells, 7 of them with coefficient
