@@ -20,7 +20,8 @@ times the odd-class items, which is the identity the output rests on.
 Each reduction step removes at least one open piece or shortens the
 shortest one, and every step re-checks the full invariant set, so a
 defect in the bookkeeping surfaces immediately rather than as a wrong
-answer.
+answer.  No piece's boundary is re-summed: once neighbouring entries
+share their points the sum telescopes, so its two end points decide it.
 
 Unlike the usual textbook setting, pieces here may repeat an item
 index: merging steps can place two odd occurrences of the same index
@@ -186,21 +187,15 @@ def preprocess(system: CurveSystem) -> tuple[CurveSystem, PreprocessTrace]:
 
 # -- the admissible-decomposition reduction --------------------------------
 
-def _piece_boundary(piece: tuple[int, ...], starts, ends) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for m, idx in enumerate(piece):
-        sign = 1 if m % 2 == 0 else -1
-        out[ends[idx]] = out.get(ends[idx], 0) + sign
-        out[starts[idx]] = out.get(starts[idx], 0) - sign
-    return {pt: g for pt, g in out.items() if g != 0}
-
-
 def _is_open(piece: tuple[int, ...]) -> bool:
     return len(piece) % 2 == 1  # odd entry count = even tuple length k
 
 
 def _check_decomposition(pieces, n: int, p: int, starts, ends) -> None:
-    """Every invariant of the decomposition, checked from scratch."""
+    """Every invariant of the decomposition, checked from scratch.  Once a
+    piece's neighbours pass, its boundary telescopes to [end of last] -
+    [start of first] (open) or [start of last] - [start of first] (closed),
+    so comparing those two points checks it without re-summing."""
     even_count = [0] * (n + 1)
     odd_count = [0] * (n + 1)
     for piece in pieces:
@@ -220,12 +215,11 @@ def _check_decomposition(pieces, n: int, p: int, starts, ends) -> None:
             elif starts[a] != starts[b]:
                 raise InternalDefectError(
                     f"odd-even entries {a},{b} do not share a start in {pieces!r}")
-        if not _is_open(piece) and starts[piece[-1]] != starts[piece[0]]:
-            raise InternalDefectError(f"odd-length piece fails to close in {pieces!r}")
         if _is_open(piece):
-            bdry = _piece_boundary(piece, starts, ends)
-            if bdry != {ends[piece[-1]]: 1, starts[piece[0]]: -1}:
+            if ends[piece[-1]] == starts[piece[0]]:
                 raise InternalDefectError(f"open piece has the wrong boundary in {pieces!r}")
+        elif starts[piece[-1]] != starts[piece[0]]:
+            raise InternalDefectError(f"odd-length piece fails to close in {pieces!r}")
     for idx in range(1, n + 1):
         ec, oc = even_count[idx], odd_count[idx]
         if not ((ec == 1 and oc == 0) or (ec == 0 and oc == p - 1)):

@@ -41,11 +41,13 @@ with entry p, so the pivot's entry is a divisor g of p and the row folded
 out last is the annihilator (p / g) * pivot, left for later columns; a
 composite p needs no factoring.  A row left with only T's residue proves
 the fill infeasible.  Otherwise back-substitution gives a filling S0,
-checked, and the fill is the flat norm mod p below mass_p(S0) + 1 where
-every k-cell weighs that limit, so an optimum leaves no remainder.  No
-value is tried past one that alone costs the limit on the lightest
-(k+1)-cell, so the work does not grow with p unless S0 does (dc = 2v
-needs (p + 1) / 2 on c).
+checked.  When every column got a pivot of entry 1, S0 is the only
+filling mod p and so the answer, found without a solver (dc = 2v fills v
+with (p + 1) / 2 on c this way, at any odd p).  Else the fill is the flat
+norm mod p below mass_p(S0) + 1 where every k-cell weighs that limit, so
+an optimum leaves no remainder.  No value is tried past one that alone
+costs the limit on the lightest (k+1)-cell, so the work grows with p only
+for a fill with more than one filling whose S0 needs residues near p/2.
 
 The mod-p flat norm runs a frontier dynamic program (`_frontier`) when
 the frontier is narrow.  The (k+1)-cells are placed in a greedy sweep
@@ -104,7 +106,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .base import (FillInfeasibleError, Frozen, InternalDefectError, PreconditionError,
-                   _check_modulus, norm_mod_p)
+                   _check_modulus, canonical_residue, norm_mod_p)
 from .core import IntChain, ModPChain
 
 
@@ -427,9 +429,10 @@ def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
     return FlatWitness(value, remainder, filling, exact=proved, bound=b)
 
 
-def _boundary_solution(prob: _Problem, p: int) -> list[int]:
+def _boundary_solution(prob: _Problem, p: int) -> tuple[list[int], bool]:
     """Residues mod p, for the (k+1)-cells in id order, of a filling S0 with
-    dS0 = T mod p (see the module docstring); FillInfeasibleError if none."""
+    dS0 = T mod p (see the module docstring), and whether S0 is the only
+    one: every column got a pivot of entry 1.  FillInfeasibleError if none."""
     m = len(prob.sigmas)
     # rows by first column; column m holds T's residues, and m + 1 empty rows
     starts: list[list[dict]] = [[] for _ in range(m + 2)]
@@ -465,7 +468,7 @@ def _boundary_solution(prob: _Problem, p: int) -> list[int]:
     if any((g - sum(c * x[i] for i, c in cof)) % p
            for cof, g in zip(prob.cofaces, prob.target)):
         raise InternalDefectError("elimination's filling does not bound the chain mod p")
-    return x[:m]
+    return x[:m], len(pivots) == m and all(e == 1 for _, e, _ in pivots)
 
 
 def fill_mod_p(L: IntChain, p: int) -> IntChain:
@@ -473,7 +476,8 @@ def fill_mod_p(L: IntChain, p: int) -> IntChain:
 
     L must be a cycle mod p.  Elimination over Z/p raises
     FillInfeasibleError when no chain of the complex has boundary L mod p,
-    and otherwise finds a filling, whose cost bounds the least one's.
+    and otherwise finds a filling: the answer when it is the only one,
+    else a cost that bounds the least one's.
     """
     _check_modulus(p)
     if L.dim >= 1:
@@ -482,13 +486,17 @@ def fill_mod_p(L: IntChain, p: int) -> IntChain:
             cid = rim.items()[0][0]
             raise PreconditionError(f"not a cycle mod p: boundary residue at cell {cid!r}")
     prob = _Problem(L)
-    s0 = _boundary_solution(prob, p)
-    limit = sum(norm_mod_p(v, p) * vol for v, vol in zip(s0, prob.vol_s)) + 1
-    prob.vol_t = [limit] * len(prob.taus)
-    found = _solve_mod_p(prob, p, limit)
-    if found is None:
-        raise InternalDefectError("solver found no filling below the elimination's")
-    cost, s_coeffs = found
+    s0, single = _boundary_solution(prob, p)
+    cost0 = sum(norm_mod_p(v, p) * vol for v, vol in zip(s0, prob.vol_s))
+    if single:
+        cost, s_coeffs = prob.answer(cost0, [canonical_residue(v, p) for v in s0])
+    else:
+        limit = cost0 + 1
+        prob.vol_t = [limit] * len(prob.taus)
+        found = _solve_mod_p(prob, p, limit)
+        if found is None:
+            raise InternalDefectError("solver found no filling below the elimination's")
+        cost, s_coeffs = found
     filling, remainder, _ = _decompose(L, s_coeffs, cost, p)
     if not remainder.reduce_mod_p(p).is_zero():
         raise InternalDefectError("filling does not bound the requested chain mod p")

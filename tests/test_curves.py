@@ -11,6 +11,7 @@ from flatchains import (
     Complex,
     CurveItem,
     CurveSystem,
+    InternalDefectError,
     PreconditionError,
     arrangement_complex,
     cycle_representative,
@@ -183,6 +184,71 @@ def test_extract_on_random_systems(rng):
                     for it in system.items)
         assert combo <= (p - 1) * total
         assert extract_cycle_indices(system, p) == chosen
+
+
+# ---------------------------------------------------------------------------
+# the reduction's invariant checker
+
+def ends_of(*pairs):
+    """starts and ends by 1-based index for items given as (start, end)."""
+    return ({i: s for i, (s, _) in enumerate(pairs, start=1)},
+            {i: e for i, (_, e) in enumerate(pairs, start=1)})
+
+
+CHECKER_REFUSALS = [
+    ("empty", [()], [], 2, "empty piece in decomposition"),
+    ("even-odd", [(1, 2)], [("a", "x"), ("b", "y")], 2,
+     "even-odd entries 1,2 do not share an end"),
+    ("odd-even", [(1, 2, 3)], [("a", "x"), ("b", "x"), ("c", "y")], 3,
+     "odd-even entries 2,3 do not share a start"),
+    ("unclosed", [(1, 2)], [("a", "x"), ("b", "x")], 2, "odd-length piece fails to close"),
+    # the three entries telescope to [a] - [a]: an open piece with no boundary
+    ("open-closing", [(1, 2, 3)], [("a", "x"), ("b", "x"), ("b", "a")], 3,
+     "open piece has the wrong boundary"),
+    ("count", [(1,), (1,), (2,)], [("a", "x"), ("c", "y")], 2,
+     "index 1 occurs 2 times even, 0 times odd"),
+]
+
+
+@pytest.mark.parametrize("pieces,pairs,p,message",
+                         [case[1:] for case in CHECKER_REFUSALS],
+                         ids=[case[0] for case in CHECKER_REFUSALS])
+def test_the_checker_refuses_a_broken_decomposition(pieces, pairs, p, message):
+    starts, ends = ends_of(*pairs)
+    with pytest.raises(InternalDefectError, match=message):
+        curves._check_decomposition(pieces, len(pairs), p, starts, ends)
+
+
+def piece_boundary(piece, starts, ends):
+    """A piece's boundary, summed entry by entry with signs (-1)^m."""
+    out = {}
+    for m, idx in enumerate(piece):
+        sign = 1 if m % 2 == 0 else -1
+        out[ends[idx]] = out.get(ends[idx], 0) + sign
+        out[starts[idx]] = out.get(starts[idx], 0) - sign
+    return {pt: g for pt, g in out.items() if g}
+
+
+def test_every_checked_piece_has_its_telescoped_boundary(rng, monkeypatch):
+    # the checker compares two points per piece; re-summed, every open
+    # piece it passes bounds [end of last] - [start of first] and every
+    # closed piece bounds nothing
+    check = curves._check_decomposition
+    seen = []
+
+    def spy(pieces, n, p, starts, ends):
+        check(pieces, n, p, starts, ends)
+        for piece in pieces:
+            want = ({ends[piece[-1]]: 1, starts[piece[0]]: -1} if curves._is_open(piece)
+                    else {})
+            assert piece_boundary(piece, starts, ends) == want, piece
+            seen.append(len(piece))
+
+    monkeypatch.setattr(curves, "_check_decomposition", spy)
+    for _ in range(240):
+        p = rng.choice([2, 3, 5])
+        extract_cycle_indices(random_curve_system(rng, p), p)
+    assert any(size > 1 and size % 2 for size in seen)  # long open pieces were seen
 
 
 # ---------------------------------------------------------------------------

@@ -579,7 +579,7 @@ def test_fill_rejects_non_cycles():
 
 
 def test_fill_infeasible_without_top_cells(monkeypatch):
-    # each solver's exit when nothing costs less than the limit
+    # the elimination refuses the fill before either solver route runs
     def no_search(*args, **kwargs):
         raise AssertionError("took the search")
 
@@ -595,9 +595,9 @@ def test_fill_infeasible_without_top_cells(monkeypatch):
 
 
 def test_fill_of_the_rim_of_a_missing_square_is_infeasible(monkeypatch):
-    # the squares around the hole cannot bound it: every rim edge has a
-    # coface, the frontier empties a layer, and the search finds nothing
-    # below the limit
+    # the squares around the hole cannot bound it, though every rim edge
+    # has a coface: the elimination refuses it before either solver route
+    # runs
     def no_search(*args, **kwargs):
         raise AssertionError("took the search")
 
@@ -615,17 +615,22 @@ def test_fill_of_the_rim_of_a_missing_square_is_infeasible(monkeypatch):
 
 
 def test_fill_checks_the_solver_cost(monkeypatch):
+    # two points of the 1x1x2 box grid have many fillings, so a solver runs
     solve = flatnorm._solve_mod_p
+    ran = []
 
     def off_by_one(prob, p, limit):
         cost, s_coeffs = solve(prob, p, limit)
+        ran.append(p)
         return cost + 1, s_coeffs
 
-    _, sq = square_setup()
-    assert fill_mod_p(sq.boundary(), 3).mass_p(3) == 1
+    cx, _ = arrangement_complex(grid_chain(3, 3, [(0, 1), (0, 1), (0, 2)], 1))
+    ends = cx.chain(0, {"b0[0;0;0]": 1, "b0[1;1;2]": -1})
+    assert fill_mod_p(ends, 3).mass_p(3) == 4
     monkeypatch.setattr(flatnorm, "_solve_mod_p", off_by_one)
     with pytest.raises(InternalDefectError, match="solver cost disagrees"):
-        fill_mod_p(sq.boundary(), 3)
+        fill_mod_p(ends, 3)
+    assert ran == [3]
 
 
 def test_fill_zero_dimensional_chain():
@@ -650,6 +655,10 @@ def test_fill_zero_dimensional_chain_with_a_one_ended_edge():
     # the edge's boundary sums to 1, so a lone vertex bounds
     cx = Complex({0: [("a", 1, [])], 1: [("e", 1, [("a", 1)])]})
     assert fill_mod_p(cx.chain(0, {"a": 1}), 2) == cx.chain(1, {"e": 1})
+
+
+def no_solver(*args):
+    raise AssertionError("a solver ran")
 
 
 def a_vertex_bounding_twice():
@@ -687,21 +696,31 @@ def cube_shell():
 ], ids=["components-3", "components-4", "skeleton-2", "skeleton-6", "holed-3", "holed-4",
         "cube-shell-5", "cube-shell-9", "twice-4", "twice-6"])
 def test_infeasible_fills_are_refused_before_any_solver(monkeypatch, build, p):
-    def no_solver(*args):
-        raise AssertionError("a solver ran")
-
     monkeypatch.setattr(flatnorm, "_solve_mod_p", no_solver)
     with pytest.raises(FillInfeasibleError, match="infeasible in this complex"):
         fill_mod_p(build(), p)
 
 
-@pytest.mark.parametrize("p,value", [(3, -1), (5, -2)])
-def test_a_cell_with_boundary_twice_a_vertex_fills_it_at_odd_p(p, value):
-    # 2 * value = 1 mod p, and the value is the least canonical residue that does it
+@pytest.mark.parametrize("p,value", [(3, -1), (5, -2), (1000003, -500001),
+                                     (2 ** 61 - 1, -(2 ** 60 - 1))])
+def test_a_cell_with_boundary_twice_a_vertex_fills_it_at_odd_p(monkeypatch, p, value):
+    # 2 * value = 1 mod p, and the value is the least canonical residue that
+    # does it; it is the only filling, so the elimination answers at any p
+    # and no values are listed up to p / 2
+    monkeypatch.setattr(flatnorm, "_solve_mod_p", no_solver)
     v = a_vertex_bounding_twice()
     filling = fill_mod_p(v, p)
     assert filling == v.complex.chain(1, {"c": value})
     assert filling.mass_p(p) == abs(value)
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (2, 4, 7) for p in (2, 3, 5, 6)])
+def test_a_grid_rim_has_one_filling(monkeypatch, n, p):
+    # the squares of a disk carry no 2-cycle, so the rim bounds only the disk
+    cx = unit_grid_complex(n)
+    disk = cx.chain(2, {f: 1 for f in cx.cells(2)})
+    monkeypatch.setattr(flatnorm, "_solve_mod_p", no_solver)
+    assert fill_mod_p(disk.boundary(), p) == disk
 
 
 def random_system(rng):
@@ -728,11 +747,14 @@ def test_elimination_decides_what_enumeration_decides(rng):
                 return (s.boundary() - t).reduce_mod_p(p).is_zero()
 
             prob = _Problem(t)
-            if not any(map(bounds, itertools.product(range(p), repeat=len(sigmas)))):
+            count = sum(map(bounds, itertools.product(range(p), repeat=len(sigmas))))
+            if not count:
                 with pytest.raises(FillInfeasibleError):
                     flatnorm._boundary_solution(prob, p)
             else:
-                assert bounds(flatnorm._boundary_solution(prob, p)), (p, t)
+                s0, single = flatnorm._boundary_solution(prob, p)
+                assert bounds(s0), (p, t)
+                assert single == (count == 1), (p, t, count)
 
 
 def test_isoperimetric_pinned_values():

@@ -171,6 +171,18 @@ PARSE_ERRORS = [
      "duplicate chain line"),
     ("chainfile 1 abstract\ndim 0\ncell a 1\nchain 0\ncoeff a 1\ncoeff a 1\n",
      6, "duplicate coefficient for 'a'"),
+    ("chainfile 1 abstract\ndim 0\ncell v 1\nchain 0\ndim 1\n", 5,
+     "dim section after the chain section"),
+    ("chainfile 1 abstract\ndim 0 1\n", 2, "expected `dim <int>`"),
+    ("chainfile 1 abstract\ndim 0\ncell v\n", 3, "expected `cell id vol`"),
+    ("chainfile 1 abstract\ndim 0\ncell v 1\nface v\n", 4,
+     "expected `face cell child sign`"),
+    ("chainfile 1 abstract\ndim 0\ncell v 1\nface w v 1\n", 4,
+     "face references undeclared cell 'w'"),
+    ("chainfile 1 abstract\ndim 0\ncell v 1\nchain\n", 4, "expected `chain <dim>`"),
+    ("chainfile 1 abstract\ndim 0\ncell v 1\nchain 0\ncoeff v\n", 5,
+     "expected `coeff id g`"),
+    ("chainfile 1 abstract\ncurve 1 a b 1\n", 2, "unexpected 'curve' in an abstract file"),
 ]
 
 
@@ -181,6 +193,23 @@ def test_parse_errors(text, line, message):
         parse_chainfile(text)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+def test_an_abstract_file_without_a_chain_line_holds_the_empty_top_chain():
+    cf = parse_chainfile("chainfile 1 abstract\ndim 0\ncell v 1\ndim 1\ncell c 1\n"
+                         "face c v 2\n")
+    cx, chain = cf.payload
+    assert chain.dim == cx.top_dim == 1
+    assert chain.is_zero()
+
+
+def test_a_malformed_abstract_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "late_dim.chain"
+    path.write_text("chainfile 1 abstract\ndim 0\ncell v 1\nchain 0\ndim 1\n")
+    rc, out = run_cli(["validate", str(path), "--json"], capsys)
+    assert rc == 2
+    assert json.loads(out)["error"] == {
+        "kind": "precondition", "message": "line 5: dim section after the chain section"}
 
 
 def test_parse_error_is_a_precondition_error():
@@ -425,6 +454,29 @@ def test_massp_rejects_curves(capsys):
     assert rc == 2
     message = json.loads(out)["error"]["message"]
     assert "does not apply to curve systems" in message
+
+
+def test_chain_commands_on_a_curves_file(capsys, schema):
+    def call(*argv):
+        rc, out = run_cli(fixture_argv([argv[0], "curves_mixed.chain", *argv[1:]]), capsys)
+        doc = json.loads(out)
+        jsonschema.Draft7Validator(schema).validate(doc)
+        return rc, doc
+
+    rc, doc = call("validate")
+    assert rc == 0
+    assert doc["result"] == {"ok": True, "carrier": "curves", "curves": 3}
+    rc, doc = call("reduce", "--p", "2")
+    assert rc == 2
+    assert doc["error"] == {"kind": "precondition",
+                            "message": "reduce does not apply to curve systems"}
+    rc, doc = call("boundary")
+    assert rc == 0
+    points = doc["result"]["chain"]
+    assert points == {"carrier": "points", "dim": 0, "items": [["a", -1], ["c", 1]]}
+    rc, doc = call("sysboundary")
+    assert rc == 0
+    assert points["items"] == [list(item) for item in doc["result"]["boundary"].items()]
 
 
 # ---- each subcommand takes only its own flags ----
