@@ -21,17 +21,15 @@ from .core import Complex, IntChain
 
 
 def _build_complex(keys: Iterable[Key], den: int, text: Callable[[int], str]) -> Complex:
-    by_dim: dict[int, dict[str, tuple]] = {}
+    # the keys are distinct, and so are their tokens
+    by_dim: dict[int, list[tuple]] = {}
     for key in keys:
         token = _token(key, text)
         dim = len(_directions(key))
-        layer = by_dim.setdefault(dim, {})
-        if token in layer:
-            continue
         bdry = [(_token(f, text), s) for f, s in _faces(key)]
         vol = Fraction(_volume(key), den ** dim) if dim else 1
-        layer[token] = (token, vol, bdry)
-    data = {d: sorted(layer.values()) for d, layer in by_dim.items()}
+        by_dim.setdefault(dim, []).append((token, vol, bdry))
+    data = {d: sorted(cells) for d, cells in by_dim.items()}
     return Complex(data)
 
 

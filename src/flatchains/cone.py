@@ -15,8 +15,10 @@ the tuple of its vertices' numerator tuples, and numerators over a
 positive den sort as the Fractions they stand for.  Each canonical
 simplex's Gram determinant is computed once, when the chain is built,
 by fraction-free (Bareiss) elimination on the integer Gram matrix; the
-degeneracy test, mass, mass_p and the cone report all reuse it.
-Fractions appear only at the public surface: Simplex and its vertices.
+degeneracy test, mass, mass_p and the cone report all reuse it.  The
+cone report checks the radius bound exactly, cell by cell, on those
+determinants.  Fractions appear only at the public surface: Simplex and
+its vertices.
 
 The boundary-of-cone identity holds as formal sums whenever the apex is
 generic, meaning no cone cell degenerates.  An apex inside the affine
@@ -71,27 +73,26 @@ def _coords(keys: Iterable[Key], den: int) -> dict[int, Fraction]:
 
 
 def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+    """Determinant of an integer Gram matrix by Bareiss elimination.
 
     Each division is exact (Sylvester's identity), so every entry stays
     an integer; rows is overwritten.  The empty matrix has determinant 1.
+    rows must be a Gram matrix: each pivot is then the Gram determinant
+    of the leading vectors, and once those are dependent so are all, so
+    the first zero pivot makes the determinant 0 with no row to swap.
     """
     size = len(rows)
-    sign, prev = 1, 1
+    prev = 1
     for col in range(size - 1):
-        if rows[col][col] == 0:
-            pivot = next((r for r in range(col + 1, size) if rows[r][col]), None)
-            if pivot is None:
-                return 0
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
         top, piv = rows[col], rows[col][col]
+        if not piv:
+            return 0
         for row in rows[col + 1:]:
             f = row[col]
             for c in range(col + 1, size):
                 row[c] = (row[c] * piv - f * top[c]) // prev
         prev = piv
-    return sign * rows[-1][-1] if size else 1
+    return rows[-1][-1] if size else 1
 
 
 def _gram_det(key: Key) -> int:
@@ -368,28 +369,29 @@ class ConeMassReport(NamedTuple):
 def cone_mass_report(x, T: SimplicialChain, p: Optional[int] = None) -> ConeMassReport:
     """Cone masses plus the radius certifying both mass bounds.
 
-    The radius is the largest vertex distance to the apex; every cell
-    lies in that ball by convexity, so the cone of each cell has mass at
-    most radius times the cell's mass, integrally and mod p alike.
+    The radius r is the largest vertex distance to the apex.  The cone
+    over a k-cell has volume h / (k + 1) times the cell's, with h <= r
+    the apex's distance to the cell's span; over one den this reads
+    det(cone cell) <= r^2 den^2 det(cell), checked exactly on the stored
+    Gram determinants.  A cone cell keeps its cell's coefficient up to
+    sign, so the check bounds the cone mass by r times the mass,
+    integrally and mod p alike.
     """
     coned = cone(x, T)
     apex, den = _apex(x, T)
     r_sq = max((sum((a - b) ** 2 for a, b in zip(v, apex))
                 for key, _ in T._terms(den) for v in key), default=0)
-    r = math.sqrt(r_sq / den ** 2)
-    base, cone_mass = T.mass(), coned.mass()
-    tol = 1e-9 * (1 + r * base)
-    if cone_mass > r * base + tol:
-        raise InternalDefectError(
-            f"cone mass {cone_mass} exceeds {r} * {base}")
-    mass_p = None
-    if p is not None:
-        _check_modulus(p)
-        mass_p, base_p = coned.mass_p(p), T.mass_p(p)
-        if mass_p > r * base_p + tol:
+    f = den // T.den
+    base = {tuple(tuple(c * f for c in v) for v in key): det * f ** (2 * T.dim)
+            for key, _, det in T._cells}
+    for key, _, det in coned._cells:
+        at = key.index(apex)
+        if det > r_sq * base[key[:at] + key[at + 1:]]:
             raise InternalDefectError(
-                f"cone mod-{p} mass {mass_p} exceeds {r} * {base_p}")
-    return ConeMassReport(cone_mass, mass_p, r)
+                f"cone cell {key} over den {den} has Gram determinant {det} "
+                f"above {r_sq} times its base's")
+    mass_p = None if p is None else coned.mass_p(p)
+    return ConeMassReport(coned.mass(), mass_p, math.sqrt(r_sq / den ** 2))
 
 
 def _read_chainfile(body) -> SimplicialChain:

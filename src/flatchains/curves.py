@@ -238,8 +238,12 @@ def _select_partners(pieces, open_ids, first: int, z: str, p: int, ends) -> list
         f"fewer than {p - 1} open pieces share the right boundary {z!r}")
 
 
-def _merge_step_single(pieces, open_ids, first: int, partners, p, starts, ends):
-    """The k = 0 reduction: absorb a one-entry piece into its partners."""
+def _merge_step_single(pieces, open_ids, first: int, partners, starts):
+    """The k = 0 reduction: absorb a one-entry piece into its partners.
+
+    Like _merge_step_long, returns the step's edit: the pieces that each
+    replaced position becomes, every other position staying as it is.
+    """
     sigma = pieces[first][0]
     w = starts[sigma]
     closing = [i for i in partners if starts[pieces[i][0]] == w]
@@ -261,9 +265,7 @@ def _merge_step_single(pieces, open_ids, first: int, partners, p, starts, ends):
     for i, j in zip(through, outside):
         replacement[i] = [pieces[i] + (sigma,) + pieces[j]]
         replacement[j] = []
-    return [piece
-            for k, old in enumerate(pieces)
-            for piece in replacement.get(k, [old])]
+    return replacement
 
 
 def _fragment_at(piece: tuple[int, ...], beta: int):
@@ -293,7 +295,7 @@ def _rotate_cycle_to_last(piece: tuple[int, ...], beta: int) -> tuple[int, ...]:
     return piece[shift:] + piece[:shift]
 
 
-def _merge_step_long(pieces, open_ids, first: int, partners, p, starts, ends):
+def _merge_step_long(pieces, first: int, partners):
     """The k >= 2 reduction: trade the final odd-class entry of the
     shortest open piece against the preceding even-class one."""
     head = pieces[first]
@@ -341,9 +343,7 @@ def _merge_step_long(pieces, open_ids, first: int, partners, p, starts, ends):
             f"{len(queue)} fragments for {len(hosts)} hosts in {pieces!r}")
     for i, fragment in zip(hosts, queue):
         replacement[i] = [pieces[i] + (gamma,) + fragment]
-    return [piece
-            for k, old in enumerate(pieces)
-            for piece in replacement.get(k, [old])]
+    return replacement
 
 
 def _run_reduction(items: Sequence[CurveItem], p: int) -> list[int]:
@@ -365,9 +365,11 @@ def _run_reduction(items: Sequence[CurveItem], p: int) -> list[int]:
         z = ends[pieces[first][-1]]
         partners = _select_partners(pieces, open_ids, first, z, p, ends)
         if len(pieces[first]) == 1:
-            pieces = _merge_step_single(pieces, open_ids, first, partners, p, starts, ends)
+            replacement = _merge_step_single(pieces, open_ids, first, partners, starts)
         else:
-            pieces = _merge_step_long(pieces, open_ids, first, partners, p, starts, ends)
+            replacement = _merge_step_long(pieces, first, partners)
+        pieces = [piece for k, old in enumerate(pieces)
+                  for piece in replacement.get(k, [old])]
         _check_decomposition(pieces, n, p, starts, ends)
         open_ids, after = measure()
         if not after < before:

@@ -509,6 +509,19 @@ def random_curve_system(rng, p, max_groups=4, point_pool=6):
     return CurveSystem.from_triples(triples)
 
 
+def random_bipartite_system(rng, p, max_groups=6, point_pool=4):
+    """A curve system that preprocessing leaves as it is: every item runs
+    from a start point s* to an end point e*, and each point is used a
+    multiple of p times, so the boundary is divisible by p and no end is
+    a start."""
+    groups = rng.randint(1, max_groups)
+    starts = [f"s{rng.randrange(point_pool)}" for _ in range(groups)] * p
+    ends = [f"e{rng.randrange(point_pool)}" for _ in range(groups)] * p
+    rng.shuffle(starts)
+    rng.shuffle(ends)
+    return CurveSystem.from_triples([(a, b, _mass(rng)) for a, b in zip(starts, ends)])
+
+
 def ref_preprocess(system):
     """Curve preprocessing by the definition: after dropping the loops,
     rescan every ordered pair for the lowest position i whose end is the

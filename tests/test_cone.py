@@ -3,11 +3,13 @@
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from flatchains import (
     ChainFile,
+    InternalDefectError,
     PreconditionError,
     Simplex,
     SimplicialChain,
@@ -15,6 +17,7 @@ from flatchains import (
     cone,
     cone_mass_report,
     format_number,
+    load_chainfile,
     parse_chainfile,
     serialize_chainfile,
 )
@@ -165,6 +168,31 @@ def test_cone_mass_bounds_random(rng):
         tol = 1e-9 * (1 + report.radius * t.mass())
         assert report.cone_mass <= report.radius * t.mass() + tol
         assert report.cone_mass_p <= report.radius * t.mass_p(p) + tol
+
+
+def test_cone_report_checks_each_cell_exactly(monkeypatch):
+    # the segment (1,0)-(1,1) under the apex (0,0): r^2 = 2, the base's
+    # Gram determinant is 1 and the cone's is 1.  A cone determinant of
+    # 3 = r^2 * 1 + 1 breaks the per-cell bound, though its float masses
+    # still meet it (sqrt(3)/2 <= sqrt(2) * 1)
+    t = load_chainfile(Path(__file__).parent / "fixtures" / "segment.chain").payload
+    assert cone_mass_report((0, 0), t, p=2) == (0.5, 0.5, math.sqrt(2))
+    gram_det = cone_module._gram_det
+    monkeypatch.setattr(cone_module, "_gram_det",
+                        lambda key: 3 if len(key) == 3 else gram_det(key))
+    with pytest.raises(InternalDefectError, match="Gram determinant 3 above 2 times"):
+        cone_mass_report((0, 0), t)
+
+
+def test_cone_report_at_equality_and_on_a_degenerate_cone():
+    # the cone over a point at distance r meets the bound with equality;
+    # a segment on a line through the apex cones to nothing
+    points = SimplicialChain(2, 0, [(((3, 4),), 1), (((0, 5),), -2), (((1, 1),), 1)])
+    assert cone_mass_report((0, 0), points, p=3) == (
+        15 + math.sqrt(2), 10 + math.sqrt(2), 5.0)
+    t = SimplicialChain(2, 1, [(seg((0, 1), (1, 1)), 2), (seg((0, 2), (0, 3)), -1)])
+    assert len(cone((0, 0), t)) == 1
+    assert cone_mass_report((0, 0), t) == (1.0, None, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Residue arithmetic, chains, boundaries, validation, cellular maps, value classes."""
 
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -142,6 +143,12 @@ def test_validate_catches_bad_volumes():
         report = Complex({0: [("a", 1, [])], 1: [("e", bad, [("a", 1)])]}).validate()
         assert (report.ok, report.cell_id, report.message) == (
             False, "e", "cell volume must be finite")
+
+
+def test_validate_refuses_a_volume_not_comparable_to_0():
+    report = Complex({0: [("a", 1, [])], 1: [("e", "x", [("a", 1)])]}).validate()
+    assert (report.ok, report.cell_id, report.message, report.detail) == (
+        False, "e", "cell volume is not comparable to 0", {"volume": "x"})
 
 
 def test_validate_catches_nonzero_boundary_of_boundary():
@@ -357,6 +364,25 @@ def test_push_forward_rejects_non_chain_maps():
     assert not broken.validate().ok
     with pytest.raises(PreconditionError, match="not a chain map"):
         push_forward(src.chain(1, {"e1": 1}), broken)
+
+
+MAP_REFUSALS = [
+    ("sign", ("E", 2), "map sign must be +1 or -1", {}),
+    ("missing", ("F", 1), "map target cell does not exist", {"target": "F"}),
+    ("dimension", ("Q0", 1), "map does not preserve dimension", {"target": "Q0"}),
+]
+
+
+@pytest.mark.parametrize("image,message,detail", [case[1:] for case in MAP_REFUSALS],
+                         ids=[case[0] for case in MAP_REFUSALS])
+def test_map_validation_refuses_a_bad_image(image, message, detail):
+    src, dst, f = collapse_map()
+    bad = CellularMap(src, dst, {**f.assignment, "e1": image})
+    report = bad.validate()
+    assert (report.ok, report.cell_id, report.message, report.detail) == (
+        False, "e1", message, detail)
+    with pytest.raises(PreconditionError, match=f"^not a chain map at cell 'e1': {re.escape(message)}$"):
+        push_forward(src.chain(1, {"e2": 1}), bad)
 
 
 def test_push_forward_checks_source_complex():

@@ -3,6 +3,7 @@
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +19,12 @@ from flatchains import (
     decompose_paths_loops,
     extract_cycle_indices,
     grid_chain,
+    load_chainfile,
     preprocess,
     system_boundary,
 )
-from genutil import random_chain_on, random_curve_system, random_grid_complex, ref_preprocess
+from genutil import (random_bipartite_system, random_chain_on, random_curve_system,
+                     random_grid_complex, ref_preprocess)
 
 
 def triples(*rows):
@@ -171,6 +174,39 @@ def test_long_merge_branch_fires(monkeypatch):
                    ("c", "x", 1), ("c", "y", 1), ("c", "y", 1))
     assert extract_cycle_indices(nine, 3) == [3, 4, 7]
     assert calls
+
+
+def test_an_open_piece_outside_the_partners_can_hold_beta(monkeypatch):
+    # a long step fragments every piece holding beta; in this system one
+    # such piece is open and neither the shortest piece nor a partner
+    hosted = []
+    orig = curves._merge_step_long
+
+    def spy(pieces, first, partners):
+        beta = pieces[first][-2]
+        hosted.append(any(curves._is_open(piece) and beta in piece
+                          for k, piece in enumerate(pieces)
+                          if k != first and k not in partners))
+        return orig(pieces, first, partners)
+
+    monkeypatch.setattr(curves, "_merge_step_long", spy)
+    system = load_chainfile(Path(__file__).parent / "fixtures" / "curves_open_host.chain").payload
+    assert preprocess(system)[0] == system  # no end is a start: nothing merges
+    chosen = extract_cycle_indices(system, 3)
+    assert chosen == [2, 3, 7, 12, 14]
+    assert weighted_boundary(system, set(chosen), 3) == {}
+    assert any(hosted)
+
+
+def test_extract_on_bipartite_systems(rng):
+    # preprocessing leaves these as drawn, so every item enters the
+    # reduction; its own checks are the oracle
+    for _ in range(320):
+        p = rng.randint(2, 7)
+        system = random_bipartite_system(rng, p, max_groups=rng.randint(1, 10),
+                                         point_pool=rng.randint(1, 5))
+        chosen = extract_cycle_indices(system, p)
+        assert weighted_boundary(system, set(chosen), p) == {}
 
 
 def test_extract_on_random_systems(rng):
