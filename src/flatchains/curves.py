@@ -355,13 +355,14 @@ def _run_reduction(items: Sequence[CurveItem], p: int) -> list[int]:
     _check_decomposition(pieces, n, p, starts, ends)
 
     def measure():
+        """The open positions, the shortest open piece's position (least
+        (length, position)) and the measure every step must decrease."""
         open_ids = [k for k, piece in enumerate(pieces) if _is_open(piece)]
-        shortest = min((len(pieces[k]) for k in open_ids), default=0)
-        return open_ids, (len(open_ids), shortest)
+        shortest, first = min(((len(pieces[k]), k) for k in open_ids), default=(0, None))
+        return open_ids, first, (len(open_ids), shortest)
 
-    open_ids, before = measure()
+    open_ids, first, before = measure()
     while len(open_ids) >= p:
-        first = min(open_ids, key=lambda k: (len(pieces[k]), k))
         z = ends[pieces[first][-1]]
         partners = _select_partners(pieces, open_ids, first, z, p, ends)
         if len(pieces[first]) == 1:
@@ -371,7 +372,7 @@ def _run_reduction(items: Sequence[CurveItem], p: int) -> list[int]:
         pieces = [piece for k, old in enumerate(pieces)
                   for piece in replacement.get(k, [old])]
         _check_decomposition(pieces, n, p, starts, ends)
-        open_ids, after = measure()
+        open_ids, first, after = measure()
         if not after < before:
             raise InternalDefectError(
                 f"reduction measure did not decrease: {before} -> {after} in {pieces!r}")
@@ -445,11 +446,11 @@ def decompose_paths_loops(T: IntChain) -> list[CurvePath]:
     """Write a 1-chain as simple directed paths and loops, exactly.
 
     Greedy walk extraction: walks start at the smallest remaining net
-    source (or anywhere, once balanced), always follow the least
-    available arc, and excise a loop whenever a vertex repeats.  The
-    signed sum of the returned walks reconstructs the chain, masses add
-    up to its mass, and the number of open paths is half the boundary
-    mass.
+    source (with no source left, at the least vertex with an arc left),
+    always follow the least available arc, and excise a loop whenever a
+    vertex repeats.  The signed sum of the returned walks reconstructs
+    the chain, masses add up to its mass, and the number of open paths
+    is half the boundary mass.
     """
     if T.dim != 1:
         raise PreconditionError("path decomposition applies to 1-chains")
@@ -457,41 +458,36 @@ def decompose_paths_loops(T: IntChain) -> list[CurvePath]:
     arcs: dict[str, list] = {}
     net: dict[str, int] = {}
     remaining = 0
-    for cid, g in T.items():
+    # T.items() is sorted by cell id, so each list ends at its least arc
+    for cid, g in reversed(T.items()):
         tail, head = _edge_endpoints(cx, cid)
         a, b, sign = (tail, head, 1) if g > 0 else (head, tail, -1)
         arcs.setdefault(a, []).append([cid, sign, b, abs(g)])
         net[a] = net.get(a, 0) + abs(g)
         net[b] = net.get(b, 0) - abs(g)
         remaining += abs(g)
-    for lst in arcs.values():
-        lst.sort(key=lambda rec: (rec[0], 0 if rec[1] > 0 else 1))
 
-    def take(v):
-        for rec in arcs.get(v, ()):
-            if rec[3] > 0:
-                rec[3] -= 1
-                return rec[0], rec[1], rec[2]
-        return None
-
-    def has_arc(v):
-        return any(rec[3] > 0 for rec in arcs.get(v, ()))
+    def least_arc(v):
+        """v's least arc with uses left, or None; drops used-up arcs."""
+        lst = arcs.get(v)
+        while lst and not lst[-1][3]:
+            lst.pop()
+        return lst[-1] if lst else None
 
     out: list[CurvePath] = []
     boundary_mass = sum(abs(g) for _, g in T.boundary().items()) if T.items() else 0
 
     while remaining > 0:
         at_entry = remaining
-        sources = sorted(v for v, d in net.items() if d > 0 and has_arc(v))
-        start = sources[0] if sources else min(v for v in arcs if has_arc(v))
+        # net[v] is v's uses left out minus in, so a source has an arc left
+        sources = [v for v, d in net.items() if d > 0]
+        start = min(sources) if sources else min(v for v in arcs if least_arc(v))
         walk_v = [start]
         walk_e: list[tuple[str, int]] = []
         seen = {start: 0}
-        while True:
-            step = take(walk_v[-1])
-            if step is None:
-                break
-            cid, sign, nxt = step
+        while arc := least_arc(walk_v[-1]):
+            cid, sign, nxt, _ = arc
+            arc[3] -= 1
             remaining -= 1
             walk_e.append((cid, sign))
             if nxt in seen:
@@ -546,10 +542,11 @@ def cycle_representative(T: IntChain, p: int) -> IntChain:
     system = CurveSystem(tuple(
         CurveItem(i, path.vertices[0], path.vertices[-1], path.mass)
         for i, path in enumerate(paths, start=1)))
-    chosen = extract_cycle_indices(system, p)
-    result = lifted
-    for i in chosen:
-        result = result - p * paths[i - 1].chain(cx)
+    removed: dict[str, int] = {}
+    for i in extract_cycle_indices(system, p):
+        for cid, sign in paths[i - 1].edges:
+            removed[cid] = removed.get(cid, 0) + p * sign
+    result = lifted - cx.chain(1, removed)
     if not result.boundary().is_zero():
         raise InternalDefectError("cycle representative has nonzero boundary")
     if not (result - T).reduce_mod_p(p).is_zero():

@@ -17,6 +17,7 @@ from flatchains import (
     Complex,
     CurveItem,
     CurveSystem,
+    InternalDefectError,
     ModPChain,
     PreconditionError,
     PreprocessTrace,
@@ -25,6 +26,7 @@ from flatchains import (
     arrangement_complex,
     grid_chain,
 )
+from flatchains.curves import CurvePath, _edge_endpoints, _walk_mass
 
 # ---------------------------------------------------------------------------
 # box chains
@@ -550,6 +552,81 @@ def ref_preprocess(system):
     items = tuple(CurveItem(pos, s, e, m) for pos, (s, e, m, _) in enumerate(work, start=1))
     trace = PreprocessTrace(tuple(src for _, _, _, src in work), tuple(loops), tuple(events))
     return CurveSystem(items), trace
+
+
+def ref_decompose_paths_loops(T):
+    """The path decomposition by its first implementation, kept verbatim as
+    the reference: every vertex's arcs sorted by (cell id, direction), and
+    each step and each walk start rescanning those lists from the front."""
+    if T.dim != 1:
+        raise PreconditionError("path decomposition applies to 1-chains")
+    cx = T.complex
+    arcs: dict[str, list] = {}
+    net: dict[str, int] = {}
+    remaining = 0
+    for cid, g in T.items():
+        tail, head = _edge_endpoints(cx, cid)
+        a, b, sign = (tail, head, 1) if g > 0 else (head, tail, -1)
+        arcs.setdefault(a, []).append([cid, sign, b, abs(g)])
+        net[a] = net.get(a, 0) + abs(g)
+        net[b] = net.get(b, 0) - abs(g)
+        remaining += abs(g)
+    for lst in arcs.values():
+        lst.sort(key=lambda rec: (rec[0], 0 if rec[1] > 0 else 1))
+
+    def take(v):
+        for rec in arcs.get(v, ()):
+            if rec[3] > 0:
+                rec[3] -= 1
+                return rec[0], rec[1], rec[2]
+        return None
+
+    def has_arc(v):
+        return any(rec[3] > 0 for rec in arcs.get(v, ()))
+
+    out: list[CurvePath] = []
+    boundary_mass = sum(abs(g) for _, g in T.boundary().items()) if T.items() else 0
+
+    while remaining > 0:
+        at_entry = remaining
+        sources = sorted(v for v, d in net.items() if d > 0 and has_arc(v))
+        start = sources[0] if sources else min(v for v in arcs if has_arc(v))
+        walk_v = [start]
+        walk_e: list[tuple[str, int]] = []
+        seen = {start: 0}
+        while True:
+            step = take(walk_v[-1])
+            if step is None:
+                break
+            cid, sign, nxt = step
+            remaining -= 1
+            walk_e.append((cid, sign))
+            if nxt in seen:
+                at = seen[nxt]
+                loop_v = walk_v[at:] + [nxt]
+                loop_e = walk_e[at:]
+                out.append(CurvePath(tuple(loop_v), tuple(loop_e), True,
+                                     _walk_mass(cx, loop_e)))
+                for v in walk_v[at + 1:]:
+                    del seen[v]
+                del walk_v[at + 1:]
+                del walk_e[at:]
+            else:
+                walk_v.append(nxt)
+                seen[nxt] = len(walk_v) - 1
+        if walk_e:
+            net[walk_v[0]] -= 1
+            net[walk_v[-1]] += 1
+            out.append(CurvePath(tuple(walk_v), tuple(walk_e), False,
+                                 _walk_mass(cx, walk_e)))
+        elif remaining == at_entry:
+            raise InternalDefectError("no progress while arcs remain")
+
+    opens = sum(1 for path in out if not path.closed)
+    if 2 * opens != boundary_mass:
+        raise InternalDefectError(
+            f"{opens} open paths against boundary mass {boundary_mass}")
+    return out
 
 
 # ---------------------------------------------------------------------------

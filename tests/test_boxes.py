@@ -103,6 +103,20 @@ def test_chain_canonicalization_splits_overlaps():
     assert BoxChain(1, 1, [(cell((0, 1)), 1), (cell((0, 1)), -1)]).is_zero()
 
 
+def test_chains_of_other_dimensions_are_unequal():
+    edge = BoxChain(2, 1, [(cell((0, 1), (0, 0)), 1)])
+    assert edge != BoxChain(3, 1, [(cell((0, 1), (0, 0), (0, 0)), 1)])  # ambient
+    assert edge != BoxChain(2, 2, [(cell((0, 1), (0, 1)), 1)])  # chain dimension
+    assert edge != BoxChain(2, 0, [(cell((0, 0), (0, 0)), 1)])
+
+
+def test_a_cell_off_the_lattice_has_coefficient_zero():
+    edge = BoxChain(2, 1, [(cell((0, 1), (0, 0)), 1)])
+    assert edge.coefficient(cell((0, Fraction(1, 3)), (0, 0))) == 0
+    assert edge.coefficient(cell((0, 1), (Fraction(1, 2), Fraction(1, 2)))) == 0
+    assert edge.coefficient(cell((0, 1), (0, 0))) == 1
+
+
 def test_chain_construction_rules():
     with pytest.raises(PreconditionError):
         BoxChain(2, 1, [(cell((0, 1), (0, 1)), 1)])  # dim mismatch
@@ -233,6 +247,12 @@ def test_restrict_rejects_face_levels():
         unit_square().restrict(0, 1)
     with pytest.raises(PreconditionError, match="perturb"):
         unit_square().restrict(1, 0)
+
+
+def test_restrict_suggests_a_level_beside_a_lone_value():
+    point = BoxChain(1, 0, [(cell((1, 1)), 1)])
+    with pytest.raises(PreconditionError, match=r"perturb r \(e\.g\. to 1/2\)"):
+        point.restrict(0, 1)
 
 
 def test_restrict_level_suggestion_is_usable():

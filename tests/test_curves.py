@@ -24,7 +24,8 @@ from flatchains import (
     system_boundary,
 )
 from genutil import (random_bipartite_system, random_chain_on, random_curve_system,
-                     random_grid_complex, ref_preprocess)
+                     random_grid_complex, ref_decompose_paths_loops, ref_preprocess,
+                     unit_grid_complex)
 
 
 def triples(*rows):
@@ -352,6 +353,47 @@ def test_decompose_random_properties(rng):
 
 # ---------------------------------------------------------------------------
 # mod-p cycle representatives
+
+def reference_representative(t, p):
+    """The lift of t mod p less p times the paths extract_cycle_indices
+    chooses, one path at a time, from the reference decomposition."""
+    cx = t.complex
+    lifted = t.reduce_mod_p(p).lift()
+    paths = ref_decompose_paths_loops(lifted)
+    system = CurveSystem(tuple(
+        CurveItem(i, path.vertices[0], path.vertices[-1], path.mass)
+        for i, path in enumerate(paths, start=1)))
+    for i in extract_cycle_indices(system, p):
+        lifted = lifted - p * paths[i - 1].chain(cx)
+    return lifted
+
+
+def test_decompose_and_representative_match_the_reference(rng):
+    # 1-chains on unit grids up to 6x6 and on random box grids, and every
+    # other draw a cycle mod p, p r + ds, whose representative is checked too
+    grids = [unit_grid_complex(n) for n in range(1, 7)]
+    for k in range(330):
+        cx = rng.choice(grids) if k % 3 == 0 else random_grid_complex(rng, small=k % 3 == 1)
+        t = random_chain_on(rng, cx, 1, max_cells=rng.randint(1, 40), coeff=4)
+        assert decompose_paths_loops(t) == ref_decompose_paths_loops(t)
+        if k % 2:
+            p = rng.choice([2, 3, 5])
+            r = random_chain_on(rng, cx, 1, max_cells=rng.randint(1, 20), coeff=3)
+            s = random_chain_on(rng, cx, 2, max_cells=rng.randint(1, 12), coeff=3)
+            cycle = p * r + s.boundary()
+            assert decompose_paths_loops(cycle) == ref_decompose_paths_loops(cycle)
+            assert cycle_representative(cycle, p) == reference_representative(cycle, p)
+
+
+def test_cycle_representative_of_a_grid_cycle_matches_the_reference(rng):
+    n = 30
+    cx = unit_grid_complex(n)
+    squares = {f"f{i}_{j}": rng.randint(-3, 3) for i in range(n) for j in range(n)}
+    t = cx.chain(2, squares).boundary()
+    assert decompose_paths_loops(t) == ref_decompose_paths_loops(t)
+    for p in (2, 3):
+        assert cycle_representative(t, p) == reference_representative(t, p)
+
 
 def test_cycle_representative_pinned():
     sq = grid_chain(2, 2, [(0, 1), (0, 1)], 1)

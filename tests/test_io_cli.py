@@ -448,6 +448,41 @@ def test_infeasible_fill_exit_code(capsys):
     assert json.loads(out)["error"]["kind"] == "infeasible"
 
 
+@pytest.mark.parametrize("argv,key,dim", [
+    (["flatnorm"], "filling", 2),
+    (["flatnormp", "--p", "3"], "filling", 2),
+    (["fill", "--p", "3"], "filling", 2),
+    (["cyclerep", "--p", "2"], "chain", 1),
+])
+def test_the_empty_box_chain_answers_with_empty_chains(argv, key, dim, capsys, schema):
+    # the zero chain compiles to a complex with no cells and no arrangement
+    rc, out = run_cli(fixture_argv([argv[0], "empty_box.chain", *argv[1:]]), capsys)
+    assert rc == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema)
+    assert doc["result"][key] == {"carrier": "abstract", "dim": dim, "items": []}
+
+
+def test_the_empty_box_chain_decomposes_into_no_paths(capsys):
+    rc, out = run_cli(fixture_argv(["decompose", "empty_box.chain"]), capsys)
+    assert rc == 0
+    assert json.loads(out)["result"] == {"loop_count": 0, "open_count": 0, "paths": []}
+
+
+def test_the_isoperimetric_ratio_of_the_empty_box_chain_is_refused(capsys):
+    rc, out = run_cli(fixture_argv(["isoratio", "empty_box.chain", "--p", "2"]), capsys)
+    assert rc == 2
+    assert json.loads(out)["error"] == {"kind": "precondition", "message": "zero cycle"}
+
+
+def test_islice_needs_one_level_per_axis(capsys):
+    argv = fixture_argv(["islice", "square.chain", "--axis", "0,1", "--r", "1/2"])
+    rc, out = run_cli(argv, capsys)
+    assert rc == 2
+    assert json.loads(out)["error"] == {"kind": "precondition",
+                                        "message": "2 axes against 1 levels"}
+
+
 def test_massp_rejects_curves(capsys):
     argv = fixture_argv(["massp", "curves_pair.chain", "--p", "2"])
     rc, out = run_cli(argv, capsys)
