@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .base import PreconditionError
-from .boxes import BoxChain, Key, _directions, _faces, _split_intervals, _token, _values, _volume
+from .boxes import BoxChain, Key, _directions, _faces, _split_intervals, _token, _volume
 from .core import Complex, IntChain
 
 
@@ -29,8 +29,7 @@ def _build_complex(keys: Iterable[Key], den: int, text: Callable[[int], str]) ->
         bdry = [(_token(f, text), s) for f, s in _faces(key)]
         vol = Fraction(_volume(key), den ** dim) if dim else 1
         by_dim.setdefault(dim, []).append((token, vol, bdry))
-    data = {d: sorted(cells) for d, cells in by_dim.items()}
-    return Complex(data)
+    return Complex({d: sorted(cells) for d, cells in by_dim.items()})
 
 
 def compile_chain(chain: BoxChain) -> tuple[Complex, IntChain]:
@@ -43,10 +42,9 @@ def compile_chain(chain: BoxChain) -> tuple[Complex, IntChain]:
             continue
         seen.add(key)
         frontier.extend(f for f, _ in _faces(key))
-    text = {v: str(Fraction(v, chain.den)) for v in _values(chain._items)}.__getitem__
+    text = chain._text()
     cx = _build_complex(seen, chain.den, text)
-    coeffs = {_token(key, text): g for key, g in sorted(chain._items.items())}
-    return cx, IntChain(cx, chain.dim, coeffs)
+    return cx, IntChain(cx, chain.dim, dict(chain._tokens(text)))
 
 
 def arrangement_complex(chain: BoxChain, subdivide: int = 1) -> tuple[Complex, IntChain]:
@@ -81,5 +79,4 @@ def arrangement_complex(chain: BoxChain, subdivide: int = 1) -> tuple[Complex, I
         for combo in itertools.product(*per_axis):
             token = _token(combo, text)
             coeffs[token] = coeffs.get(token, 0) + g
-    out = IntChain(cx, chain.dim, coeffs)
-    return cx, out
+    return cx, IntChain(cx, chain.dim, coeffs)

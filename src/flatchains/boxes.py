@@ -17,10 +17,23 @@ A chain keeps its coordinates as integer numerators over one positive
 denominator, `den`, shared by all its cells: a cell is keyed by the
 tuple of its (lo, hi) numerator pairs, one per axis.  Splitting, faces,
 restriction, slicing and rounding then compare and copy plain ints.
-Chains of different denominators, or a level or coarse grid off the
-lattice, are first rescaled once to the least common multiple, so every
-result stays exact.  Fractions appear only at the public surface:
-BoxCell and its intervals, axis_values, volumes and masses.
+Canonicalizing tests each axis's distinct spans against that axis's
+cuts once: a chain already canonical is kept as it is, and otherwise
+only the cells that hold a span crossing a cut are split.  Chains of
+different denominators, or a level or coarse grid off the lattice, are
+first rescaled once to the least common multiple, so every result stays
+exact.
+
+Fractions appear only at the public surface: BoxCell and its intervals,
+axis_values (and so the check of a level given to restrict or slice),
+volumes and masses.  A box file's reader parses each distinct number
+text into a Fraction once, tests an interval's ends by cross-multiplying
+numerator and denominator, and checks each cell's axis count and
+dimension on its integer key; only the first cell's ends, which give
+the dimension of a file with no `dim` line, are compared as Fractions.
+Reports, written files and compiled complexes spell coordinates from
+the keys through one map from numerator to text (BoxChain._text), so
+none of them builds a BoxCell.
 """
 
 from __future__ import annotations
@@ -61,8 +74,9 @@ def _show(intervals) -> str:
 
 
 def _ordered(intervals: tuple[Interval, ...]) -> tuple[Interval, ...]:
+    # lo > hi on Fractions, cross-multiplied: denominators are positive
     for lo, hi in intervals:
-        if lo > hi:
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise PreconditionError(f"interval [{lo}, {hi}] is reversed")
     return intervals
 
@@ -143,26 +157,29 @@ def _check_dim(ambient_dim: int, dim: int) -> None:
 
 
 def _keyed(ambient_dim: int, dim: int,
-           items: Iterable[tuple[tuple[Interval, ...], int]]) -> tuple[list[tuple[Key, int]], int]:
+           items: Sequence[tuple[tuple[Interval, ...], int]]) -> tuple[list[tuple[Key, int]], int]:
     """(key, coefficient) pairs of the nonzero items and their den, the
-    lcm of the endpoints' denominators, from (intervals, coefficient)
-    pairs of Fraction endpoints; checks the chain and every cell."""
+    lcm of those items' endpoint denominators, from (intervals,
+    coefficient) pairs of Fraction endpoints; checks the chain and every
+    cell, in item order, the cell's shape on its key."""
     _check_dim(ambient_dim, dim)
+    den = math.lcm(*{v.denominator for intervals, g in items if isinstance(g, int) and g
+                     for iv in intervals for v in iv})
     kept = []
     for intervals, g in items:
         if not isinstance(g, int):
             raise PreconditionError(f"integer coefficient expected, got {g!r}")
         if not g:
             continue
-        if len(intervals) != ambient_dim:
+        key = _numerators(intervals, den)
+        if len(key) != ambient_dim:
             raise PreconditionError(
-                f"cell {_show(intervals)} lives in R^{len(intervals)}, chain in R^{ambient_dim}")
-        if (k := len(_directions(intervals))) != dim:
+                f"cell {_show(intervals)} lives in R^{len(key)}, chain in R^{ambient_dim}")
+        if (k := len(_directions(key))) != dim:
             raise PreconditionError(
                 f"cell {_show(intervals)} has dimension {k}, chain has dimension {dim}")
-        kept.append((intervals, g))
-    den = math.lcm(*{v.denominator for intervals, _ in kept for iv in intervals for v in iv})
-    return [(_numerators(intervals, den), g) for intervals, g in kept], den
+        kept.append((key, g))
+    return kept, den
 
 
 def _replaced(key: Key, axis: int, lo: int, hi: int) -> Key:
@@ -194,7 +211,7 @@ class BoxChain:
         if isinstance(items, Mapping):
             items = items.items()
         if den is None:
-            items, den = _keyed(ambient_dim, dim, ((cell.intervals, g) for cell, g in items))
+            items, den = _keyed(ambient_dim, dim, [(cell.intervals, g) for cell, g in items])
         else:
             _check_dim(ambient_dim, dim)
         merged: dict[Key, int] = {}
@@ -207,16 +224,21 @@ class BoxChain:
         self._items = self._canonicalize(merged) if merged else {}
 
     def _canonicalize(self, merged: dict[Key, int]) -> dict[Key, int]:
-        cuts = [sorted({v for key in merged for v in key[j]}) for j in range(self.ambient_dim)]
+        # per axis, the distinct (lo, hi) spans with a cut strictly inside:
+        # only a cell holding such a span splits, and with none the merged
+        # map is already canonical
+        spans = [{key[j] for key in merged} for j in range(self.ambient_dim)]
+        cuts = [sorted({v for span in axis for v in span}) for axis in spans]
         index = [{v: i for i, v in enumerate(c)} for c in cuts]
+        crossing = [{s for s in axis if at[s[1]] - at[s[0]] > 1} for axis, at in zip(spans, index)]
+        if not any(crossing):
+            return merged
         out: dict[Key, int] = {}
         for key, g in merged.items():
-            if all(lo == hi or at[hi] - at[lo] == 1 for (lo, hi), at in zip(key, index)):
-                out[key] = out.get(key, 0) + g
-                continue
-            per_axis = [_split_intervals(lo, hi, cuts[j], index[j])
-                        for j, (lo, hi) in enumerate(key)]
-            for piece in itertools.product(*per_axis):
+            pieces = [key]
+            if any(span in axis for span, axis in zip(key, crossing)):
+                pieces = itertools.product(*map(_split_intervals, *zip(*key), cuts, index))
+            for piece in pieces:
                 out[piece] = out.get(piece, 0) + g
         return {key: g for key, g in out.items() if g}
 
@@ -224,6 +246,16 @@ class BoxChain:
         # numerators over one positive den sort as the Fractions they stand for
         coords = {v: Fraction(v, self.den) for v in _values(self._items)}
         return [(BoxCell._from_key(key, coords), g) for key, g in sorted(self._items.items())]
+
+    def _text(self) -> Callable[[int], str]:
+        """The text of the coordinate each numerator stands for, in the
+        number format of box files and id tokens (fileio.format_number)."""
+        return {v: str(Fraction(v, self.den)) for v in _values(self._items)}.__getitem__
+
+    def _tokens(self, text: Callable[[int], str]) -> list[list]:
+        """[id token, coefficient] of each item, in the order of items(),
+        through text, the chain's _text()."""
+        return [[_token(key, text), g] for key, g in sorted(self._items.items())]
 
     def coefficient(self, cell: BoxCell) -> int:
         if any((v * self.den).denominator != 1 for iv in cell.intervals for v in iv):
@@ -449,14 +481,10 @@ def _read_chainfile(body) -> BoxChain:
 
 
 def _write_chainfile(chain: BoxChain) -> list[str]:
-    from .fileio import format_number
-
-    out = [f"ambient {chain.ambient_dim}", f"dim {chain.dim}"]
-    for cell, g in chain.items():
-        bounds = " ".join(f"{format_number(lo)} {format_number(hi)}"
-                          for lo, hi in cell.intervals)
-        out.append(f"cell {bounds} {g}")
-    return out
+    text = chain._text()
+    return [f"ambient {chain.ambient_dim}", f"dim {chain.dim}"] + [
+        f"cell {' '.join(f'{text(lo)} {text(hi)}' for lo, hi in key)} {g}"
+        for key, g in sorted(chain._items.items())]
 
 
 def __getattr__(name: str):

@@ -180,23 +180,33 @@ class IntChain:
         if other.complex is not self.complex or other.dim != self.dim:
             raise PreconditionError("chains live on different complexes or dimensions")
 
+    def _like(self, coeffs: dict[str, int]) -> "IntChain":
+        # a chain in this chain's space from nonzero int coefficients on cells
+        # of this dimension, which need no check
+        chain = IntChain.__new__(IntChain)
+        chain.complex, chain.dim, chain._coeffs = self.complex, self.dim, coeffs
+        return chain
+
     def __add__(self, other: "IntChain") -> "IntChain":
         self._same_space(other)
         out = dict(self._coeffs)
         for cid, g in other._coeffs.items():
-            out[cid] = out.get(cid, 0) + g
-        return IntChain(self.complex, self.dim, out)
+            if total := out.get(cid, 0) + g:
+                out[cid] = total
+            else:
+                del out[cid]
+        return self._like(out)
 
     def __sub__(self, other: "IntChain") -> "IntChain":
         return self + (-other)
 
     def __neg__(self) -> "IntChain":
-        return IntChain(self.complex, self.dim, {c: -g for c, g in self._coeffs.items()})
+        return self._like({c: -g for c, g in self._coeffs.items()})
 
     def __rmul__(self, n: int) -> "IntChain":
         if not isinstance(n, int):
             raise PreconditionError("chains only scale by integers")
-        return IntChain(self.complex, self.dim, {c: n * g for c, g in self._coeffs.items()})
+        return self._like({c: n * g for c, g in self._coeffs.items()} if n else {})
 
     def boundary(self) -> "IntChain":
         if self.dim == 0:

@@ -477,11 +477,22 @@ def decompose_paths_loops(T: IntChain) -> list[CurvePath]:
     out: list[CurvePath] = []
     boundary_mass = sum(abs(g) for _, g in T.boundary().items()) if T.items() else 0
 
+    # net[v] is v's uses left out minus in, so a source has an arc left.  A
+    # walk ends where no arc is left, so no vertex becomes a source, and no
+    # vertex regains an arc: both pointers below only move forward
+    sources = sorted(v for v, d in net.items() if d > 0)
+    vertices = sorted(arcs)
+    at_source = at_vertex = 0
     while remaining > 0:
         at_entry = remaining
-        # net[v] is v's uses left out minus in, so a source has an arc left
-        sources = [v for v, d in net.items() if d > 0]
-        start = min(sources) if sources else min(v for v in arcs if least_arc(v))
+        while at_source < len(sources) and net[sources[at_source]] <= 0:
+            at_source += 1
+        if at_source < len(sources):
+            start = sources[at_source]
+        else:
+            while not least_arc(vertices[at_vertex]):
+                at_vertex += 1
+            start = vertices[at_vertex]
         walk_v = [start]
         walk_e: list[tuple[str, int]] = []
         seen = {start: 0}

@@ -46,6 +46,8 @@ class ParseError(PreconditionError):
 
 
 def format_number(x) -> str:
+    """A number's text in chain files and reports; a Fraction's is
+    str(Fraction), which box chains use directly (BoxChain._text)."""
     if isinstance(x, bool):
         raise PreconditionError("boolean is not a number")
     if isinstance(x, int):
@@ -177,7 +179,8 @@ def _chain_doc(chain) -> dict:
             doc["p"] = chain.p
     else:
         doc["ambient"] = chain.ambient_dim
-        doc["items"] = [[cell.id_token(), g] for cell, g in chain.items()]
+        doc["items"] = (chain._tokens(chain._text()) if chain.carrier == "box"
+                        else [[cell.id_token(), g] for cell, g in chain.items()])
     return doc
 
 

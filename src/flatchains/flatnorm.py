@@ -103,7 +103,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .base import (FillInfeasibleError, Frozen, InternalDefectError, PreconditionError,
                    _check_modulus, canonical_residue, norm_mod_p)
@@ -390,10 +390,19 @@ def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
     _check_modulus(p)
     if isinstance(T, ModPChain) and T.p != p:
         raise PreconditionError(f"chain has modulus {T.p}, requested {p}")
-    prob = _Problem(T)
-    cost, s_coeffs = _solve_mod_p(prob, p, prob.charge(range(len(prob.taus)), p) + 1)
-    filling, remainder, value = _decompose(T, s_coeffs, cost, p)
+    # below mass_p(T) + 1 the empty filling is always found
+    filling, remainder, value = _solve_value(
+        T, p, lambda prob: prob.charge(range(len(prob.taus)), p) + 1)
     return FlatWitness(value, remainder, filling, exact=True, modulus=p)
+
+
+def _solve_value(T: IntChain, p: int, limit: Callable[[_Problem], int]) -> Optional[tuple]:
+    """(filling, remainder, value), as `_decompose` gives them, of T's
+    optimum mod p below the scaled cost limit(prob) of T's problem, or
+    None when nothing costs less."""
+    prob = _Problem(T)
+    found = _solve_mod_p(prob, p, limit(prob))
+    return None if found is None else _decompose(T, found[1], found[0], p)
 
 
 def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
@@ -533,7 +542,9 @@ def flat_norm_under_refinement(chain, p: int, subdivide: int) -> tuple:
 
     Returns (coarse value, refined value); refinement can only enlarge
     the competitor space, so the refined value never exceeds the coarse
-    one.
+    one.  The fine complex is therefore solved below the coarse value + 1
+    in its own scaled units (coarse cells are unions of fine ones), and
+    a fine solve that finds nothing there is an internal defect.
     """
     from .boxes import BoxChain, arrangement_complex
 
@@ -544,7 +555,10 @@ def flat_norm_under_refinement(chain, p: int, subdivide: int) -> tuple:
     _, coarse_chain = arrangement_complex(chain, 1)
     _, fine_chain = arrangement_complex(chain, subdivide)
     coarse = flat_norm_mod_p(coarse_chain, p).value
-    refined = flat_norm_mod_p(fine_chain, p).value
+    found = _solve_value(fine_chain, p, lambda prob: coarse * prob.scale // 1 + 1)
+    if found is None:
+        raise InternalDefectError("the refined complex has nothing below the coarse flat norm")
+    refined = found[2]
     if refined > coarse:
         raise InternalDefectError("refinement increased the flat norm")
     return coarse, refined

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .base import Frozen, InternalDefectError, PreconditionError, _check_modulus, as_fraction
@@ -43,9 +44,13 @@ class DeformationResult(Frozen):
     def _relaxed_mass(self, chain: BoxChain) -> Fraction:
         return chain.mass_p(self.modulus) if self.modulus is not None else chain.mass()
 
-    def _boundary_mass(self) -> Fraction:
+    @cached_property
+    def _reference_masses(self) -> tuple[Fraction, Fraction]:
+        # the relaxed masses of the original chain and of its boundary, each
+        # read by two of the ratios
         bd = self.original_boundary
-        return self._relaxed_mass(bd) if bd is not None else Fraction(0)
+        return (self._relaxed_mass(self.original),
+                self._relaxed_mass(bd) if bd is not None else Fraction(0))
 
     @staticmethod
     def _ratio(num: Fraction, den: Fraction) -> Fraction:
@@ -57,18 +62,18 @@ class DeformationResult(Frozen):
 
     @property
     def ratio_rounded(self) -> Fraction:
-        return self._ratio(self._relaxed_mass(self.rounded),
-                           self._relaxed_mass(self.original) + self.eta * self._boundary_mass())
+        mass, boundary_mass = self._reference_masses
+        return self._ratio(self._relaxed_mass(self.rounded), mass + self.eta * boundary_mass)
 
     @property
     def ratio_boundary_sweep(self) -> Fraction:
         return self._ratio(self._relaxed_mass(self.boundary_sweep),
-                           self.eta * self._boundary_mass())
+                           self.eta * self._reference_masses[1])
 
     @property
     def ratio_chain_sweep(self) -> Fraction:
         return self._ratio(self._relaxed_mass(self.chain_sweep),
-                           self.eta * self._relaxed_mass(self.original))
+                           self.eta * self._reference_masses[0])
 
 
 def _round_value(v: int, grid: int, cut: int) -> int:

@@ -8,6 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 from math import lcm, prod
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from flatchains import (
     arrangement_complex,
     grid_chain,
 )
+from flatchains.boxes import _check_dim, _directions, _numerators, _show, _split_intervals
 from flatchains.curves import CurvePath, _edge_endpoints, _walk_mass
 
 # ---------------------------------------------------------------------------
@@ -268,6 +270,174 @@ def ref_optimized_thresholds(ref, n, eta):
         chosen.append(rho)
         ref = ref_push_round(ref, j, eta, rho)
     return tuple(chosen), ref
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-comparing key code, kept verbatim as the reference
+#
+# The box file reader and BoxChain once compared Fractions coordinate by
+# coordinate (_ordered, _keyed), re-tested every cell against every cut
+# (_canonicalize) and built a BoxCell per item to name it (reports and
+# written files).  Their bodies are kept here unchanged, save that the
+# reader calls the reference copies; the integer-key code must give the
+# same item maps in the same order, the same den, the same tokens and
+# lines, and the same errors in the same order.
+
+
+def ref_ordered(intervals):
+    for lo, hi in intervals:
+        if lo > hi:
+            raise PreconditionError(f"interval [{lo}, {hi}] is reversed")
+    return intervals
+
+
+def ref_keyed(ambient_dim, dim, items):
+    """(key, coefficient) pairs of the nonzero items and their den, the
+    lcm of the endpoints' denominators, from (intervals, coefficient)
+    pairs of Fraction endpoints; checks the chain and every cell."""
+    _check_dim(ambient_dim, dim)
+    kept = []
+    for intervals, g in items:
+        if not isinstance(g, int):
+            raise PreconditionError(f"integer coefficient expected, got {g!r}")
+        if not g:
+            continue
+        if len(intervals) != ambient_dim:
+            raise PreconditionError(
+                f"cell {_show(intervals)} lives in R^{len(intervals)}, chain in R^{ambient_dim}")
+        if (k := len(_directions(intervals))) != dim:
+            raise PreconditionError(
+                f"cell {_show(intervals)} has dimension {k}, chain has dimension {dim}")
+        kept.append((intervals, g))
+    den = math.lcm(*{v.denominator for intervals, _ in kept for iv in intervals for v in iv})
+    return [(_numerators(intervals, den), g) for intervals, g in kept], den
+
+
+def ref_canonicalize(self, merged):
+    """BoxChain._canonicalize as it was; self needs only ambient_dim."""
+    cuts = [sorted({v for key in merged for v in key[j]}) for j in range(self.ambient_dim)]
+    index = [{v: i for i, v in enumerate(c)} for c in cuts]
+    out = {}
+    for key, g in merged.items():
+        if all(lo == hi or at[hi] - at[lo] == 1 for (lo, hi), at in zip(key, index)):
+            out[key] = out.get(key, 0) + g
+            continue
+        per_axis = [_split_intervals(lo, hi, cuts[j], index[j])
+                    for j, (lo, hi) in enumerate(key)]
+        for piece in itertools.product(*per_axis):
+            out[piece] = out.get(piece, 0) + g
+    return {key: g for key, g in out.items() if g}
+
+
+def ref_box_doc_items(chain):
+    """The items of fileio._chain_doc for a box chain."""
+    return [[cell.id_token(), g] for cell, g in chain.items()]
+
+
+def ref_write_box_body(chain):
+    from flatchains.fileio import format_number
+
+    out = [f"ambient {chain.ambient_dim}", f"dim {chain.dim}"]
+    for cell, g in chain.items():
+        bounds = " ".join(f"{format_number(lo)} {format_number(hi)}"
+                          for lo, hi in cell.intervals)
+        out.append(f"cell {bounds} {g}")
+    return out
+
+
+def ref_read_box_body(body):
+    """The chain of a box file's body lines, through the reference checks."""
+    from flatchains.fileio import ParseError, _integer, _number, _parse_shape, _resolve_shape
+
+    shape = {"ambient": None, "dim": None}
+    items = []
+    numbers = {}  # cells share coordinates: parse each text once
+    for no, line in body:
+        tokens = line.split()
+        if tokens[0] in shape:
+            _parse_shape(tokens, no, shape)
+        elif tokens[0] == "cell":
+            if len(tokens) < 4 or len(tokens) % 2 != 0:
+                raise ParseError(no, "expected `cell lo1 hi1 ... coeff`")
+            coeff = _integer(tokens[-1], no)
+            bounds = [numbers[t] if t in numbers else numbers.setdefault(t, _number(t, no))
+                      for t in tokens[1:-1]]
+            try:
+                intervals = ref_ordered(tuple(zip(bounds[::2], bounds[1::2])))
+            except PreconditionError as err:
+                raise ParseError(no, str(err)) from None
+            if shape["ambient"] is not None and len(intervals) != shape["ambient"]:
+                raise ParseError(no, f"cell has {len(intervals)} axes, ambient is {shape['ambient']}")
+            items.append((intervals, coeff))
+        else:
+            raise ParseError(no, f"unexpected {tokens[0]!r} in a box file")
+    first = items and (len(items[0][0]), sum(lo != hi for lo, hi in items[0][0]))
+    ambient, dim = _resolve_shape(shape, first, body, "box")
+    return ref_box_map(ambient, dim, items)
+
+
+def ref_box_map(ambient_dim, dim, items, den=None):
+    """(item map, den) that BoxChain(ambient_dim, dim, items, den) held,
+    items as (intervals, coefficient) pairs, or (key, coefficient) pairs
+    over den when den is given."""
+    if den is None:
+        items, den = ref_keyed(ambient_dim, dim, items)
+    merged = {}
+    for key, g in items:
+        merged[key] = merged.get(key, 0) + g
+    merged = {key: g for key, g in merged.items() if g}
+    canonical = ref_canonicalize(SimpleNamespace(ambient_dim=ambient_dim), merged)
+    return (canonical if merged else {}), den
+
+
+def overlapping_box_items(rng):
+    """(ambient, dim, items): 1 to 8 overlapping cells of R^1 to R^3 with
+    Fraction endpoints of denominators up to 12, coefficients in [-3, 3]
+    (zeros included), and repeated cells, some cancelling."""
+    n = rng.randint(1, 3)
+    k = rng.randint(0, n)
+    span = rng.choice([1, 2, 3])
+    items = []
+    for _ in range(rng.randint(1, 8)):
+        if items and rng.random() < 0.15:
+            intervals, g = rng.choice(items)
+            items.append((intervals, rng.choice([-g, g, 1])))
+            continue
+        dirs = set(rng.sample(range(n), k))
+        intervals = []
+        for j in range(n):
+            d = rng.randint(1, 12)
+            a = Fraction(rng.randint(0, span * d), d)
+            if j not in dirs:
+                intervals.append((a, a))
+                continue
+            e = rng.randint(1, 12)
+            b = Fraction(rng.randint(0, span * e), e)
+            while b == a:
+                b = Fraction(rng.randint(0, span * e), e)
+            intervals.append((min(a, b), max(a, b)))
+        items.append((tuple(intervals), rng.randint(-3, 3)))
+    return n, k, items
+
+
+def box_file_body(rng, n, k, items):
+    """(line number, text) pairs of a box file's body for the items, with
+    each number written as a/b, a decimal where one is exact, or an
+    integer, and the ambient and dim lines present or not."""
+    def text(v):
+        if v.denominator == 1 and rng.random() < 0.5:
+            return str(v.numerator)
+        if 10 ** 6 % v.denominator == 0 and rng.random() < 0.5:
+            return str(v.numerator * (10 ** 6 // v.denominator) / 10 ** 6)
+        return f"{v.numerator}/{v.denominator}"
+
+    lines = []
+    if rng.random() < 0.5:
+        lines += [f"ambient {n}", f"dim {k}"]
+    for intervals, g in items:
+        lines.append("cell " + " ".join(f"{text(lo)} {text(hi)}" for lo, hi in intervals)
+                     + f" {g}")
+    return list(enumerate(lines, start=2))
 
 
 # ---------------------------------------------------------------------------

@@ -19,21 +19,31 @@ from flatchains import (
     slice_mass_integral,
     slice_mass_star,
 )
+from flatchains.boxes import _faces, _keyed, _ordered, _read_chainfile, _write_chainfile
+from flatchains.fileio import _chain_doc
 from genutil import (
+    box_file_body,
     cross_section,
     generic_level,
     mixed_box_items,
+    overlapping_box_items,
     random_box_chain,
     ref_boundary,
+    ref_box_doc_items,
+    ref_box_map,
     ref_chain,
+    ref_keyed,
     ref_mass,
     ref_mass_p,
     ref_neg,
+    ref_ordered,
     ref_push_round,
+    ref_read_box_body,
     ref_restrict,
     ref_slice,
     ref_sum,
     ref_token,
+    ref_write_box_body,
     slice_mass_integral_oracle,
 )
 
@@ -612,3 +622,100 @@ def test_distinct_prime_denominators_stay_exact():
     rho = Fraction(5, 12)  # no coordinate has a composite denominator
     res = deform(t, 1, rho=rho)
     assert_matches(res.rounded, ref_push_round(ref_push_round(ref, 0, 1, rho), 1, 1, rho))
+
+
+# ---------------------------------------------------------------------------
+# integer keys against the Fraction-comparing code they replaced
+
+
+def outcome(call):
+    """What call() returns, or the type and message of what it raises."""
+    try:
+        return "returns", call()
+    except Exception as err:  # the comparison is over every exception
+        return type(err), str(err)
+
+
+def assert_same_map(chain, ref_map, ref_den):
+    assert list(chain._items.items()) == list(ref_map.items())
+    assert chain.den == ref_den
+
+
+def test_integer_keys_match_the_fraction_code_they_replaced(rng):
+    for run in range(2000):
+        n, k, items = overlapping_box_items(rng)
+        ref_map, ref_den = ref_box_map(n, k, items)
+        chain = BoxChain(n, k, [(BoxCell(intervals), g) for intervals, g in items])
+        assert_same_map(chain, ref_map, ref_den)
+        assert _chain_doc(chain)["items"] == ref_box_doc_items(chain)
+        assert _write_chainfile(chain) == ref_write_box_body(chain)
+        body = box_file_body(rng, n, k, items)
+        assert_same_map(_read_chainfile(body), *ref_read_box_body(body))
+        if run % 10 == 0:
+            _, compiled = compile_chain(chain)
+            assert [list(item) for item in compiled.coeffs.items()] == ref_box_doc_items(chain)
+        # chains built from keys: the boundary's faces, and a sum whose
+        # cells cross each other's cuts
+        if k:
+            faces = [(face, sign * g) for key, g in chain._items.items()
+                     for face, sign in _faces(key)]
+            assert_same_map(chain.boundary(), *ref_box_map(n, k - 1, faces, chain.den))
+        _, _, more = overlapping_box_items(rng)
+        more = [(intervals, g) for intervals, g in more if len(intervals) == n
+                and sum(lo != hi for lo, hi in intervals) == k]
+        if more:
+            other = BoxChain(n, k, [(BoxCell(intervals), g) for intervals, g in more])
+            den = math.lcm(chain.den, other.den)
+            keys = [(key, g) for c in (chain, other) for key, g in c._rescaled(den)._items.items()]
+            assert_same_map(chain + other, *ref_box_map(n, k, keys, den))
+
+
+def test_malformed_cells_raise_what_the_fraction_code_raised(rng):
+    bad_coefficients = [Fraction(1, 2), Fraction(0), 1.0, 0.0, "1", None]
+    for _ in range(1000):
+        n, k, items = overlapping_box_items(rng)
+        valid, items = items, list(items)
+        for _ in range(rng.randint(1, 3)):
+            intervals, g = rng.choice(valid)
+            fault = rng.choice(["axes", "dimension", "coefficient", "reversed"])
+            if fault == "axes":
+                intervals = intervals[:-1] if rng.random() < 0.5 else intervals + intervals[:1]
+            elif fault == "dimension":
+                j = rng.randrange(n)
+                lo, hi = intervals[j]
+                moved = (lo, lo) if lo != hi else (lo, lo + Fraction(1, rng.randint(1, 12)))
+                intervals = intervals[:j] + (moved,) + intervals[j + 1:]
+            elif fault == "coefficient":
+                g = rng.choice(bad_coefficients)
+            else:
+                j = rng.randrange(n)
+                lo, hi = intervals[j]
+                hi = lo - Fraction(1, rng.randint(1, 12)) if lo == hi else hi
+                intervals = intervals[:j] + ((hi, lo),) + intervals[j + 1:]
+            items.insert(rng.randint(0, len(items)), (intervals, g))
+        chain_dim = k if rng.random() < 0.9 else rng.choice([-1, n + 2])
+        assert (outcome(lambda: _keyed(n, chain_dim, items))
+                == outcome(lambda: ref_keyed(n, chain_dim, items)))
+        for intervals, _ in items:
+            assert outcome(lambda: _ordered(intervals)) == outcome(lambda: ref_ordered(intervals))
+        # the file reader: its per-line checks, then the chain's, in line order
+        lines = box_file_body(rng, n, k, [(ivs, g if isinstance(g, int) else 1) for ivs, g in items])
+        if rng.random() < 0.3:
+            no = rng.randrange(len(lines))
+            lines[no] = (lines[no][0], lines[no][1].replace(" ", " x", 1 + rng.randrange(2)))
+        if rng.random() < 0.3:
+            no = rng.randrange(len(lines))
+            lines[no] = (lines[no][0], lines[no][1].rsplit(" ", 1)[0] + " 1/2")
+        got = outcome(lambda: _read_chainfile(lines)._items)
+        want = outcome(lambda: ref_read_box_body(lines)[0])
+        assert got == want
+
+
+def test_reader_reports_the_first_bad_line():
+    body = [(2, "cell 1 0 0 1 1"), (3, "cell 0 x 0 1 1")]
+    with pytest.raises(PreconditionError, match=r"^line 2: interval \[1, 0\] is reversed$"):
+        _read_chainfile(body)
+    # a cell's dimension is checked once every line has parsed
+    body = [(2, "cell 0 1 0 1 1"), (3, "cell 0 1 0 0 1/2")]
+    with pytest.raises(PreconditionError, match="^line 3: integer expected, got '1/2'$"):
+        _read_chainfile(body)

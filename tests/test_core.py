@@ -243,6 +243,29 @@ def test_chain_arithmetic_and_equality():
         a + path_complex([1, 1]).chain(1, {"e1": 1})
 
 
+def test_chain_arithmetic_checks_no_cell_its_operands_hold(rng, monkeypatch):
+    for _ in range(40):
+        cx = random_grid_complex(rng)
+        dim = rng.randint(0, cx.top_dim)
+        a, b = random_chain_on(rng, cx, dim), random_chain_on(rng, cx, dim)
+        b = b + rng.choice([-1, 1]) * a  # cancellation on shared cells
+        naive = {}
+        for c, g in [*a.items(), *b.items()]:
+            naive[c] = naive.get(c, 0) + g
+        n = rng.choice([-3, -1, 0, 2])
+        with monkeypatch.context() as patch:
+            patch.setattr(Complex, "dim_of", lambda self, cid: pytest.fail("cell re-checked"))
+            out = [a + b, a - b, -a, n * a, True * a]
+        want = [naive, {c: a[c] - b[c] for c in {*a.coeffs, *b.coeffs}},
+                {c: -g for c, g in a.items()}, {c: n * g for c, g in a.items()}, dict(a.items())]
+        for chain, coeffs in zip(out, want):
+            assert type(chain) is IntChain
+            assert chain == IntChain(cx, dim, coeffs)
+            assert 0 not in chain.coeffs.values()
+    with pytest.raises(PreconditionError, match="only scale by integers"):
+        Fraction(1, 2) * a
+
+
 @given(st.lists(st.integers(-40, 40), min_size=3, max_size=3),
        st.lists(st.integers(-40, 40), min_size=3, max_size=3),
        st.integers(2, 13))

@@ -135,6 +135,23 @@ def test_modulus_only_affects_reported_ratios():
     assert relaxed.ratio_rounded == Fraction(2, 5)
 
 
+@pytest.mark.parametrize("p", [None, 3])
+def test_a_report_measures_the_original_and_its_boundary_once(p, monkeypatch):
+    from flatchains.rounding import DeformationResult
+
+    t = fine_edge()
+    res = deform(t, 1, rho=(HALF, HALF), p=p)
+    measured = []
+    relaxed = DeformationResult._relaxed_mass
+    monkeypatch.setattr(DeformationResult, "_relaxed_mass",
+                        lambda self, chain: measured.append(chain) or relaxed(self, chain))
+    ratios = (res.ratio_rounded, res.ratio_boundary_sweep, res.ratio_chain_sweep)
+    assert ratios == (res.ratio_rounded, res.ratio_boundary_sweep, res.ratio_chain_sweep)
+    assert ratios == (Fraction(2, 5), HALF, HALF)
+    assert sum(chain is res.original for chain in measured) == 1
+    assert sum(chain is res.original_boundary for chain in measured) == 1
+
+
 def test_boundary_sweep_ratio_is_taken_mod_p():
     # 3 times an edge: its boundary and the boundary's sweep vanish mod 3
     # but not over Z, so the ratio is 0/0, not an integral mass over 0

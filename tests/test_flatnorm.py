@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -809,6 +810,30 @@ def test_refinement_preconditions():
     box = grid_chain(2, 2, [(0, 1), (0, 1)], 1)
     with pytest.raises(PreconditionError, match="subdivision"):
         flat_norm_under_refinement(box, 2, 1)
+
+
+def test_refinement_solves_the_fine_complex_below_the_coarse_value(monkeypatch):
+    from flatchains.fileio import load_chainfile
+
+    rim = load_chainfile(Path(__file__).parent / "fixtures" / "square_rim.chain").payload
+    solve, calls = flatnorm._solve_mod_p, []
+
+    def recording(prob, p, limit):
+        calls.append((prob.scale, limit))
+        return solve(prob, p, limit)
+
+    monkeypatch.setattr(flatnorm, "_solve_mod_p", recording)
+    coarse, refined = flat_norm_under_refinement(rim, 3, 8)
+    assert (coarse, refined) == (1, 1)
+    (_, coarse_limit), (fine_scale, fine_limit) = calls
+    assert coarse_limit == 4 + 1  # mass_p of the rim, S = 0
+    assert fine_limit == coarse * fine_scale + 1
+    # a fine solve with nothing below the coarse value is a defect
+    coarse_only = iter([True, False])
+    monkeypatch.setattr(flatnorm, "_solve_mod_p",
+                        lambda prob, p, limit: solve(prob, p, limit) if next(coarse_only) else None)
+    with pytest.raises(InternalDefectError, match="nothing below the coarse flat norm"):
+        flat_norm_under_refinement(rim, 3, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,21 @@ def test_chain_doc_of_every_carrier(make, doc):
     assert _chain_doc(make()) == doc
 
 
+def test_refinecompare_solves_the_fine_grid_below_the_coarse_value(capsys):
+    # square_rim at p = 3 and subdivision 8: the fine frontier program,
+    # limited by the coarse value, answers in milliseconds
+    argv = fixture_argv(["refinecompare", "square_rim.chain", "--p", "3", "--subdiv", "8"])
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        rc, out = run_cli(argv, capsys)
+        best = min(best, time.perf_counter() - start)
+        assert rc == 0
+    doc = json.loads(out)["result"]
+    assert (doc["coarse"], doc["refined"], doc["monotone"]) == ("1", "1", True)
+    assert best < 0.1
+
+
 def _residue(g, p):
     r = g % p
     return r - p if 2 * r > p else r
