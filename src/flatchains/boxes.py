@@ -93,6 +93,8 @@ class BoxCell(Frozen):
     equality, ordering, hash or repr.
     """
 
+    _fields = ("intervals",)
+
     def __init__(self, intervals: tuple[Interval, ...]):
         fixed = _ordered(tuple((as_fraction(lo), as_fraction(hi)) for lo, hi in intervals))
         vars(self).update(intervals=fixed, directions=_directions(fixed))
@@ -103,14 +105,6 @@ class BoxCell(Frozen):
         vars(cell).update(intervals=tuple((coords[lo], coords[hi]) for lo, hi in key),
                           directions=_directions(key))
         return cell
-
-    def __hash__(self) -> int:
-        return hash(self.intervals)
-
-    # written out, not inherited: sorts of cells run these; total_ordering
-    # derives <=, > and >= from them
-    def __eq__(self, other):
-        return self.intervals == other.intervals if other.__class__ is BoxCell else NotImplemented
 
     def __lt__(self, other):
         return self.intervals < other.intervals if other.__class__ is BoxCell else NotImplemented

@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 from . import _LAZY
 from .base import FillInfeasibleError, InternalDefectError, PreconditionError
-from .fileio import ParseError, format_number, load_chainfile
+from .fileio import format_number, load_chainfile
 
 
 # Each handler imports the library functions it uses when it runs, so a
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
         handlers = import_module(f".{COMMANDS[args.command][0]}", __package__)
         result, code = getattr(handlers, f"_cmd_{args.command}")(args, cf)
         doc["result"] = result
-    except (ParseError, PreconditionError, FillInfeasibleError) as err:
+    except (PreconditionError, FillInfeasibleError) as err:
         kind = "infeasible" if isinstance(err, FillInfeasibleError) else "precondition"
         doc["error"] = {"kind": kind, "message": str(err)}
         code = 2

@@ -252,10 +252,10 @@ def _merge_step_single(pieces, open_ids, first: int, partners, starts):
     outside = []
     taken = {first, *partners}
     for i in open_ids:
+        if len(outside) == outside_needed:
+            break
         if i not in taken and starts[pieces[i][0]] == w:
             outside.append(i)
-            if len(outside) == outside_needed:
-                break
     if len(outside) < outside_needed:
         raise InternalDefectError(
             f"fewer than {outside_needed} open pieces start at {w!r}: {pieces!r}")
@@ -475,7 +475,7 @@ def decompose_paths_loops(T: IntChain) -> list[CurvePath]:
         return lst[-1] if lst else None
 
     out: list[CurvePath] = []
-    boundary_mass = sum(abs(g) for _, g in T.boundary().items()) if T.items() else 0
+    boundary_mass = sum(map(abs, T.boundary().coeffs.values()))
 
     # net[v] is v's uses left out minus in, so a source has an arc left.  A
     # walk ends where no arc is left, so no vertex becomes a source, and no

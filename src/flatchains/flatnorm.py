@@ -32,8 +32,11 @@ reaches, with nodes, arcs and shortest-path ties taken in cell-id order.
 Both depend only on the complex and T.
 
 The mod-p solvers take a strict upper bound on the cost, the limit, and
-drop whatever reaches it: the cost of a known answer plus one, so
-mass_p(T) + 1 for a flat norm (S = 0).  A fill first solves dS = T over
+drop whatever reaches it: the cost of a known answer plus one.  That
+answer is S = 0 for a flat norm (so the limit is mass_p(T) + 1), the
+elimination's S0 for a fill and the coarse optimum for a refinement.  So
+every mod-p solve returns its optimum or raises: finding nothing below
+the limit is an InternalDefectError.  A fill first solves dS = T over
 Z/p, one equation per k-cell, by Howell-form elimination (Howell, "Spans
 in the module (Z_m)^s", 1986): column by column, Euclid's unimodular row
 steps fold the rows that start there into one pivot, from the zero row
@@ -211,11 +214,11 @@ def _residue_order(p: Optional[int], top: int) -> list[int]:
 _FRONTIER_STATES = 2 ** 17
 
 
-def _solve_mod_p(prob: _Problem, p: int, limit: int):
+def _solve_mod_p(prob: _Problem, p: int, limit: int) -> tuple:
     """(cost, assignment) as `_Problem.answer` gives it for the optimum
-    below the scaled cost `limit`, or None when nothing costs less: from
-    the frontier program when the frontier is narrow, else from the
-    search."""
+    below the scaled cost `limit`: from the frontier program when the
+    frontier is narrow, else from the search.  The limit is a known
+    answer's cost + 1, so InternalDefectError when nothing costs less."""
     order, width = _sweep_order(prob)
     if p ** width <= _FRONTIER_STATES:
         return _frontier(prob, order, p, limit)
@@ -261,10 +264,10 @@ def _sweep_order(prob: _Problem) -> tuple[list[int], int]:
     return order, width
 
 
-def _frontier(prob: _Problem, order: list[int], p: int, limit: int):
+def _frontier(prob: _Problem, order: list[int], p: int, limit: int) -> tuple:
     """The search's optimum below the scaled cost `limit`, as
-    `_Problem.answer` gives it, or None when nothing costs less: dynamic
-    programming over the sweep `order`.
+    `_Problem.answer` gives it (InternalDefectError when nothing costs
+    less): dynamic programming over the sweep `order`.
 
     A state is the residues mod p of the open k-cells, in the order of
     `layout`; a k-cell's cost is charged when its last coface is placed.
@@ -281,7 +284,7 @@ def _frontier(prob: _Problem, order: list[int], p: int, limit: int):
     shut_at, loose = prob.closing(order)
     base = prob.charge(loose, p)
     if base >= limit:
-        return None
+        raise InternalDefectError("the solver found nothing below its limit")
     limit *= W  # a state or a move at the limit is dropped
     weight = [n ** (m - 1 - i) for i in range(m)]  # of cell i's key digit
     layout: list[int] = []
@@ -336,7 +339,7 @@ def _frontier(prob: _Problem, order: list[int], p: int, limit: int):
                     if cost < nxt.get(s, limit):
                         nxt[s] = cost
         if not nxt:
-            return None
+            raise InternalDefectError("the solver found nothing below its limit")
         states = nxt
         layout = [layout[j] for j in rest] + [here[j][0] for j in stay]
     (val,) = states.values()
@@ -396,13 +399,12 @@ def flat_norm_mod_p(T: IntChain, p: int) -> FlatWitness:
     return FlatWitness(value, remainder, filling, exact=True, modulus=p)
 
 
-def _solve_value(T: IntChain, p: int, limit: Callable[[_Problem], int]) -> Optional[tuple]:
+def _solve_value(T: IntChain, p: int, limit: Callable[[_Problem], int]) -> tuple:
     """(filling, remainder, value), as `_decompose` gives them, of T's
-    optimum mod p below the scaled cost limit(prob) of T's problem, or
-    None when nothing costs less."""
+    optimum mod p below the scaled cost limit(prob) of T's problem."""
     prob = _Problem(T)
-    found = _solve_mod_p(prob, p, limit(prob))
-    return None if found is None else _decompose(T, found[1], found[0], p)
+    cost, s_coeffs = _solve_mod_p(prob, p, limit(prob))
+    return _decompose(T, s_coeffs, cost, p)
 
 
 def flat_norm_int(T: IntChain, bound: Optional[int] = None) -> FlatWitness:
@@ -502,10 +504,7 @@ def fill_mod_p(L: IntChain, p: int) -> IntChain:
     else:
         limit = cost0 + 1
         prob.vol_t = [limit] * len(prob.taus)
-        found = _solve_mod_p(prob, p, limit)
-        if found is None:
-            raise InternalDefectError("solver found no filling below the elimination's")
-        cost, s_coeffs = found
+        cost, s_coeffs = _solve_mod_p(prob, p, limit)
     filling, remainder, _ = _decompose(L, s_coeffs, cost, p)
     if not remainder.reduce_mod_p(p).is_zero():
         raise InternalDefectError("filling does not bound the requested chain mod p")
@@ -544,7 +543,7 @@ def flat_norm_under_refinement(chain, p: int, subdivide: int) -> tuple:
     the competitor space, so the refined value never exceeds the coarse
     one.  The fine complex is therefore solved below the coarse value + 1
     in its own scaled units (coarse cells are unions of fine ones), and
-    a fine solve that finds nothing there is an internal defect.
+    a fine solve that finds nothing there raises InternalDefectError.
     """
     from .boxes import BoxChain, arrangement_complex
 
@@ -555,10 +554,7 @@ def flat_norm_under_refinement(chain, p: int, subdivide: int) -> tuple:
     _, coarse_chain = arrangement_complex(chain, 1)
     _, fine_chain = arrangement_complex(chain, subdivide)
     coarse = flat_norm_mod_p(coarse_chain, p).value
-    found = _solve_value(fine_chain, p, lambda prob: coarse * prob.scale // 1 + 1)
-    if found is None:
-        raise InternalDefectError("the refined complex has nothing below the coarse flat norm")
-    refined = found[2]
+    refined = _solve_value(fine_chain, p, lambda prob: coarse * prob.scale // 1 + 1)[2]
     if refined > coarse:
         raise InternalDefectError("refinement increased the flat norm")
     return coarse, refined

@@ -28,8 +28,9 @@ class DeformationResult(Frozen):
     is the accumulated (k+1)-dimensional sweep, and boundary_sweep is
     the accumulated sweep of the boundary; the identity
     original = rounded + boundary_sweep + boundary(chain_sweep)
-    holds exactly and is checked at construction time.  original_boundary
-    is boundary(original), built once (None for a 0-chain).
+    holds exactly; `deform` checks it before it returns a result, and a
+    result built directly is not checked.  original_boundary is
+    boundary(original), built once (None for a 0-chain).
     """
 
     _fields = ("original", "rounded", "boundary_sweep", "chain_sweep", "eta", "rho", "modulus")

@@ -16,16 +16,17 @@ from __future__ import annotations
 from itertools import cycle, islice
 from typing import Optional
 
-from .base import canonical_residue, norm_mod_p
+from .base import InternalDefectError, canonical_residue, norm_mod_p
 from .flatnorm import _Problem, _residue_order
 
 
 def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[int] = None,
-                  limit: Optional[int] = None):
+                  limit: Optional[int] = None) -> tuple:
     """Minimize the flat objective over coefficient assignments to the
     (k+1)-cells, below the scaled cost `limit` (by default the cost of
     S = 0 plus one).  Returns (cost, assignment) as `_Problem.answer`
-    does, or None when nothing costs less than the limit."""
+    does; the limit is a known answer's cost + 1, so finding nothing
+    below it raises InternalDefectError."""
     level = sorted(range(len(prob.sigmas)), key=lambda i: (-prob.vol_s[i], i))
     m = len(level)
     if limit is None:
@@ -95,5 +96,5 @@ def _exact_search(prob: _Problem, *, p: Optional[int] = None, bound: Optional[in
             nxt[i + 1] = 0
             i += 1
     if best_key == above:
-        return None
+        raise InternalDefectError("the solver found nothing below its limit")
     return prob.answer(best_cost, [vals[r - 1] for r in best_key])

@@ -93,6 +93,23 @@ def test_chain_validation():
          + SimplicialChain(2, 0, [(Simplex(((0, 0),)), 1)]))
 
 
+def test_chain_repr_and_operators_on_other_values():
+    t = SimplicialChain(2, 1, [(seg((0, 0), (1, Fraction(1, 2))), 2), (seg((0, 0), (0, 1)), -1)])
+    assert repr(t) == "SimplicialChain(-1*Simplex[(0,0), (0,1)] + 2*Simplex[(0,0), (1,1/2)])"
+    assert repr(SimplicialChain(3, 1)) == "SimplicialChain(0; dim 1 in R^3)"
+    assert t.__eq__(1) is NotImplemented and t != 1
+    assert t.__add__(1) is NotImplemented and t.__rmul__(Fraction(2)) is NotImplemented
+    with pytest.raises(TypeError):
+        t + 1
+    with pytest.raises(TypeError):
+        Fraction(2) * t
+    with pytest.raises(TypeError):
+        True * t  # a bool is no coefficient
+    assert SimplicialChain(2, 1) != SimplicialChain(3, 1)
+    assert t != SimplicialChain(3, 1, [(seg((0, 0, 0), (1, Fraction(1, 2), 0)), 2)])
+    assert Simplex(((0, 0, 0), (1, 0, 0))).ambient_dim == 3
+
+
 def test_boundary_pinned_and_squares_to_zero():
     tri_chain = SimplicialChain(2, 2, [(Simplex(((0, 0), (1, 0), (0, 1))), 1)])
     b = boundary_simplicial(tri_chain)

@@ -515,6 +515,13 @@ def _value_cases():
 VALUE_CASES = _value_cases()
 
 
+def test_modp_chain_repr_report_truth_and_box_ambient_dim():
+    cx = Complex({0: [("a", 1, []), ("b", 1, [])], 1: [("e", 1, [("a", -1), ("b", 1)])]})
+    assert repr(ModPChain(cx, 3, 0, {"b": -1, "a": 1})) == "ModPChain(p=3, dim=0, {'a': 1, 'b': -1})"
+    assert ValidationReport(True) and not ValidationReport(False, "bad")
+    assert BoxCell(((0, 1), (2, 2), (0, 0))).ambient_dim == 3
+
+
 @pytest.mark.parametrize("name", VALUE_CASES)
 def test_value_classes_keep_repr_equality_hash_and_frozenness(name):
     a, twin, other, text, hashable = VALUE_CASES[name]

@@ -828,12 +828,34 @@ def test_refinement_solves_the_fine_complex_below_the_coarse_value(monkeypatch):
     (_, coarse_limit), (fine_scale, fine_limit) = calls
     assert coarse_limit == 4 + 1  # mass_p of the rim, S = 0
     assert fine_limit == coarse * fine_scale + 1
-    # a fine solve with nothing below the coarse value is a defect
-    coarse_only = iter([True, False])
+    # a fine solve with nothing below its limit is a defect, raised by the
+    # real solver: below limit 1 only a cost of 0 is kept, and the rim has none
+    coarse_first = iter([True, False])
     monkeypatch.setattr(flatnorm, "_solve_mod_p",
-                        lambda prob, p, limit: solve(prob, p, limit) if next(coarse_only) else None)
-    with pytest.raises(InternalDefectError, match="nothing below the coarse flat norm"):
+                        lambda prob, p, limit: solve(prob, p, limit if next(coarse_first) else 1))
+    with pytest.raises(InternalDefectError, match="nothing below its limit"):
         flat_norm_under_refinement(rim, 3, 8)
+
+
+@pytest.mark.parametrize("frontier", [True, False], ids=["frontier", "search"])
+@pytest.mark.parametrize("limit", [0, 1])
+def test_a_mod_p_solve_with_nothing_below_its_limit_raises(monkeypatch, frontier, limit):
+    # every filling of a nonzero 1-chain mod 3 costs at least 1; limit 0 is
+    # refused by the frontier before its first step, limit 1 after a step
+    # drops every state
+    exact_search, ran = search._exact_search, []
+
+    def recording(prob, **kw):
+        ran.append(kw["limit"])
+        return exact_search(prob, **kw)
+
+    monkeypatch.setattr(search, "_exact_search", recording)
+    if not frontier:
+        monkeypatch.setattr(flatnorm, "_FRONTIER_STATES", 0)
+    t = unit_grid_complex(2).chain(1, {"h0_0": 1, "u1_0": -1})
+    with pytest.raises(InternalDefectError, match="the solver found nothing below its limit"):
+        flatnorm._solve_mod_p(_Problem(t), 3, limit)
+    assert ran == ([] if frontier else [limit])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 
 import jsonschema
@@ -23,6 +23,7 @@ from flatchains.boxes import BoxCell, BoxChain
 from flatchains.cli import _FLAGS, COMMANDS, _json, _read, main
 from flatchains.cli_argparse import build_parser
 from flatchains.cone import SimplicialChain
+from flatchains.base import InternalDefectError
 from flatchains.core import PreconditionError
 from flatchains.fileio import (ChainFile, ParseError, _chain_doc, format_number,
                                load_chainfile, parse_chainfile, save_chainfile,
@@ -461,6 +462,28 @@ def test_infeasible_fill_exit_code(capsys):
     rc, out = run_cli(argv, capsys)
     assert rc == 2
     assert json.loads(out)["error"]["kind"] == "infeasible"
+
+
+@pytest.mark.parametrize("error,message", [
+    (InternalDefectError("solver cost disagrees"), "solver cost disagrees"),
+    (TypeError("cannot unpack"), "TypeError: cannot unpack"),
+])
+def test_a_fault_in_a_handler_exits_1_as_a_defect(error, message, monkeypatch, capsys, schema):
+    # an InternalDefectError reports its message; any other exception also
+    # names its type
+    def faulty(args, cf):
+        raise error
+
+    monkeypatch.setattr(import_module(f"flatchains.{COMMANDS['mass'][0]}"), "_cmd_mass", faulty)
+    rc, out = run_cli(fixture_argv(["mass", "square.chain"]), capsys)
+    assert rc == 1
+    doc = json.loads(out)
+    jsonschema.Draft7Validator(schema).validate(doc)
+    assert doc["error"] == {"kind": "defect", "message": message}
+    assert "result" not in doc
+    rc, out = run_cli(["mass", str(FIXTURES / "square.chain")], capsys)
+    assert rc == 1
+    assert out.splitlines() == ["command: mass", 'kind: "defect"', f"message: {json.dumps(message)}"]
 
 
 @pytest.mark.parametrize("argv,key,dim", [
