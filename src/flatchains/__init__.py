@@ -8,7 +8,9 @@ together.
 
 Each public name below, apart from those of `base`, is imported from its
 module on first access, so importing the package (or the CLI) does not
-load modules a caller never uses.  The function `cone` shares its
+load modules a caller never uses.  `cli` and `boxes` bind this same
+resolver as their own `__getattr__`, so every public name also reads as
+an attribute of those two modules.  The function `cone` shares its
 module's name, and importing `flatchains.cone` makes Python bind the
 package attribute to the module; the package's module class turns that
 binding into the function.
@@ -50,7 +52,9 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(_import_module(f".{module}", __name__), name)
-    globals()[name] = value
+    # `cli` and `boxes` resolve through this function too: a name read
+    # there, while patched on its module, must not rebind the package's
+    globals().setdefault(name, value)
     return value
 
 

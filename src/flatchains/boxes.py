@@ -42,10 +42,12 @@ import itertools
 import math
 from fractions import Fraction
 from functools import total_ordering
-from importlib import import_module
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from . import _LAZY
+# the deformation, the complex builders, grid chains and slice masses have
+# modules of their own; the package's resolver keeps every public name
+# readable here, for `from .boxes import ...` and for code that patches them
+from . import __getattr__  # noqa: F401
 from .base import (
     Frozen,
     PreconditionError,
@@ -479,13 +481,3 @@ def _write_chainfile(chain: BoxChain) -> list[str]:
     return [f"ambient {chain.ambient_dim}", f"dim {chain.dim}"] + [
         f"cell {' '.join(f'{text(lo)} {text(hi)}' for lo, hi in key)} {g}"
         for key, g in sorted(chain._items.items())]
-
-
-def __getattr__(name: str):
-    # the deformation, the complex builders, grid chains and slice masses
-    # have modules of their own; their public names stay readable here,
-    # for `from .boxes import ...` and for code that patches them
-    module = _LAZY.get(name)
-    if module not in ("arrangement", "boxgrid", "boxmass", "rounding"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __package__), name)

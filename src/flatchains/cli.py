@@ -8,8 +8,7 @@ well-formed call never imports argparse: a small reader over COMMANDS
 and _FLAGS takes the subcommand, its file and its flags, with argparse's
 types and choices.  Whatever the reader does not take (help, a usage
 error, or a shape such as `--p=3` or a repeated flag) goes to argparse
-in `cli_argparse`, which builds the parser of its subcommand alone, or
-the full parser for help, no arguments or an unknown subcommand; so
+in `cli_argparse`, which builds the full parser of every subcommand, so
 every usage message and help text is argparse's own.
 Default output is a short human-readable report; `--json` switches to a
 single structured document (stable key order, canonical number strings)
@@ -19,8 +18,10 @@ missing flag values, and infeasible fills), 1 on an internal defect.
 
 Each handler is in the module of its family that COMMANDS names, those
 that take any carrier in `cli_chain`, so a call compiles only its own
-family's; the document helpers they share are in `fileio`.  `run`, the
-process entry, ends the process without the interpreter's teardown.
+family's; the document helpers they share are in `fileio`.  The
+package's public names read as attributes of this module through the
+package's own resolver.  `run`, the process entry, ends the process
+without the interpreter's teardown.
 
 Numbers inside reports are strings in the file format, integers and
 `a/b` rationals exactly and floats via repr; coefficients, counts and
@@ -38,22 +39,15 @@ from fractions import Fraction
 from importlib import import_module
 from types import SimpleNamespace
 
-from . import _LAZY
-from .base import FillInfeasibleError, InternalDefectError, PreconditionError
-from .fileio import format_number, load_chainfile
-
-
 # Each handler imports the library functions it uses when it runs, so a
 # call loads only the modules its subcommand needs: from their defining
 # module, but `deform` and the box complex builders from `boxes`, which
-# loads them from theirs and is where perfbench's tracer wraps them.  The
-# package's public names stay readable as attributes of this module, for
-# code that reads `flatchains.cli.<name>` (perfbench's harness tests do).
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f".{module}", __package__), name)
+# is where perfbench's tracer wraps them.  The package's resolver keeps
+# its public names readable as attributes of this module, for code that
+# reads `flatchains.cli.<name>` (perfbench's harness tests do).
+from . import __getattr__  # noqa: F401
+from .base import FillInfeasibleError, InternalDefectError, PreconditionError
+from .fileio import format_number, load_chainfile
 
 
 def _csv(convert):
@@ -239,34 +233,12 @@ def _emit(doc: dict, as_json: bool) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit_usage_error(argv: list, stop: SystemExit) -> None:
-    """Under a known subcommand's --json, also print a usage error as JSON.
-
-    argparse has already written its usage text to stderr, and the exit
-    code stays 2.  Without a known subcommand there is no document: the
-    schema's `command` has no value for it.
-    """
-    message = getattr(stop, "usage_message", None)
-    if message is None or not argv or argv[0] not in COMMANDS:
-        return
-    options = argv[1:argv.index("--")] if "--" in argv else argv[1:]
-    if "--json" in options:
-        _emit({"version": 2, "command": argv[0],
-               "error": {"kind": "precondition", "message": message},
-               "timing": None}, as_json=True)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv)
     if args is None:
-        from .cli_argparse import build_parser
-        command = argv[0] if argv and argv[0] in COMMANDS else None
-        try:
-            args = build_parser(COMMANDS, _FLAGS, command).parse_args(argv)
-        except SystemExit as stop:
-            _emit_usage_error(argv, stop)
-            raise
+        from .cli_argparse import parse_args
+        args = parse_args(argv, COMMANDS, _FLAGS, _emit)
     started = time.perf_counter()
     doc = {"version": 2, "command": args.command}
     try:

@@ -235,6 +235,26 @@ def test_grid_chain_misaligned_region():
         grid_chain(2, 2, [(0, Fraction(1, 2)), (0, 1)], 1)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((2, 2, [(1, 0), (0, 1)], 1), r"misaligned region interval \[1, 0\]"),
+    ((2, 1, [(0, 1), (0, 1)], 0), "grid scale must be positive"),
+    ((2, 1, [(0, 1)], 1), "region needs 2 intervals, got 1"),
+    ((2, 3, [(0, 1), (0, 1)], 1), r"cell dimension 3 not in \[0, 2\]"),
+], ids=["reversed", "scale", "region", "dimension"])
+def test_grid_chain_refusals(args, message):
+    with pytest.raises(PreconditionError, match=message):
+        grid_chain(*args)
+
+
+def test_box_chains_of_different_spaces_do_not_add():
+    segment = grid_chain(1, 1, [(0, 1)], 1)
+    for other in (unit_square(), grid_chain(1, 0, [(0, 1)], 1)):
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(PreconditionError,
+                               match="box chains live in different spaces or dimensions"):
+                combine(segment, other)
+
+
 def test_grid_chain_coefficient_callable():
     t = grid_chain(1, 1, [(0, 2)], 1, lambda c: int(c.intervals[0][0]) % 2)
     assert dict(t.items()) == {cell((1, 2)): 1}

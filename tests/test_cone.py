@@ -91,6 +91,10 @@ def test_chain_validation():
     with pytest.raises(PreconditionError, match="different shape"):
         (SimplicialChain(2, 1, [(seg((0, 0), (1, 0)), 1)])
          + SimplicialChain(2, 0, [(Simplex(((0, 0),)), 1)]))
+    for ambient, dim in ((2, 3), (2, -1)):
+        with pytest.raises(PreconditionError,
+                           match=rf"^dimension {dim} invalid in ambient {ambient}$"):
+            SimplicialChain(ambient, dim)
 
 
 def test_chain_repr_and_operators_on_other_values():

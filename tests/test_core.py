@@ -173,6 +173,21 @@ def test_duplicate_cell_id_rejected():
         Complex({0: [("a", 1, []), ("a", 1, [])]})
 
 
+@pytest.mark.parametrize("dim", [-1, "1", 1.0])
+def test_a_bad_dimension_is_rejected(dim):
+    with pytest.raises(PreconditionError, match=re.escape(f"invalid cell dimension {dim!r}")):
+        Complex({dim: [("a", 1, [])]})
+    cx = Complex({0: [("a", 1, [])]})
+    with pytest.raises(PreconditionError, match=re.escape(f"invalid chain dimension {dim!r}")):
+        IntChain(cx, dim, {})
+
+
+def test_a_non_integer_boundary_coefficient_is_rejected():
+    with pytest.raises(PreconditionError,
+                       match="boundary coefficient of 'e' on 'a' must be an integer"):
+        Complex({0: [("a", 1, [])], 1: [("e", 1, [("a", Fraction(1, 2))])]})
+
+
 def test_random_grid_complexes_validate(rng):
     for _ in range(10):
         cx = random_grid_complex(rng)

@@ -1,6 +1,7 @@
 """Flat-norm solvers: exact values, witnesses, inequalities, fillings."""
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -388,6 +389,32 @@ def test_flow_witness_is_the_least_optimal_filling():
     assert flat_norm_int(cx.chain(0, {"q2": 1, "q0": -1})).filling.is_zero()
     assert flat_norm_int(cx.chain(0, {"q0": 1, "q2": -1})).filling == cx.chain(
         1, {"e1": -1, "e2": -1})
+
+
+def test_the_primal_flow_skips_a_cell_with_no_faces(tmp_path, capsys, monkeypatch):
+    # `a` has three cofaces, so the dual circulation refuses; the loop's
+    # two faces on `a` cancel, and the primal flow passes it over
+    import flatchains.cli as cli
+    import flatchains.flow as flow
+
+    path = tmp_path / "loop.chain"
+    path.write_text("chainfile 1 abstract\ndim 0\n"
+                    + "".join(f"cell {v} 1\n" for v in "abcd") + "dim 1\n"
+                    + "".join(f"cell {e} 1\nface {e} a -1\nface {e} {v} 1\n"
+                              for e, v in (("e1", "b"), ("e2", "c"), ("e3", "d")))
+                    + "cell l 1\nface l a 1\nface l a -1\nchain 0\ncoeff b 1\ncoeff c -1\n")
+    routes = []
+    for name in ("_dual_circulation", "_primal_flow"):
+        def spy(prob, solve=getattr(flow, name), name=name):
+            solved = solve(prob)
+            routes.append((name, solved is not None))
+            return solved
+        monkeypatch.setattr(flow, name, spy)
+    assert cli.main(["flatnorm", str(path), "--json"]) == 0
+    assert routes == [("_dual_circulation", False), ("_primal_flow", True)]
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["value"], result["exact"]) == ("2", True)
+    assert result["filling"]["items"] == [["e1", 1], ["e2", -1]]
 
 
 def test_flow_witness_does_not_depend_on_listing_order(rng):

@@ -312,6 +312,26 @@ def test_the_moved_names_still_resolve_on_boxes():
     assert flatchains.deform.__name__ == "deform"
 
 
+def test_a_name_read_on_cli_or_boxes_leaves_the_package_binding(monkeypatch):
+    # both modules resolve through the package's resolver, which binds a
+    # name on the package only the first time
+    import flatchains
+    import flatchains.boxes as boxes
+    import flatchains.cli as cli
+    import flatchains.flatnorm as flatnorm
+    import flatchains.rounding as rounding
+
+    bound = (flatchains.fill_mod_p, flatchains.deform)
+    monkeypatch.setattr(flatnorm, "fill_mod_p", "patched fill")
+    monkeypatch.setattr(rounding, "deform", "patched deform")
+    assert (cli.fill_mod_p, boxes.deform) == ("patched fill", "patched deform")
+    monkeypatch.undo()
+    assert (flatchains.fill_mod_p, flatchains.deform) == bound
+    assert (cli.fill_mod_p, boxes.deform) == bound
+    # every public name reads on boxes, not only those of the box modules
+    assert boxes.Complex is flatchains.Complex and boxes.cone is flatchains.cone
+
+
 def test_no_module_is_named_after_a_public_name():
     # importing such a module would bind it as the package attribute in
     # place of the name; the package undoes that for `cone` alone
@@ -326,8 +346,10 @@ def test_unknown_names_raise_attribute_error():
     import flatchains.boxes
     import flatchains.cli
 
+    # cli and boxes resolve through the package's resolver, and raise its error
     for module in (flatchains, flatchains.boxes, flatchains.cli):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError,
+                           match="^module 'flatchains' has no attribute 'no_such_name'$"):
             module.no_such_name  # noqa: B018
 
 

@@ -213,6 +213,11 @@ def test_a_malformed_abstract_file_exits_2(tmp_path, capsys):
         "kind": "precondition", "message": "line 5: dim section after the chain section"}
 
 
+def test_a_chain_file_of_an_unknown_carrier_is_refused():
+    with pytest.raises(PreconditionError, match="^unknown carrier 'nope'$"):
+        ChainFile("nope", None)
+
+
 def test_parse_error_is_a_precondition_error():
     with pytest.raises(PreconditionError):
         load_chainfile(FIXTURES / "broken.chain")
@@ -519,6 +524,60 @@ def test_islice_needs_one_level_per_axis(capsys):
     assert rc == 2
     assert json.loads(out)["error"] == {"kind": "precondition",
                                         "message": "2 axes against 1 levels"}
+
+
+# an abstract 1-chain whose edge has three faces
+THREE_FACED_EDGE = """chainfile 1 abstract
+dim 0
+cell a 1
+cell b 1
+cell c 1
+dim 1
+cell e 1
+face e a -1
+face e b 1
+face e c 1
+chain 1
+coeff e 1
+"""
+
+# (argv, with a fixture's name or a file's text in place of the file; message)
+REFUSALS = [
+    (["slice", "curves_pair.chain", "--axis", "0", "--r", "1/2"],
+     "this subcommand needs a box file, got 'curves'"),
+    (["flatnorm", "curves_pair.chain"],
+     "this subcommand needs a box or abstract file, got 'curves'"),
+    (["flatnormp", "curves_pair.chain", "--p", "3"],
+     "this subcommand needs a box or abstract file, got 'curves'"),
+    (["cyclerep", "curves_pair.chain", "--p", "3"],
+     "this subcommand needs a box or abstract file, got 'curves'"),
+    (["restrict", "square.chain", "--axis", "0,1", "--r", "1/2,1/3"],
+     "--axis takes exactly one value here"),
+    (["boundary", "chainfile 1 box\ncell 0 0 0 0 1\n"],
+     "0-dimensional chains have no boundary"),
+    (["mass", "chainfile 1 box\nambient 1 2\n"], "line 2: expected `ambient <int>`"),
+    (["mass", "chainfile 1 simplicial\nsimplex 0,0 ;\n"],
+     "line 2: expected `simplex v0 ; v1 ; ... ; coeff`"),
+    (["mass", "chainfile 1 simplicial\nfoo 1\n"],
+     "line 2: unexpected 'foo' in a simplicial file"),
+    (["mass", "chainfile 1 curves\nloop 2\n"], "line 2: unexpected 'loop' in a curves file"),
+    (["decompose", THREE_FACED_EDGE], "cell 'e' is not a directed edge between two points"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[m for _, m in REFUSALS])
+def test_a_refusal_exits_2_with_its_message(argv, message, tmp_path, capsys, schema):
+    command, source, *flags = argv
+    if source.endswith(".chain"):
+        path = FIXTURES / source
+    else:
+        path = tmp_path / "refused.chain"
+        path.write_text(source)
+    rc, out = run_cli([command, str(path), *flags, "--json"], capsys)
+    assert rc == 2
+    doc = json.loads(out)
+    jsonschema.Draft7Validator(schema).validate(doc)
+    assert doc["error"] == {"kind": "precondition", "message": message}
 
 
 def test_massp_rejects_curves(capsys):
